@@ -81,6 +81,7 @@ from .protocol import (
     run_conditioned_walk,
     single_cycle,
     walk_components,
+    walk_record_probabilities,
     walk_state,
 )
 

@@ -50,7 +50,7 @@ from .protocol import (
     cat_success_probability,
     derive_protocol,
     kick_labels,
-    run_conditioned_walk,
+    walk_record_probabilities,
     walk_state,
 )
 from . import fock
@@ -249,6 +249,15 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
         raise ConfigError("xi lists are only supported in decohere mode")
     if mode == "cat" and cfg.n < 1:
         raise ConfigError("cat mode needs n >= 1")
+    # Build the parameter objects once so that out-of-range or non-finite
+    # values are refused here; run() rebuilds them and records the warnings.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for xi in cfg.xi_values:
+                cfg.protocol(xi=xi)
+    except ValueError as exc:
+        raise ConfigError(f"bad parameter: {exc}") from None
     return cfg
 
 
@@ -376,8 +385,7 @@ def run(cfg: ExperimentConfig) -> RunReport:
                       f"wigner function; riemann_sum = {W.norm:.12e}; columns: x, p, w",
                       ("x", "p", "w"), _wigner_rows(W), artifacts)
             diag_all = _clean(diagnostics(state, grid))
-            _, record_prob, _ = run_conditioned_walk(pp)
-            diag_all["success_probability"] = record_prob
+            diag_all["success_probability"], _ = walk_record_probabilities(pp)
 
         elif cfg.mode == "cat":
             pp = cfg.protocol()

@@ -26,12 +26,16 @@ import warnings
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .algebra import (
+    DEGENERACY_CUTOFF,
     CoherentLabel,
     PulseOperatorSpec,
     SuperposedState,
     apply_pulse_operator,
     displace,
+    gram_matrix,
     norm_squared,
     normalize,
     rotate,
@@ -63,6 +67,9 @@ class PhysicalParams:
     Gamma: float = 0.0
 
     def __post_init__(self):
+        rates = (self.omega, self.g, self.Omega1, self.Omega2, self.Gamma)
+        if not all(math.isfinite(r) for r in rates):
+            raise ValueError("rates must be finite")
         if self.omega <= 0:
             raise RegimeViolation("omega must be positive")
         if min(self.g, self.Omega1, self.Omega2, self.Gamma) < 0:
@@ -117,9 +124,13 @@ class ProtocolParams:
     alpha0: complex = 0j
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.l1, self.l2, self.phi)):
+            raise ValueError("l1, l2 and phi must be finite")
+        if not cmath.isfinite(complex(self.alpha0)):
+            raise ValueError("alpha0 must be finite")
         if self.l1 < 0 or self.l2 < 0:
             raise ValueError("l1 and l2 must be non-negative")
-        if self.xi < 0:
+        if not self.xi >= 0:  # also refuses NaN; xi = inf is full dephasing
             raise ValueError("xi must be non-negative")
         if self.n < 0 or int(self.n) != self.n:
             raise ValueError("n must be a non-negative integer")
@@ -192,6 +203,36 @@ def walk_state(pp: ProtocolParams) -> SuperposedState:
     return normalize(SuperposedState(tuple(walk_components(pp))))
 
 
+def walk_record_probabilities(pp: ProtocolParams):
+    """Probability of the all-ground record, in closed form.
+
+    Returns (record probability, per-cycle probabilities).  With
+    N_k = ||sum_m binom(k, m) e^{i(k-2m)phi} |alpha_{k-2m}>||^2 the raw norm
+    after k pulse pairs, the record probability is N_n / 4^n and cycle k
+    yields the ground outcome, given ground outcomes before it, with
+    probability N_k / (4 N_{k-1}).  Every N_k comes from one kick table and
+    one Gram matrix over its 2n+1 labels.  Raises DegenerateState when a
+    per-cycle probability is <= DEGENERACY_CUTOFF.
+    """
+    n = pp.n
+    table = kick_labels(pp.l1, pp.l2, pp.alpha0, n)
+    G = gram_matrix(table[j] for j in range(-n, n + 1))
+    scaled = 1.0  # N_k / 4^k; weights binom(k, m) / 2^k keep it from overflowing
+    per_cycle = []
+    for k in range(1, n + 1):
+        js = list(range(k, -k - 1, -2))
+        c = np.array([comb(k, m) / 2**k * cmath.exp(1j * j * pp.phi)
+                      for m, j in enumerate(js)])
+        rows = np.array(js) + n
+        nxt = np.vdot(c, G[np.ix_(rows, rows)] @ c).real
+        prob = nxt / scaled
+        if prob <= DEGENERACY_CUTOFF:
+            raise DegenerateState(f"cycle {k} ground outcome has probability {prob:.3e}")
+        per_cycle.append(float(prob))
+        scaled = nxt
+    return float(scaled), per_cycle
+
+
 def _cat_kick(label: CoherentLabel, l1: float, l2: float, sign: int) -> CoherentLabel:
     # One full cycle with the strong drive never switched off:
     # D(i s l1 e^{-i s l2 pi}) R(2 s l2 pi) D(i s l1); amplitude map
@@ -260,62 +301,80 @@ def cat_success_probability(pp: ProtocolParams) -> float:
 class JointState:
     """Oscillator branches attached to the two dressed qubit states.
 
-    ``plus``/``minus`` are unnormalized superpositions whose squared norms
-    sum to one; the ground qubit state decomposes as (|+> - |->)/sqrt(2),
-    so a ground start puts +1/sqrt(2) on plus and -1/sqrt(2) on minus.
+    ``plus``/``minus`` map a kick index j to the amplitude of ``labels[j]``
+    on that branch; the squared norms of the two branches sum to one.  Each
+    index has one canonical label, the first one reached from |alpha0> (by
+    |j| kicks of one sign, as in :func:`kick_labels`), so branches that meet
+    at an index add their amplitudes instead of doubling the component
+    count.  The ground qubit state decomposes as (|+> - |->)/sqrt(2), so a
+    ground start puts +1/sqrt(2) on plus and -1/sqrt(2) on minus.
     """
 
-    plus: SuperposedState
-    minus: SuperposedState
+    labels: dict
+    plus: dict
+    minus: dict
 
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
     """Result of projecting the qubit: outcome label, conditioned mode
-    state (normalized), and the outcome probability."""
+    amplitudes (normalized, keyed by kick index into ``labels``), and the
+    outcome probability."""
 
     qubit_state: str
-    projected: SuperposedState
+    amplitudes: dict
+    labels: dict
     probability: float
+
+    @property
+    def projected(self) -> SuperposedState:
+        """The conditioned mode state, components in descending kick index."""
+        return SuperposedState(
+            tuple((self.amplitudes[j], self.labels[j])
+                  for j in sorted(self.amplitudes, reverse=True)),
+            normalized=True,
+        )
 
 
 def initial_joint(alpha0: complex = 0j) -> JointState:
     """Joint state for a ground-state qubit and coherent mode |alpha0>."""
-    lab = CoherentLabel(alpha0, 0.0)
     amp = 1.0 / math.sqrt(2.0)
-    return JointState(
-        plus=SuperposedState(((amp, lab),)),
-        minus=SuperposedState(((-amp, lab),)),
-    )
+    return JointState({0: CoherentLabel(alpha0, 0.0)}, {0: amp}, {0: -amp})
 
 
-def embed_ground(state: SuperposedState) -> JointState:
+def embed_ground(outcome: MeasurementOutcome) -> JointState:
     """Re-embed a conditioned mode state with the qubit back in the ground state."""
     amp = 1.0 / math.sqrt(2.0)
     return JointState(
-        plus=SuperposedState(tuple((amp * c, lab) for c, lab in state.components)),
-        minus=SuperposedState(tuple((-amp * c, lab) for c, lab in state.components)),
+        outcome.labels,
+        {j: amp * c for j, c in outcome.amplitudes.items()},
+        {j: -amp * c for j, c in outcome.amplitudes.items()},
     )
 
 
 def single_cycle(pp: ProtocolParams, joint: JointState) -> JointState:
     """Evolve one pulse pair before measurement.
 
-    The upper dressed branch is kicked with O(-l1, -l2) and gains e^{-i phi};
-    the lower branch is kicked with O(l1, l2) and gains e^{+i phi}.
+    The upper dressed branch is kicked with O(-l1, -l2) (j -> j-1) and gains
+    e^{-i phi}; the lower branch is kicked with O(l1, l2) (j -> j+1) and
+    gains e^{+i phi}.  Indices reached for the first time get their label by
+    applying the kick to the neighbouring label.
     """
-    minus_kick = PulseOperatorSpec(pp.l1, pp.l2, -1)
-    plus_kick = PulseOperatorSpec(pp.l1, pp.l2, +1)
+    labels = dict(joint.labels)
+
+    def kick(spec, branch, phase):
+        out = {}
+        for j, c in branch.items():
+            k = j + spec.sign
+            if k not in labels:
+                labels[k] = apply_pulse_operator(spec, labels[j])
+            out[k] = c * phase
+        return out
+
     ph = cmath.exp(1j * pp.phi)
-    new_plus = tuple(
-        (c * ph.conjugate(), apply_pulse_operator(minus_kick, lab))
-        for c, lab in joint.plus.components
-    )
-    new_minus = tuple(
-        (c * ph, apply_pulse_operator(plus_kick, lab))
-        for c, lab in joint.minus.components
-    )
-    return JointState(SuperposedState(new_plus), SuperposedState(new_minus))
+    plus = kick(PulseOperatorSpec(pp.l1, pp.l2, -1), joint.plus, ph.conjugate())
+    minus = kick(PulseOperatorSpec(pp.l1, pp.l2, +1), joint.minus, ph)
+    return JointState(labels, plus, minus)
 
 
 def project_qubit(joint: JointState, outcome: str = "ground") -> MeasurementOutcome:
@@ -329,33 +388,31 @@ def project_qubit(joint: JointState, outcome: str = "ground") -> MeasurementOutc
         raise ValueError("outcome must be 'ground' or 'excited'")
     sign = -1.0 if outcome == "ground" else 1.0
     amp = 1.0 / math.sqrt(2.0)
-    comps = tuple((amp * c, lab) for c, lab in joint.plus.components) + tuple(
-        (sign * amp * c, lab) for c, lab in joint.minus.components
-    )
-    raw = SuperposedState(comps)
-    prob = norm_squared(raw)
-    if prob <= 1e-14:
+    raw = {j: amp * c for j, c in joint.plus.items()}
+    for j, c in joint.minus.items():
+        raw[j] = raw.get(j, 0j) + sign * amp * c
+    kicks = sorted(raw, reverse=True)
+    prob = norm_squared(SuperposedState(tuple((raw[j], joint.labels[j]) for j in kicks)))
+    if prob <= DEGENERACY_CUTOFF:
         raise DegenerateState(f"outcome '{outcome}' has probability {prob:.3e}")
-    return MeasurementOutcome(outcome, normalize(raw), prob)
+    scale = 1.0 / math.sqrt(prob)
+    return MeasurementOutcome(outcome, {j: raw[j] * scale for j in kicks},
+                              joint.labels, prob)
 
 
 def run_conditioned_walk(pp: ProtocolParams):
     """Run n cycles, conditioning on the ground outcome after each.
 
     Returns (final state, record probability, per-cycle probabilities).
-    The final state reproduces :func:`walk_state` exactly; the probability
-    of actually observing the all-ground record is the product of the
-    per-cycle ground probabilities.
+    The final state reproduces :func:`walk_state` with its n+1 components;
+    the probability of actually observing the all-ground record is the
+    product of the per-cycle ground probabilities.  This explicit chain is
+    the reference that :func:`walk_record_probabilities` is checked against.
     """
-    joint = initial_joint(pp.alpha0)
+    # the qubit starts in |g>, so this projection is |alpha0> with probability 1
+    out = project_qubit(initial_joint(pp.alpha0), "ground")
     probs = []
-    state = None
     for _ in range(pp.n):
-        joint = single_cycle(pp, joint)
-        out = project_qubit(joint, "ground")
+        out = project_qubit(single_cycle(pp, embed_ground(out)), "ground")
         probs.append(out.probability)
-        state = out.projected
-        joint = embed_ground(state)
-    if state is None:  # n = 0
-        state = normalize(SuperposedState(((1.0, CoherentLabel(pp.alpha0)),)))
-    return state, math.prod(probs) if probs else 1.0, probs
+    return out.projected, math.prod(probs, start=1.0), probs

@@ -227,6 +227,18 @@ class TestExitCodes:
         assert main(["walk", "--config", str(cfg), "--grid", "bad",
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("mode, text", [
+        ("walk", "l1 = nan\nl2 = 0.01\nn = 1\n"),
+        ("walk", "l1 = 0.1\nl2 = 0.01\nphi = inf\nn = 1\n"),
+        ("walk", "l1 = 0.1\nl2 = 0.01\nalpha0 = nan\nn = 1\n"),
+        ("decohere", "l1 = 0.1\nl2 = 0.01\nxi = 0,nan\nn = 1\n"),
+        ("oracle-check", "omega = 1.0\ng = 0.01\nomega1 = 16.25\n"
+                         "omega2 = nan\nn = 1\n"),
+    ], ids=["l1", "phi", "alpha0", "xi", "omega2"])
+    def test_non_finite_parameter(self, tmp_path, mode, text):
+        cfg = write_config(tmp_path, text)
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
     def test_seed_flag_accepted(self, tmp_path):
         cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nn = 1\n")
         out = tmp_path / "s"

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from catwalk.algebra import norm_squared, state_overlap
+from catwalk.algebra import SuperposedState, norm_squared, state_overlap
 from catwalk.errors import DegenerateState, RegimeViolation
 from catwalk.protocol import (
     PhysicalParams,
@@ -22,6 +22,7 @@ from catwalk.protocol import (
     run_conditioned_walk,
     single_cycle,
     walk_components,
+    walk_record_probabilities,
     walk_state,
 )
 
@@ -142,8 +143,8 @@ class TestSingleCycleChain:
     def test_zero_kick_branches_differ_by_drive_phase(self):
         pp = ProtocolParams(0.0, 0.0, 1.1, 1)
         joint = single_cycle(pp, initial_joint(0j))
-        cp = joint.plus.components[0][0]
-        cm = joint.minus.components[0][0]
+        cp = joint.plus[-1]
+        cm = joint.minus[1]
         # started as (+1, -1)/sqrt(2); the cycle applies e^{-+ i phi}
         assert cp / abs(cp) == pytest.approx(cmath.exp(-1j * 1.1))
         assert cm / abs(cm) == pytest.approx(-cmath.exp(1j * 1.1))
@@ -162,13 +163,23 @@ class TestSingleCycleChain:
         fid = abs(state_overlap(out.projected, walk_state(pp))) ** 2
         assert fid == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
+    # Relative tolerance by n.  At n = 20 the all-ground record has
+    # probability 2.7e-8 and the norm's quadratic form cancels by a factor
+    # ~2e7, so both paths sit ~4e-10 from a 50-digit evaluation; 5e-9 is
+    # that factor times the double-precision epsilon.
+    CHAIN_REL = {2: 1e-10, 4: 1e-10, 6: 1e-10, 10: 1e-10, 20: 5e-9}
+
+    @pytest.mark.parametrize("n", sorted(CHAIN_REL))
     def test_chain_equals_closed_form(self, n):
+        rel = self.CHAIN_REL[n]
         pp = fig_pp(n)
         chain, _, probs = run_conditioned_walk(pp)
         fid = abs(state_overlap(chain, walk_state(pp))) ** 2
-        assert fid >= 1 - 1e-10
+        assert fid >= 1 - rel
         assert len(probs) == n
+        assert len(chain.components) == n + 1
+        _, closed = walk_record_probabilities(pp)
+        assert probs == pytest.approx(closed, rel=rel, abs=0)
 
     def test_chain_with_displaced_start(self):
         pp = ProtocolParams(0.08, 0.005, 0.9, 4, alpha0=0.6 + 0j)
@@ -185,10 +196,36 @@ class TestSingleCycleChain:
 
     def test_embed_round_trip(self):
         pp = fig_pp(2)
-        state, _, _ = run_conditioned_walk(pp)
-        joint = embed_ground(state)
-        out = project_qubit(joint, "ground")
-        assert out.probability == pytest.approx(1.0, abs=1e-12)
+        out = project_qubit(single_cycle(pp, initial_joint(0j)), "ground")
+        out = project_qubit(single_cycle(pp, embed_ground(out)), "ground")
+        again = project_qubit(embed_ground(out), "ground")
+        assert again.probability == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRecordProbabilities:
+    def test_no_cycles(self):
+        assert walk_record_probabilities(fig_pp(0)) == (1.0, [])
+
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    def test_record_is_scaled_binomial_norm(self, n):
+        pp = fig_pp(n)
+        record, per_cycle = walk_record_probabilities(pp)
+        raw = norm_squared(SuperposedState(tuple(walk_components(pp))))
+        assert record == pytest.approx(raw / 4**n, rel=1e-10)
+        assert record == pytest.approx(math.prod(per_cycle), rel=1e-12)
+
+    def test_zero_kick_cycles_follow_drive_phase(self):
+        # all labels coincide, so N_k = (2 cos phi)^(2k) and each cycle
+        # succeeds with probability cos^2 phi
+        _, per_cycle = walk_record_probabilities(ProtocolParams(0.0, 0.0, 0.4, 6))
+        assert per_cycle == pytest.approx([math.cos(0.4) ** 2] * 6, rel=1e-12)
+
+    def test_degenerate_record(self):
+        pp = ProtocolParams(0.0, 0.0, pi / 2, 2)
+        with pytest.raises(DegenerateState):
+            walk_record_probabilities(pp)
+        with pytest.raises(DegenerateState):
+            run_conditioned_walk(pp)
 
 
 class TestCatState:

@@ -1,31 +1,38 @@
 """Command-line front end: config-driven runs with figure-ready data files.
 
-Subcommands: walk | cat | decohere | oracle-check | alpha-table.
+Subcommands: walk | cat | decohere | oracle-check | alpha-table.  Each is
+one entry of ``MODES``: the function that computes its tables and
+diagnostics, the outputs it writes by default, and the outputs it can write
+at all (requesting any other is a configuration error).  ``run`` writes the
+tables the config's ``outputs`` select and the report.
 
-Configs are flat ``key = value`` text files ('#' starts a comment); command
-line flags override file values.  Angles accept a "pi" suffix ("4.5pi",
-"-0.5pi", "pi"); everything else is plain floats, complex literals
-("0.3+0.1j") for alpha0, and comma lists where noted.  Outputs are CSV by
-default (one '#' header comment, a column-name row, then data rows with
-fixed scientific formatting) or a JSON mirror of the same table; identical
-configs produce byte-identical data files.  A report.json accompanies every
-run with the echoed config, diagnostics, file checksums, warnings, and wall
-time (the report's wall-time field is the one non-reproducible output).
+Configs are flat ``key = value`` text files ('#' starts a comment); the
+flags --out, --format and --grid override file values.  Angles accept a
+"pi" suffix ("4.5pi", "-0.5pi", "pi"); everything else is plain floats,
+complex literals ("0.3+0.1j") for alpha0, and comma lists where noted.
+Outputs are CSV by default (one '#' header comment, a column-name row, then
+data rows with fixed scientific formatting) or a JSON mirror of the same
+table; identical configs produce byte-identical data files.  A report.json
+accompanies every run with the echoed config, diagnostics, file checksums,
+warnings, and wall time (the report's wall-time field is the one
+non-reproducible output).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-gate failure
 (Fock leakage, degenerate superposition, zero-probability outcome).
 """
 
 import argparse
-import cmath
 import hashlib
 import json
 import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from .dephasing import cat_density, walk_density
 from .errors import (
@@ -35,6 +42,7 @@ from .errors import (
     ZeroProbabilityOutcome,
 )
 from .observables import (
+    GridField,
     PhaseSpaceGrid,
     default_grid,
     diagnostics,
@@ -56,18 +64,6 @@ from .protocol import (
 from . import fock
 
 FLOAT_FMT = "%.12e"
-
-MODES = ("walk", "cat", "decohere", "oracle-check", "alpha-table")
-
-DEFAULT_OUTPUTS = {
-    "walk": ("alpha-table", "pdist", "diagnostics"),
-    "cat": ("pdist", "wigner", "diagnostics"),
-    "decohere": ("wigner", "diagnostics"),
-    "oracle-check": ("oracle-table",),
-    "alpha-table": ("alpha-table",),
-}
-
-KNOWN_OUTPUTS = ("alpha-table", "pdist", "wigner", "diagnostics", "oracle-table")
 
 
 def parse_angle(text: str) -> float:
@@ -138,7 +134,6 @@ class ExperimentConfig:
     fmt: str = "csv"
     grid: PhaseSpaceGrid = field(default_factory=default_grid)
     outputs: tuple = ()
-    seed: int | None = None  # reserved; the protocol is deterministic
     # dimensionless protocol knobs
     l1: float = 0.0
     l2: float = 0.0
@@ -167,9 +162,7 @@ class ExperimentConfig:
     def protocol(self, xi: float | None = None) -> ProtocolParams:
         if self.derive:
             pp = derive_protocol(self.physical(), self.n, self.alpha0)
-            if xi is not None:
-                pp = ProtocolParams(pp.l1, pp.l2, pp.phi, pp.n, xi, pp.alpha0)
-            return pp
+            return pp if xi is None else replace(pp, xi=xi)
         return ProtocolParams(
             self.l1, self.l2, self.phi, self.n,
             self.xi_values[0] if xi is None else xi, self.alpha0,
@@ -181,8 +174,8 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     known = {
-        "mode", "out", "output_dir", "format", "grid", "outputs", "seed",
-        "l1", "l2", "phi", "n", "n_max", "xi", "alpha0", "decay_exponent",
+        "mode", "out", "format", "grid", "outputs",
+        "l1", "l2", "phi", "n", "xi", "alpha0", "decay_exponent",
         "derive", "omega", "g", "omega1", "omega2", "gamma", "cutoff",
         "full_hamiltonian",
     }
@@ -202,8 +195,6 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
             cfg.fmt = raw["format"]
         if "grid" in raw:
             cfg.grid = parse_grid(raw["grid"])
-        if "seed" in raw:
-            cfg.seed = int(raw["seed"])
         if "l1" in raw:
             cfg.l1 = float(raw["l1"])
         if "l2" in raw:
@@ -212,8 +203,6 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
             cfg.phi = parse_angle(raw["phi"])
         if "n" in raw:
             cfg.n = int(raw["n"])
-        if "n_max" in raw:
-            cfg.n = int(raw["n_max"])
         if "xi" in raw:
             cfg.xi_values = tuple(float(v) for v in str(raw["xi"]).split(","))
         if "alpha0" in raw:
@@ -234,21 +223,25 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from None
 
+    writable = MODES[mode].writable
     requested = raw.get("outputs")
     if requested:
         cfg.outputs = tuple(s.strip() for s in requested.split(",") if s.strip())
-        bad = set(cfg.outputs) - set(KNOWN_OUTPUTS)
+        bad = set(cfg.outputs) - set(writable)
         if bad:
-            raise ConfigError(f"unknown outputs: {', '.join(sorted(bad))}")
+            raise ConfigError(f"{mode} cannot write {', '.join(sorted(bad))}; "
+                              f"it writes {', '.join(writable)}")
     else:
-        cfg.outputs = DEFAULT_OUTPUTS[mode]
+        cfg.outputs = MODES[mode].defaults
 
     if mode == "oracle-check" and not cfg.derive:
         cfg.derive = True  # oracle mode is inherently physical-parameter driven
-    if mode in ("walk", "cat", "decohere") and len(cfg.xi_values) > 1 and mode != "decohere":
+    if mode in ("walk", "cat") and len(cfg.xi_values) > 1:
         raise ConfigError("xi lists are only supported in decohere mode")
     if mode == "cat" and cfg.n < 1:
         raise ConfigError("cat mode needs n >= 1")
+    if not cfg.decay_exponent >= 0.0:  # also refuses NaN; inf is full suppression
+        raise ConfigError("decay_exponent must be non-negative")
     # Build the parameter objects once so that out-of-range or non-finite
     # values are refused here; run() rebuilds them and records the warnings.
     try:
@@ -288,194 +281,213 @@ class RunReport:
         )
 
 
-def _fmt(value) -> str:
-    return FLOAT_FMT % value
+@dataclass(frozen=True)
+class Table:
+    """One data file: its name, the output that selects it, a header comment
+    and equally long columns (float, int or str) in file order."""
+
+    name: str
+    output: str
+    comment: str
+    columns: dict
+
+    @property
+    def n_rows(self) -> int:
+        return len(next(iter(self.columns.values())))
 
 
-def _write_table(path: Path, comment: str, columns, rows, fmt: str):
-    """Write one table deterministically; returns (path, sha256, n_rows)."""
+def _cell(kind: str, fmt: str) -> str:
+    if kind == "f":
+        return FLOAT_FMT if fmt == "csv" else f'"{FLOAT_FMT}"'
+    return "%d" if kind in "iu" else "%s"
+
+
+def _render(table: Table, fmt: str) -> str:
+    """File text of a table: one row template, filled for every row by a
+    single % operation.  JSON has the layout of
+    ``json.dumps(body, indent=2, sort_keys=True)``."""
+    cols = [np.asarray(c) for c in table.columns.values()]
+    cells = [_cell(c.dtype.kind, fmt) for c in cols]
+    values = [c.tolist() for c in cols]
+    if fmt == "json":
+        values = [[json.dumps(v) for v in vs] if c.dtype.kind == "U" else vs
+                  for c, vs in zip(cols, values)]
+    flat = tuple(v for row in zip(*values) for v in row)
+    n_rows = table.n_rows
     if fmt == "csv":
-        lines = [f"# {comment}", ",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row))
-        payload = "\n".join(lines) + "\n"
-    else:
-        body = {
-            "comment": comment,
-            "columns": list(columns),
-            "rows": [
-                [_fmt(v) if isinstance(v, float) else v for v in row]
-                for row in rows
-            ],
-        }
-        payload = json.dumps(body, indent=2, sort_keys=True) + "\n"
+        row = ",".join(cells) + "\n"
+        return f"# {table.comment}\n{','.join(table.columns)}\n" + (row * n_rows) % flat
+    head = json.dumps({"columns": list(table.columns), "comment": table.comment,
+                       "rows": []}, indent=2, sort_keys=True)
+    row = "    [\n" + ",\n".join("      " + c for c in cells) + "\n    ]"
+    rows = "[\n" + ",\n".join([row] * n_rows) % flat + "\n  ]" if n_rows else "[]"
+    return head[:-len("[]\n}")] + rows + "\n}\n"
+
+
+def _write_table(path: Path, table: Table, fmt: str) -> dict:
+    """Write one table deterministically; returns its report entry."""
+    payload = _render(table, fmt)
     path.write_text(payload, newline="\n")
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    return str(path), digest, len(rows)
+    return {"name": table.name, "path": str(path),
+            "sha256": hashlib.sha256(payload.encode()).hexdigest(),
+            "rows": table.n_rows}
 
 
-def alpha_table_rows(l1: float, l2: float, alpha0: complex, n_max: int):
-    """Rows (j, Re alpha_j, Im alpha_j, theta_j) for j = -n_max..n_max."""
-    table = kick_labels(l1, l2, alpha0, n_max)
-    rows = []
-    for j in range(-n_max, n_max + 1):
-        lab = table[j]
-        rows.append((j, lab.amplitude.real, lab.amplitude.imag, lab.phase))
-    return rows
+def alpha_table(pp: ProtocolParams) -> Table:
+    """Kick-recursion labels (j, Re alpha_j, Im alpha_j, theta_j), j = -n..n."""
+    labels = kick_labels(pp.l1, pp.l2, pp.alpha0, pp.n)
+    js = range(-pp.n, pp.n + 1)
+    return Table("alpha_table", "alpha-table",
+                 "kick-recursion labels; columns: j, re_alpha, im_alpha, theta", {
+                     "j": list(js),
+                     "re_alpha": [labels[j].amplitude.real for j in js],
+                     "im_alpha": [labels[j].amplitude.imag for j in js],
+                     "theta": [labels[j].phase for j in js],
+                 })
 
 
-def _emit(cfg, name, comment, columns, rows, artifacts):
-    ext = "csv" if cfg.fmt == "csv" else "json"
-    path = cfg.output_dir / f"{name}.{ext}"
-    fpath, digest, nrows = _write_table(path, comment, columns, rows, cfg.fmt)
-    artifacts.append({"name": name, "path": fpath, "sha256": digest, "rows": nrows})
+def _pdist_table(state, grid: PhaseSpaceGrid) -> Table:
+    dens = position_density(state, grid)
+    return Table("pdist", "pdist",
+                 f"position probability density; riemann_sum = {dens.norm:.12e}; "
+                 "columns: x, density",
+                 {"x": grid.x_axis(), "density": dens.values})
 
 
-def _wigner_rows(field):
-    xs = field.grid.x_axis()
-    ps = field.grid.p_axis()
-    rows = []
-    for i, xv in enumerate(xs):
-        for j, pv in enumerate(ps):
-            rows.append((float(xv), float(pv), float(field.values[i, j])))
-    return rows
+def _xi_tag(xi: float) -> str:
+    return ("%g" % xi).replace("-", "m")
+
+
+def _wigner_table(W: GridField, xi: float | None = None) -> Table:
+    """Wigner values row-major in x; per-xi name and comment in decohere."""
+    name, at = "wigner", ""
+    if xi is not None:
+        name, at = f"wigner_xi_{_xi_tag(xi)}", f" at xi = {xi:g}"
+    x, p = W.grid.x_axis(), W.grid.p_axis()
+    return Table(name, "wigner",
+                 f"wigner function{at}; riemann_sum = {W.norm:.12e}; columns: x, p, w",
+                 {"x": np.repeat(x, len(p)), "p": np.tile(p, len(x)),
+                  "w": W.values.ravel()})
+
+
+def _diagnostics_table(diag: dict, key: str | None = None) -> Table:
+    name, at = "diagnostics", ""
+    if key is not None:
+        name, at = f"diagnostics_{key}", f" at {key}"
+    keys = sorted(diag)
+    return Table(name, "diagnostics", f"scalar diagnostics{at}; columns: key, value",
+                 {"key": keys, "value": [float(diag[k]) for k in keys]})
 
 
 def _clean(diag: dict) -> dict:
     return {k: float(v) for k, v in diag.items()}
 
 
+# Each mode computes its tables and its diagnostics; run() writes the tables
+# that cfg.outputs selects.
+
+
+def _walk(cfg: ExperimentConfig):
+    pp = cfg.protocol()
+    state = walk_state(pp)
+    grid = grid_for(state, cfg.grid)
+    W = wigner_pure(state, grid)
+    diag = _clean(diagnostics(state, W))
+    diag["success_probability"], _ = walk_record_probabilities(pp)
+    tables = [alpha_table(pp), _pdist_table(state, grid), _wigner_table(W),
+              _diagnostics_table(diag)]
+    return tables, diag
+
+
+def _cat(cfg: ExperimentConfig):
+    pp = cfg.protocol()
+    state = cat_state(pp)
+    grid = grid_for(state, cfg.grid)
+    if cfg.decay_exponent > 0.0:
+        target = cat_density(pp, math.exp(-cfg.decay_exponent))
+        W = wigner_mixed(target, grid)
+    else:
+        target, W = state, wigner_pure(state, grid)
+    diag = _clean(diagnostics(target, W))
+    diag["success_probability"] = cat_success_probability(pp)
+    return [_pdist_table(state, grid), _wigner_table(W), _diagnostics_table(diag)], diag
+
+
+def _decohere(cfg: ExperimentConfig):
+    tables, diag = [], {}
+    for xi in cfg.xi_values:
+        pp = cfg.protocol(xi=xi)
+        rho = walk_density(pp)
+        grid = grid_for(walk_state(replace(pp, xi=0.0)), cfg.grid)
+        W = wigner_mixed(rho, grid)
+        diag[f"xi_{_xi_tag(xi)}"] = _clean(diagnostics(rho, W))
+        tables.append(_wigner_table(W, xi))
+    tables += [_diagnostics_table(diag[key], key) for key in sorted(diag)]
+    return tables, diag
+
+
+def _oracle_check(cfg: ExperimentConfig):
+    phys = cfg.physical()
+    columns = {"n": list(range(1, cfg.n + 1)), "fidelity": [], "record_probability": []}
+    if cfg.full_hamiltonian:
+        columns["fidelity_full"] = []
+    for k in columns["n"]:
+        fid, probs = fock.closed_form_walk_fidelity(phys, k, cfg.alpha0, cfg.cutoff)
+        columns["fidelity"].append(float(fid))
+        columns["record_probability"].append(float(math.prod(probs)))
+        if cfg.full_hamiltonian:
+            fid_full, _ = fock.closed_form_walk_fidelity(
+                phys, k, cfg.alpha0, cfg.cutoff, hamiltonian="full")
+            columns["fidelity_full"].append(float(fid_full))
+    fid_min = min([1.0] + columns["fidelity"])
+    pp = derive_protocol(phys, cfg.n, cfg.alpha0)
+    diag = {"fidelity_min": fid_min, "l1": pp.l1, "l2": pp.l2, "phi": pp.phi, "xi": pp.xi}
+    print(f"oracle-check: min closed-form fidelity over n=1..{cfg.n}: {fid_min:.9f}")
+    table = Table("oracle_check", "oracle-table",
+                  "closed form vs matrix evolution; columns: " + ", ".join(columns),
+                  columns)
+    return [table, _diagnostics_table(diag)], diag
+
+
+def _alpha_table(cfg: ExperimentConfig):
+    return [alpha_table(cfg.protocol())], {}
+
+
+@dataclass(frozen=True)
+class Mode:
+    """A subcommand: its computation and the outputs it writes."""
+
+    compute: Callable  # ExperimentConfig -> (list of Table, diagnostics dict)
+    defaults: tuple
+    writable: tuple
+
+
+MODES = {
+    "walk": Mode(_walk, ("alpha-table", "pdist", "diagnostics"),
+                 ("alpha-table", "pdist", "wigner", "diagnostics")),
+    "cat": Mode(_cat, ("pdist", "wigner", "diagnostics"),
+                ("pdist", "wigner", "diagnostics")),
+    "decohere": Mode(_decohere, ("wigner", "diagnostics"), ("wigner", "diagnostics")),
+    "oracle-check": Mode(_oracle_check, ("oracle-table",), ("oracle-table", "diagnostics")),
+    "alpha-table": Mode(_alpha_table, ("alpha-table",), ("alpha-table",)),
+}
+
+
 def run(cfg: ExperimentConfig) -> RunReport:
     """Execute one configured run and write the requested artifacts."""
     t0 = time.perf_counter()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = []
-    diag_all = {}
-    caught = []
-    with warnings.catch_warnings(record=True) as wrec:
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if cfg.mode == "alpha-table":
-            pp = cfg.protocol()
-            rows = alpha_table_rows(pp.l1, pp.l2, pp.alpha0, cfg.n)
-            _emit(cfg, "alpha_table",
-                  "kick-recursion labels; columns: j, re_alpha, im_alpha, theta",
-                  ("j", "re_alpha", "im_alpha", "theta"), rows, artifacts)
-
-        elif cfg.mode == "walk":
-            pp = cfg.protocol()
-            state = walk_state(pp)
-            grid = grid_for(state, cfg.grid)
-            if "alpha-table" in cfg.outputs:
-                rows = alpha_table_rows(pp.l1, pp.l2, pp.alpha0, pp.n)
-                _emit(cfg, "alpha_table",
-                      "kick-recursion labels; columns: j, re_alpha, im_alpha, theta",
-                      ("j", "re_alpha", "im_alpha", "theta"), rows, artifacts)
-            if "pdist" in cfg.outputs:
-                dens = position_density(state, grid)
-                rows = [(float(xv), float(dv))
-                        for xv, dv in zip(grid.x_axis(), dens.values)]
-                _emit(cfg, "pdist",
-                      f"position probability density; riemann_sum = {dens.norm:.12e}; "
-                      "columns: x, density",
-                      ("x", "density"), rows, artifacts)
-            if "wigner" in cfg.outputs:
-                W = wigner_pure(state, grid)
-                _emit(cfg, "wigner",
-                      f"wigner function; riemann_sum = {W.norm:.12e}; columns: x, p, w",
-                      ("x", "p", "w"), _wigner_rows(W), artifacts)
-            diag_all = _clean(diagnostics(state, grid))
-            diag_all["success_probability"], _ = walk_record_probabilities(pp)
-
-        elif cfg.mode == "cat":
-            pp = cfg.protocol()
-            state = cat_state(pp)
-            grid = grid_for(state, cfg.grid)
-            if "pdist" in cfg.outputs:
-                dens = position_density(state, grid)
-                rows = [(float(xv), float(dv))
-                        for xv, dv in zip(grid.x_axis(), dens.values)]
-                _emit(cfg, "pdist",
-                      f"position probability density; riemann_sum = {dens.norm:.12e}; "
-                      "columns: x, density",
-                      ("x", "density"), rows, artifacts)
-            target = state
-            if cfg.decay_exponent > 0.0:
-                target = cat_density(pp, math.exp(-cfg.decay_exponent))
-            if "wigner" in cfg.outputs:
-                W = (wigner_mixed(target, grid)
-                     if cfg.decay_exponent > 0.0 else wigner_pure(target, grid))
-                _emit(cfg, "wigner",
-                      f"wigner function; riemann_sum = {W.norm:.12e}; columns: x, p, w",
-                      ("x", "p", "w"), _wigner_rows(W), artifacts)
-            diag_all = _clean(diagnostics(target, grid))
-            diag_all["success_probability"] = cat_success_probability(pp)
-
-        elif cfg.mode == "decohere":
-            for xi in cfg.xi_values:
-                pp = cfg.protocol(xi=xi)
-                rho = walk_density(pp)
-                pure = walk_state(ProtocolParams(
-                    pp.l1, pp.l2, pp.phi, pp.n, 0.0, pp.alpha0))
-                grid = grid_for(pure, cfg.grid)
-                tag = ("%g" % xi).replace("-", "m")
-                if "wigner" in cfg.outputs:
-                    W = wigner_mixed(rho, grid)
-                    _emit(cfg, f"wigner_xi_{tag}",
-                          f"wigner function at xi = {xi:g}; riemann_sum = "
-                          f"{W.norm:.12e}; columns: x, p, w",
-                          ("x", "p", "w"), _wigner_rows(W), artifacts)
-                diag_all[f"xi_{tag}"] = _clean(diagnostics(rho, grid))
-
-        elif cfg.mode == "oracle-check":
-            phys = cfg.physical()
-            rows = []
-            fid_min = 1.0
-            for k in range(1, cfg.n + 1):
-                fid, probs = fock.closed_form_walk_fidelity(
-                    phys, k, cfg.alpha0, cfg.cutoff)
-                record = math.prod(probs)
-                row = [k, float(fid), float(record)]
-                if cfg.full_hamiltonian:
-                    fid_full, _ = fock.closed_form_walk_fidelity(
-                        phys, k, cfg.alpha0, cfg.cutoff, hamiltonian="full")
-                    row.append(float(fid_full))
-                rows.append(tuple(row))
-                fid_min = min(fid_min, fid)
-            cols = ["n", "fidelity", "record_probability"]
-            if cfg.full_hamiltonian:
-                cols.append("fidelity_full")
-            _emit(cfg, "oracle_check",
-                  "closed form vs matrix evolution; columns: " + ", ".join(cols),
-                  tuple(cols), rows, artifacts)
-            diag_all["fidelity_min"] = fid_min
-            pp = derive_protocol(phys, cfg.n, cfg.alpha0)
-            diag_all.update(
-                {"l1": pp.l1, "l2": pp.l2, "phi": pp.phi, "xi": pp.xi})
-            print(f"oracle-check: min closed-form fidelity over n=1..{cfg.n}: "
-                  f"{fid_min:.9f}")
-
-        caught = [str(w.message) for w in wrec]
-
-    if "diagnostics" in cfg.outputs and diag_all:
-        if cfg.mode == "decohere":
-            for key in sorted(diag_all):
-                rows = [(k, float(v)) for k, v in sorted(diag_all[key].items())]
-                _emit(cfg, f"diagnostics_{key}",
-                      f"scalar diagnostics at {key}; columns: key, value",
-                      ("key", "value"), rows, artifacts)
-        else:
-            rows = [(k, float(v)) for k, v in sorted(diag_all.items())]
-            _emit(cfg, "diagnostics",
-                  "scalar diagnostics; columns: key, value",
-                  ("key", "value"), rows, artifacts)
-
+        tables, diag = MODES[cfg.mode].compute(cfg)
+    artifacts = [_write_table(cfg.output_dir / f"{t.name}.{cfg.fmt}", t, cfg.fmt)
+                 for t in tables if t.output in cfg.outputs]
     report = RunReport(
         mode=cfg.mode,
         config=_echo_config(cfg),
-        diagnostics=diag_all,
+        diagnostics=diag,
         outputs=artifacts,
-        warnings=caught,
+        warnings=[str(w.message) for w in caught],
         wall_time_s=time.perf_counter() - t0,
     )
     (cfg.output_dir / "report.json").write_text(report.to_json() + "\n", newline="\n")
@@ -512,7 +524,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, help="output directory")
         p.add_argument("--format", choices=("csv", "json"), dest="fmt")
         p.add_argument("--grid", help="xmin,xmax,pmin,pmax,nx,np")
-        p.add_argument("--seed", type=int, help="reserved; runs are deterministic")
     return parser
 
 
@@ -526,8 +537,6 @@ def main(argv=None) -> int:
             raw["format"] = args.fmt
         if args.grid is not None:
             raw["grid"] = args.grid
-        if args.seed is not None:
-            raw["seed"] = str(args.seed)
         cfg = build_config(args.mode, raw)
         report = run(cfg)
     except ConfigError as exc:

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import CoherentLabel, SuperposedState, gram_matrix, normalize, overlap
 from .protocol import ProtocolParams, cat_state, kick_labels, walk_components
@@ -189,7 +188,7 @@ def purity(rho: DyadEnsemble) -> float:
 
 def min_eigenvalue(rho: DyadEnsemble) -> float:
     """Smallest eigenvalue of the physical (Gram-weighted) density operator."""
-    return float(scipy.linalg.eigvalsh(_weighted_matrix(rho)).min())
+    return float(np.linalg.eigvalsh(_weighted_matrix(rho)).min())
 
 
 def trace_distance(a: DyadEnsemble, b: DyadEnsemble) -> float:
@@ -206,7 +205,7 @@ def trace_distance(a: DyadEnsemble, b: DyadEnsemble) -> float:
         for k in idx
     }
     M = _weighted_matrix(DyadEnsemble(labels, diff))
-    return 0.5 * float(np.abs(scipy.linalg.eigvalsh(M)).sum())
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(M)).sum())
 
 
 def cross_term_weight(rho: DyadEnsemble) -> float:

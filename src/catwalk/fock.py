@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .algebra import SuperposedState, normalize
 from .errors import CutoffTooSmall, ZeroProbabilityOutcome
@@ -65,6 +64,37 @@ def coherent_fock_vector(alpha: complex, cutoff: int, phase: float = 0.0) -> np.
     return v * np.exp(1j * phase)
 
 
+def poisson_tail(mean: float, cutoff: int) -> float:
+    """P(k >= cutoff) for k ~ Poisson(mean): the regularized lower incomplete
+    gamma function P(cutoff, mean).
+
+    The terms are summed in log space from the cutoff away from the mode of
+    the distribution, where they shrink monotonically: upward when
+    mean < cutoff, otherwise downward over k < cutoff and subtracted from 1.
+    """
+    if mean <= 0.0 or cutoff <= 0:
+        return float(cutoff <= 0)
+    log_mean = math.log(mean)
+    upward = mean < cutoff
+    k = cutoff if upward else cutoff - 1
+    log_term = k * log_mean - mean - math.lgamma(k + 1)
+    total = 0.0
+    while True:
+        term = math.exp(log_term)
+        total += term
+        if term <= 1e-17 * total:
+            break
+        if upward:
+            k += 1
+            log_term += log_mean - math.log(k)
+        elif k == 0:
+            break
+        else:
+            log_term += math.log(k) - log_mean
+            k -= 1
+    return total if upward else 1.0 - total
+
+
 def superposed_fock_vector(state: SuperposedState, cutoff: int) -> np.ndarray:
     """Expand a coherent superposition in the Fock basis (unit norm).
 
@@ -82,8 +112,7 @@ def superposed_fock_vector(state: SuperposedState, cutoff: int) -> np.ndarray:
     tail_amp = 0.0
     for c, lab in state.components:
         v += c * coherent_fock_vector(lab.amplitude, cutoff, lab.phase)
-        tail_prob = float(scipy.special.gammainc(cutoff, abs(lab.amplitude) ** 2))
-        tail_amp += abs(c) * math.sqrt(max(tail_prob, 0.0))
+        tail_amp += abs(c) * math.sqrt(poisson_tail(abs(lab.amplitude) ** 2, cutoff))
     if tail_amp**2 > EXPANSION_LEAKAGE_MAX:
         raise CutoffTooSmall(
             f"closed-form expansion leaks up to {tail_amp**2:.3e} past cutoff "

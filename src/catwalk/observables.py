@@ -208,6 +208,9 @@ def _accumulate_wigner(dyads, grid: PhaseSpaceGrid) -> np.ndarray:
     x = grid.x_axis()
     p = grid.p_axis()
     W = np.zeros((grid.nx, grid.np))
+    # One complex scratch array for every kernel: a fresh grid-sized
+    # temporary per dyad makes the allocator fault in new pages each time.
+    kernel = np.empty((grid.nx, grid.np), dtype=complex)
     acc = {}
     for w, a, b in dyads:
         key = (complex(a), complex(b))
@@ -222,7 +225,9 @@ def _accumulate_wigner(dyads, grid: PhaseSpaceGrid) -> np.ndarray:
             z = w + acc.get((b, a), 0j).conjugate()
             done.add((b, a))
         const, fx, gp = _dyad_profiles(z, a, b, x, p)
-        W += (const * np.outer(fx, gp)).real
+        np.outer(fx, gp, out=kernel)
+        np.multiply(const, kernel, out=kernel)
+        W += kernel.real
     return W
 
 
@@ -272,44 +277,37 @@ def negativity_volume(field: GridField) -> float:
     return float(np.maximum(-field.values, 0.0).sum() * field.grid.dx * field.grid.dp)
 
 
-def diagnostics(obj, grid: PhaseSpaceGrid | None = None, check_grid: bool = True) -> dict:
+def diagnostics(obj, wigner: GridField | None = None, check_grid: bool = True) -> dict:
     """Scalar summary of a state or ensemble.
 
     Moments (mean_x, mean_p, var_x, var_p) come from operator algebra on the
-    coefficients; purity likewise.  When a grid is given the Wigner function
-    is evaluated on it and min_W plus negativity_volume are included.  With
-    ``check_grid`` the negativity volume is recomputed on a 2x refined grid
-    and a GridTooCoarse warning is emitted if it moves by more than 5%.
+    coefficients; purity likewise.  When the Wigner field of ``obj`` is
+    given, min_W, negativity_volume and wigner_norm are read from it.  With
+    ``check_grid`` the negativity volume is recomputed on the field's grid
+    refined 2x and a GridTooCoarse warning is emitted if it moves by more
+    than 5%.
     """
     e_a, e_aa, e_ada = _moments(obj)
     mean_x = SQRT2 * e_a.real
     mean_p = SQRT2 * e_a.imag
     ex2 = (e_aa.real + e_ada.real) + 0.5
     ep2 = (-e_aa.real + e_ada.real) + 0.5
+    mixed = isinstance(obj, DyadEnsemble)
     out = {
         "mean_x": mean_x,
         "mean_p": mean_p,
         "var_x": ex2 - mean_x**2,
         "var_p": ep2 - mean_p**2,
-        "purity": _dyad_purity(obj) if isinstance(obj, DyadEnsemble) else 1.0,
+        "purity": _dyad_purity(obj) if mixed else 1.0,
     }
-    if grid is not None:
-        W = (
-            wigner_mixed(obj, grid)
-            if isinstance(obj, DyadEnsemble)
-            else wigner_pure(obj, grid)
-        )
-        neg = negativity_volume(W)
-        out["min_W"] = float(W.values.min())
+    if wigner is not None:
+        neg = negativity_volume(wigner)
+        out["min_W"] = float(wigner.values.min())
         out["negativity_volume"] = neg
-        out["wigner_norm"] = W.norm
+        out["wigner_norm"] = wigner.norm
         if check_grid:
-            W2 = (
-                wigner_mixed(obj, grid.refined())
-                if isinstance(obj, DyadEnsemble)
-                else wigner_pure(obj, grid.refined())
-            )
-            neg2 = negativity_volume(W2)
+            refine = wigner_mixed if mixed else wigner_pure
+            neg2 = negativity_volume(refine(obj, wigner.grid.refined()))
             if max(neg, neg2) > 1e-12 and abs(neg2 - neg) > 0.05 * max(neg, neg2):
                 warnings.warn(
                     f"negativity volume moved {neg:.3e} -> {neg2:.3e} under 2x "

@@ -1,13 +1,20 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from math import pi
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from catwalk.cli import (
-    alpha_table_rows,
+    FLOAT_FMT,
+    Table,
+    _write_table,
+    alpha_table,
     build_config,
     main,
     parse_angle,
@@ -15,6 +22,7 @@ from catwalk.cli import (
     parse_grid,
 )
 from catwalk.errors import ConfigError
+from catwalk.protocol import ProtocolParams
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -61,8 +69,23 @@ class TestParsing:
             parse_config_file(cfg)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            build_config("walk", {"l1": "0.1", "frobnicate": "1"})
+        # output_dir, seed and n_max were accepted once and did nothing
+        for key in ("frobnicate", "output_dir", "seed", "n_max"):
+            with pytest.raises(ConfigError, match=key):
+                build_config("walk", {"l1": "0.1", key: "1"})
+
+    @pytest.mark.parametrize("mode, outputs", [
+        ("walk", "oracle-table"),
+        ("decohere", "pdist"),
+        ("alpha-table", "alpha-table,diagnostics"),
+        ("cat", "pdist,nonsense"),
+    ])
+    def test_unwritable_output_rejected(self, tmp_path, mode, outputs):
+        with pytest.raises(ConfigError, match=outputs.split(",")[-1]):
+            build_config(mode, {"n": "2", "outputs": outputs})
+        cfg = write_config(tmp_path, f"l1 = 0.1\nl2 = 0.01\nn = 2\noutputs = {outputs}\n")
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
 
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ConfigError):
@@ -77,8 +100,10 @@ class TestParsing:
 
 class TestAlphaTable:
     def test_rows(self):
-        rows = alpha_table_rows(0.1, 0.01, 0j, 5)
+        table = alpha_table(ProtocolParams(0.1, 0.01, 0.0, 5))
+        rows = list(zip(*table.columns.values()))
         byj = {r[0]: r for r in rows}
+        assert list(table.columns) == ["j", "re_alpha", "im_alpha", "theta"]
         assert len(rows) == 11
         assert byj[0][1:] == (0.0, 0.0, 0.0)
         assert byj[1][1] == pytest.approx(0.00314107591, abs=1e-9)
@@ -234,15 +259,64 @@ class TestExitCodes:
         ("decohere", "l1 = 0.1\nl2 = 0.01\nxi = 0,nan\nn = 1\n"),
         ("oracle-check", "omega = 1.0\ng = 0.01\nomega1 = 16.25\n"
                          "omega2 = nan\nn = 1\n"),
-    ], ids=["l1", "phi", "alpha0", "xi", "omega2"])
+        ("cat", "l1 = 0.1\nl2 = 0.01\nphi = 4.5pi\nn = 2\ndecay_exponent = nan\n"),
+        ("cat", "l1 = 0.1\nl2 = 0.01\nphi = 4.5pi\nn = 2\ndecay_exponent = -3\n"),
+    ], ids=["l1", "phi", "alpha0", "xi", "omega2", "decay_exponent_nan",
+            "decay_exponent_negative"])
     def test_non_finite_parameter(self, tmp_path, mode, text):
         cfg = write_config(tmp_path, text)
         assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
-    def test_seed_flag_accepted(self, tmp_path):
+    def test_seed_flag_refused(self, tmp_path):
         cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nn = 1\n")
-        out = tmp_path / "s"
-        assert main(["walk", "--config", str(cfg), "--out", str(out),
-                     "--seed", "7"]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["config"]["seed"] == 7
+        with pytest.raises(SystemExit) as exc:
+            main(["walk", "--config", str(cfg), "--seed", "7"])
+        assert exc.value.code == 2
+
+
+class TestWriter:
+    """Table bytes against the row-by-row formula they replace."""
+
+    COLUMNS = {
+        "x": np.array([-0.0, 1.5, -2.25e-300, 3.0e12]),
+        "k": [0, -3, 7, 12],
+        "key": ["mean_x", "a\"quote", "tab\tkey", "plain"],
+    }
+
+    @staticmethod
+    def reference(comment, columns, rows, fmt):
+        if fmt == "csv":
+            lines = [f"# {comment}", ",".join(columns)]
+            for row in rows:
+                lines.append(",".join(FLOAT_FMT % v if isinstance(v, float) else str(v)
+                                      for v in row))
+            return "\n".join(lines) + "\n"
+        body = {
+            "comment": comment,
+            "columns": list(columns),
+            "rows": [[FLOAT_FMT % v if isinstance(v, float) else v for v in row]
+                     for row in rows],
+        }
+        return json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_rows", [0, 1, 4])
+    def test_bytes_match_reference(self, tmp_path, fmt, n_rows):
+        columns = {k: v[:n_rows] for k, v in self.COLUMNS.items()}
+        rows = [(float(x), k, key) for x, k, key in zip(*columns.values())]
+        path = tmp_path / f"t.{fmt}"
+        item = _write_table(path, Table("t", "t", "a 100% test", columns), fmt)
+        expected = self.reference("a 100% test", columns, rows, fmt)
+        assert path.read_bytes() == expected.encode()
+        assert item["sha256"] == hashlib.sha256(expected.encode()).hexdigest()
+        assert item["rows"] == n_rows
+
+
+def test_cli_import_leaves_scipy_out():
+    import catwalk
+
+    code = "import sys, catwalk.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(catwalk.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

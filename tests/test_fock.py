@@ -157,6 +157,15 @@ class TestFidelity:
         with pytest.raises(CutoffTooSmall):
             fock.superposed_fock_vector(big, 6)
 
+    def test_poisson_tail_matches_incomplete_gamma(self):
+        from scipy.special import gammainc
+
+        means = np.concatenate([np.linspace(0.0, 300.0, 61), np.geomspace(1e-6, 300.0, 25)])
+        for cutoff in [*range(1, 160, 3), 160]:
+            for mean in means:
+                assert fock.poisson_tail(float(mean), cutoff) == pytest.approx(
+                    gammainc(cutoff, mean), rel=1e-12, abs=1e-300), (cutoff, mean)
+
 
 class TestPulseOperatorMatrix:
     def build(self, l1, l2, sign, n):

@@ -9,6 +9,8 @@ from catwalk.dephasing import walk_density
 from catwalk.errors import GridTooCoarse
 from catwalk.observables import (
     PhaseSpaceGrid,
+    _accumulate_wigner,
+    _dyad_profiles,
     default_grid,
     diagnostics,
     grid_for,
@@ -187,10 +189,23 @@ class TestWignerMixed:
         assert negativity_volume(damped) < negativity_volume(full)
         assert abs(full.norm - 1.0) < 1e-3 and abs(damped.norm - 1.0) < 1e-3
 
+    def test_scratch_kernel_matches_fresh_temporaries(self, rng):
+        # the accumulator reuses one scratch array; its sum must equal the
+        # plain expression with a fresh temporary per dyad, bit for bit
+        g = PhaseSpaceGrid(-4, 4, -3, 3, 41, 31)
+        x, p = g.x_axis(), g.p_axis()
+        dyads = [(complex(*rng.normal(size=2)), complex(*rng.uniform(-1, 1, 2)),
+                  complex(*rng.uniform(-1, 1, 2))) for _ in range(6)]
+        expected = np.zeros((g.nx, g.np))
+        for w, a, b in dyads:
+            const, fx, gp = _dyad_profiles(w, a, b, x, p)
+            expected += (const * np.outer(fx, gp)).real
+        np.testing.assert_array_equal(_accumulate_wigner(dyads, g), expected)
+
 
 class TestDiagnostics:
     def test_vacuum(self):
-        d = diagnostics(VACUUM, default_grid(), check_grid=False)
+        d = diagnostics(VACUUM, wigner_pure(VACUUM, default_grid()), check_grid=False)
         assert d["mean_x"] == pytest.approx(0.0, abs=1e-14)
         assert d["var_x"] == pytest.approx(0.5, abs=1e-12)
         assert d["var_p"] == pytest.approx(0.5, abs=1e-12)
@@ -225,10 +240,11 @@ class TestDiagnostics:
         state = walk_state(fig_pp(5))
         coarse = PhaseSpaceGrid(-6, 6, -6, 6, 21, 21)
         with pytest.warns(GridTooCoarse):
-            diagnostics(state, coarse)
+            diagnostics(state, wigner_pure(state, coarse))
 
     def test_fine_grid_no_warning(self, recwarn):
-        diagnostics(walk_state(fig_pp(5)), default_grid())
+        state = walk_state(fig_pp(5))
+        diagnostics(state, wigner_pure(state, default_grid()))
         assert not [w for w in recwarn.list if issubclass(w.category, GridTooCoarse)]
 
 

@@ -169,6 +169,18 @@ class ExperimentConfig:
         )
 
 
+def _check_cutoff(cutoff: int):
+    """Refuse a Fock cutoff the leakage gate cannot use or whose propagators
+    would not fit in ``fock.PROPAGATOR_BUDGET_BYTES``."""
+    if cutoff <= fock.LEAKAGE_LEVELS:
+        raise ConfigError(f"cutoff must exceed the {fock.LEAKAGE_LEVELS} "
+                          f"Fock levels the leakage gate watches; got {cutoff}")
+    need = fock.propagator_bytes(cutoff)
+    if need > fock.PROPAGATOR_BUDGET_BYTES:
+        raise ConfigError(f"cutoff {cutoff} needs {need:,} bytes of propagators, "
+                          f"over the budget of {fock.PROPAGATOR_BUDGET_BYTES:,}")
+
+
 def build_config(mode: str, raw: dict) -> ExperimentConfig:
     """Validate a raw key-value mapping against the selected mode."""
     if mode not in MODES:
@@ -216,6 +228,7 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
                 setattr(cfg, key, float(raw[key]))
         if "cutoff" in raw:
             cfg.cutoff = int(raw["cutoff"])
+            _check_cutoff(cfg.cutoff)
         if "full_hamiltonian" in raw:
             cfg.full_hamiltonian = _parse_bool(raw["full_hamiltonian"])
     except ConfigError:
@@ -428,20 +441,19 @@ def _decohere(cfg: ExperimentConfig):
 
 def _oracle_check(cfg: ExperimentConfig):
     phys = cfg.physical()
-    columns = {"n": list(range(1, cfg.n + 1)), "fidelity": [], "record_probability": []}
+    ns = list(range(1, cfg.n + 1))
+    fids, probs, leak_max = fock.closed_form_walk_fidelities(
+        phys, cfg.n, cfg.alpha0, cfg.cutoff)
+    columns = {"n": ns, "fidelity": fids,
+               "record_probability": [math.prod(probs[:k]) for k in ns]}
     if cfg.full_hamiltonian:
-        columns["fidelity_full"] = []
-    for k in columns["n"]:
-        fid, probs = fock.closed_form_walk_fidelity(phys, k, cfg.alpha0, cfg.cutoff)
-        columns["fidelity"].append(float(fid))
-        columns["record_probability"].append(float(math.prod(probs)))
-        if cfg.full_hamiltonian:
-            fid_full, _ = fock.closed_form_walk_fidelity(
-                phys, k, cfg.alpha0, cfg.cutoff, hamiltonian="full")
-            columns["fidelity_full"].append(float(fid_full))
-    fid_min = min([1.0] + columns["fidelity"])
+        columns["fidelity_full"], _, leak_full = fock.closed_form_walk_fidelities(
+            phys, cfg.n, cfg.alpha0, cfg.cutoff, hamiltonian="full")
+        leak_max = max(leak_max, leak_full)
+    fid_min = min([1.0] + fids)
     pp = derive_protocol(phys, cfg.n, cfg.alpha0)
-    diag = {"fidelity_min": fid_min, "l1": pp.l1, "l2": pp.l2, "phi": pp.phi, "xi": pp.xi}
+    diag = {"fidelity_min": fid_min, "leakage_max": leak_max,
+            "l1": pp.l1, "l2": pp.l2, "phi": pp.phi, "xi": pp.xi}
     print(f"oracle-check: min closed-form fidelity over n=1..{cfg.n}: {fid_min:.9f}")
     table = Table("oracle_check", "oracle-table",
                   "closed form vs matrix evolution; columns: " + ", ".join(columns),

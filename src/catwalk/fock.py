@@ -44,6 +44,8 @@ DEFAULT_CUTOFF = 80
 LEAKAGE_LEVELS = 5
 LEAKAGE_MAX = 1e-8
 EXPANSION_LEAKAGE_MAX = 1e-8
+# Largest memory the dense propagators of one run may take (see propagator_bytes).
+PROPAGATOR_BUDGET_BYTES = 64 * 2**20
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
@@ -148,13 +150,15 @@ class FockStateVector:
         a = self.amplitudes.reshape(2, self.cutoff)
         return float(np.sum(np.abs(a[:, -LEAKAGE_LEVELS:]) ** 2))
 
-    def check_leakage(self):
+    def check_leakage(self) -> float:
+        """Raise CutoffTooSmall past the gate; otherwise return the leakage."""
         leak = self.leakage()
         if leak > LEAKAGE_MAX:
             raise CutoffTooSmall(
                 f"{leak:.3e} of the population sits in the top "
                 f"{LEAKAGE_LEVELS} Fock levels; increase the cutoff"
             )
+        return leak
 
 
 @dataclass(frozen=True)
@@ -243,6 +247,42 @@ def _propagator(H: np.ndarray, duration: float) -> np.ndarray:
     return (V * np.exp(-1j * w * duration)) @ V.conj().T
 
 
+def propagator_bytes(cutoff: int) -> int:
+    """Memory of the two dense 2N x 2N complex propagators a periodic
+    schedule holds (N = cutoff)."""
+    return 2 * (2 * cutoff) ** 2 * np.dtype(complex).itemsize
+
+
+def _segment_propagators(
+    segments, p: PhysicalParams, cutoff: int, weak_drive_sign: int, hamiltonian: str
+) -> dict:
+    """One propagator per distinct (duration, Omega1_on, Omega2_on) segment."""
+    if hamiltonian not in ("reduced", "full"):
+        raise ValueError("hamiltonian must be 'reduced' or 'full'")
+    props = {}
+    for key in segments:
+        if key not in props:
+            duration, o1, o2 = key
+            if hamiltonian == "reduced":
+                H = build_heff(p, cutoff, o1, o2, weak_drive_sign)
+            else:
+                H = build_full_hamiltonian(p, cutoff, o1, o2)
+            props[key] = _propagator(H, duration)
+    return props
+
+
+def _apply_segments(props: dict, segments, amp: np.ndarray, cutoff: int):
+    """Apply the segments in order, checking the leakage gate after each.
+
+    Returns (amplitudes, largest leakage seen after any segment).
+    """
+    leak_max = 0.0
+    for key in segments:
+        amp = props[key] @ amp
+        leak_max = max(leak_max, FockStateVector(cutoff, amp).check_leakage())
+    return amp, leak_max
+
+
 def evolve(
     state: FockStateVector,
     schedule: PulseSchedule,
@@ -254,25 +294,14 @@ def evolve(
 
     ``hamiltonian`` selects "reduced" (the dressed-frame model) or "full"
     (the unreduced drive-frame model; ``weak_drive_sign`` is ignored there).
-    Propagators are cached per distinct segment configuration, so periodic
-    schedules cost two eigendecompositions.  The leakage gate is checked
-    after every segment.
+    One propagator is built per distinct segment configuration of the
+    schedule, so a periodic schedule costs two eigendecompositions per call.
+    The leakage gate is checked after every segment.
     """
-    if hamiltonian not in ("reduced", "full"):
-        raise ValueError("hamiltonian must be 'reduced' or 'full'")
-    cache = {}
-    amp = state.amplitudes
-    for duration, o1, o2 in schedule.segments:
-        key = (duration, o1, o2)
-        if key not in cache:
-            if hamiltonian == "reduced":
-                H = build_heff(p, state.cutoff, o1, o2, weak_drive_sign)
-            else:
-                H = build_full_hamiltonian(p, state.cutoff, o1, o2)
-            cache[key] = _propagator(H, duration)
-        amp = cache[key] @ amp
-        out = FockStateVector(state.cutoff, amp)
-        out.check_leakage()
+    props = _segment_propagators(
+        schedule.segments, p, state.cutoff, weak_drive_sign, hamiltonian
+    )
+    amp, _ = _apply_segments(props, schedule.segments, state.amplitudes, state.cutoff)
     return FockStateVector(state.cutoff, amp)
 
 
@@ -303,6 +332,41 @@ def parity_flip(mode_amplitudes: np.ndarray) -> np.ndarray:
     return v
 
 
+def walk_prefixes(
+    p: PhysicalParams,
+    n: int,
+    alpha0: complex = 0j,
+    cutoff: int = DEFAULT_CUTOFF,
+    weak_drive_sign: int = 1,
+    hamiltonian: str = "reduced",
+):
+    """Evolve n pulse pairs once, projecting the qubit on the ground state
+    each cycle, and keep the state after every cycle.
+
+    The drive-on and drive-off propagators are built once and applied cycle
+    after cycle, so the whole walk costs two eigendecompositions whatever n
+    is.  The leakage gate is checked after every segment.  The state after
+    k cycles comes from exactly the operations of a k-cycle walk, so every
+    prefix is bit for bit what a separate k-cycle run returns.
+
+    Returns (per-cycle ground probabilities, normalized mode amplitudes after
+    k = 0..n cycles, largest leakage seen after any segment).
+    """
+    cycle = walk_schedule(1).segments
+    props = _segment_propagators(cycle, p, cutoff, weak_drive_sign, hamiltonian)
+    amp = FockStateVector.ground_coherent(alpha0, cutoff).amplitudes
+    probs, modes, leak_max = [], [amp[:cutoff].copy()], 0.0
+    for _ in range(n):
+        amp, leak = _apply_segments(props, cycle, amp, cutoff)
+        leak_max = max(leak_max, leak)
+        prob, mode = project_and_extract(FockStateVector(cutoff, amp), "ground")
+        probs.append(prob)
+        modes.append(mode)
+        amp = np.zeros(2 * cutoff, dtype=complex)
+        amp[:cutoff] = mode
+    return probs, modes, leak_max
+
+
 def run_walk_record(
     p: PhysicalParams,
     n: int,
@@ -311,22 +375,13 @@ def run_walk_record(
     weak_drive_sign: int = 1,
     hamiltonian: str = "reduced",
 ):
-    """Evolve n pulse pairs, projecting the qubit on the ground state each cycle.
+    """Evolve n pulse pairs, projecting the qubit on the ground state each
+    cycle (see ``walk_prefixes``; two eigendecompositions per call).
 
     Returns (per-cycle ground probabilities, final normalized mode amplitudes).
     """
-    cycle = PulseSchedule(((math.pi, True, True), (math.pi, False, False)))
-    state = FockStateVector.ground_coherent(alpha0, cutoff)
-    probs = []
-    mode = state.amplitudes[:cutoff].copy()
-    for _ in range(n):
-        state = evolve(state, cycle, p, weak_drive_sign, hamiltonian)
-        prob, mode = project_and_extract(state, "ground")
-        probs.append(prob)
-        amp = np.zeros(2 * cutoff, dtype=complex)
-        amp[:cutoff] = mode
-        state = FockStateVector(cutoff, amp)
-    return probs, mode
+    probs, modes, _ = walk_prefixes(p, n, alpha0, cutoff, weak_drive_sign, hamiltonian)
+    return probs, modes[-1]
 
 
 def run_cat_record(
@@ -360,10 +415,32 @@ def closed_form_walk_fidelity(
     that matches the closed-form recursion (see module docstring); protocol
     knobs are derived from the same physical parameters, so the comparison
     probes only the second-order reduction error and the cutoff.  Returns
-    (fidelity, per-cycle ground probabilities).
+    (fidelity, per-cycle ground probabilities).  For every k <= n at once,
+    ``closed_form_walk_fidelities`` needs one pass instead of n.
     """
     probs, mode = run_walk_record(
         p, n, alpha0, cutoff, weak_drive_sign=-1, hamiltonian=hamiltonian
     )
     pp = derive_protocol(p, n, alpha0)
     return fidelity(mode, walk_state(pp)), probs
+
+
+def closed_form_walk_fidelities(
+    p: PhysicalParams,
+    n: int,
+    alpha0: complex = 0j,
+    cutoff: int = DEFAULT_CUTOFF,
+    hamiltonian: str = "reduced",
+):
+    """``closed_form_walk_fidelity`` for every k = 1..n from one n-cycle pass.
+
+    Each fidelity and probability equals, bit for bit, what
+    ``closed_form_walk_fidelity(p, k, ...)`` returns.  Returns (fidelities,
+    per-cycle ground probabilities, largest per-segment leakage).
+    """
+    probs, modes, leak_max = walk_prefixes(
+        p, n, alpha0, cutoff, weak_drive_sign=-1, hamiltonian=hamiltonian
+    )
+    fids = [fidelity(modes[k], walk_state(derive_protocol(p, k, alpha0)))
+            for k in range(1, n + 1)]
+    return fids, probs, leak_max

@@ -21,6 +21,7 @@ from catwalk.cli import (
     parse_config_file,
     parse_grid,
 )
+from catwalk import fock
 from catwalk.errors import ConfigError
 from catwalk.protocol import ProtocolParams
 
@@ -219,6 +220,10 @@ class TestDecohereRun:
         assert d["xi_0"]["negativity_volume"] > d["xi_1"]["negativity_volume"]
 
 
+ORACLE_CFG = (f"omega = 1.0\ng = 0.01\nomega1 = {16.25 / (1 - 1e-4 / 2)}\n"
+              "omega2 = 1.5\nn = {n}\ncutoff = {cutoff}\nfull_hamiltonian = {full}\n")
+
+
 class TestOracleCheckRun:
     def test_reports_fidelity(self, tmp_path, capsys):
         eta = 1e-2
@@ -241,6 +246,67 @@ class TestOracleCheckRun:
         cfg = write_config(tmp_path, "n = 2\n")
         assert main(["oracle-check", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 2
+
+    def test_reports_leakage_beside_gate(self, tmp_path):
+        cfg = write_config(tmp_path, ORACLE_CFG.format(n=2, cutoff=80, full="false")
+                           + "outputs = oracle-table,diagnostics\n")
+        out = tmp_path / "oc"
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 0
+        leak = json.loads((out / "report.json").read_text())["diagnostics"]["leakage_max"]
+        assert 0.0 < leak <= fock.LEAKAGE_MAX
+        rows = (out / "diagnostics.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[0] for r in rows] == [
+            "fidelity_min", "l1", "l2", "leakage_max", "phi", "xi"]
+
+    @pytest.mark.parametrize("n, full, expected", [
+        (2, "false", 2), (8, "false", 2), (8, "true", 4),
+    ])
+    def test_propagators_built_once_per_run(self, tmp_path, monkeypatch, n, full,
+                                            expected):
+        # propagator work must not grow with n: one drive-on and one
+        # drive-off propagator per Hamiltonian, whatever n is
+        calls = []
+        real = fock._propagator
+        monkeypatch.setattr(fock, "_propagator",
+                            lambda H, t: calls.append(t) or real(H, t))
+        cfg = write_config(tmp_path, ORACLE_CFG.format(n=n, cutoff=40, full=full))
+        assert main(["oracle-check", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 0
+        assert len(calls) == expected
+
+    def test_small_cutoff_trips_segment_gate(self, tmp_path, capsys):
+        # cutoff 8 is a valid config but too small for this walk: the
+        # per-segment leakage gate must stop the run with exit 3
+        cfg = write_config(tmp_path, "omega = 1.0\ng = 0.01\nomega1 = 100.5\n"
+                                     "omega2 = 10.0\nn = 3\ncutoff = 8\n")
+        assert main(["oracle-check", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 3
+        assert "top 5 Fock levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cutoff", ["0", "-5", str(fock.LEAKAGE_LEVELS)])
+    def test_cutoff_at_or_below_gate_levels_refused(self, tmp_path, cutoff):
+        cfg = write_config(tmp_path, ORACLE_CFG.format(n=2, cutoff=cutoff, full="false"))
+        assert main(["oracle-check", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+
+    def test_oversized_cutoff_refused_by_estimate(self, tmp_path, monkeypatch, capsys):
+        cutoff = 1
+        while fock.propagator_bytes(cutoff) <= fock.PROPAGATOR_BUDGET_BYTES:
+            cutoff *= 2
+        # never build a propagator here, even if the refusal were missing
+        monkeypatch.setattr(fock, "_propagator", None)
+        monkeypatch.setattr(fock, "build_heff", None)
+        cfg = write_config(tmp_path, ORACLE_CFG.format(n=2, cutoff=cutoff, full="false"))
+        assert main(["oracle-check", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"{fock.propagator_bytes(cutoff):,} bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cutoff", [80, 160])
+    def test_working_cutoffs_accepted(self, cutoff):
+        cfg = build_config("oracle-check", {
+            "omega": "1.0", "g": "0.01", "omega1": "16.25", "omega2": "1.5",
+            "n": "10", "cutoff": str(cutoff)})
+        assert cfg.cutoff == cutoff
 
 
 class TestExitCodes:

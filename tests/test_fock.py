@@ -32,6 +32,8 @@ with warnings.catch_warnings():
     CHECK_POINT = phys_point(16.25, 1.5)
     # Fig-2 scale: l1 = 0.1, l2 ~ 0.01, phi = pi/2
     STRONG_POINT = phys_point(100.5, 10.0)
+    # Omega1/omega integer: the unreduced model is comparable (TestFullHamiltonian)
+    FULL_POINT = PhysicalParams(1.0, ETA, 21.0, 2.0)
 
 pytestmark = pytest.mark.filterwarnings("ignore:Omega1")
 
@@ -251,6 +253,59 @@ class TestWalkEquivalence:
         assert np.allclose(fock.parity_flip(fock.parity_flip(v)), v)
 
 
+def per_k_reference(p, k, hamiltonian="reduced"):
+    """The k-cycle walk evolved from the vacuum on its own, one ``evolve``
+    call per segment: (fidelity, per-cycle probabilities, largest leakage)."""
+    state = fock.FockStateVector.ground_coherent(0j, 80)
+    probs, leak = [], 0.0
+    for _ in range(k):
+        for segment in fock.walk_schedule(1).segments:
+            state = fock.evolve(state, fock.PulseSchedule((segment,)), p,
+                                weak_drive_sign=-1, hamiltonian=hamiltonian)
+            leak = max(leak, state.leakage())
+        prob, mode = fock.project_and_extract(state, "ground")
+        probs.append(prob)
+        amp = np.zeros(160, dtype=complex)
+        amp[:80] = mode
+        state = fock.FockStateVector(80, amp)
+    return fock.fidelity(mode, walk_state(derive_protocol(p, k))), probs, leak
+
+
+class TestOnePass:
+    # one n-cycle pass must return, bit for bit, what a separate k-cycle run
+    # returns for every k <= n
+    @pytest.mark.parametrize("p, n, hamiltonian", [
+        (CHECK_POINT, 6, "reduced"),
+        (FULL_POINT, 2, "full"),
+    ], ids=["reduced", "full"])
+    def test_prefixes_bit_identical_to_per_k_runs(self, p, n, hamiltonian):
+        fids, probs, leak_max = fock.closed_form_walk_fidelities(
+            p, n, hamiltonian=hamiltonian)
+        assert len(fids) == len(probs) == n
+        leaks = []
+        for k in range(1, n + 1):
+            ref_fid, ref_probs, ref_leak = per_k_reference(p, k, hamiltonian)
+            assert fids[k - 1] == ref_fid
+            assert probs[:k] == ref_probs
+            fid, record_probs = fock.closed_form_walk_fidelity(
+                p, k, hamiltonian=hamiltonian)
+            assert (fid, record_probs) == (ref_fid, ref_probs)
+            leaks.append(ref_leak)
+        assert leak_max == max(leaks)
+
+    def test_prefix_modes_match_run_walk_record(self):
+        probs, modes, _ = fock.walk_prefixes(CHECK_POINT, 3, alpha0=0.2)
+        assert len(modes) == 4
+        for k in range(4):
+            ref_probs, ref_mode = fock.run_walk_record(CHECK_POINT, k, alpha0=0.2)
+            assert probs[:k] == ref_probs
+            assert np.array_equal(modes[k], ref_mode)
+
+    def test_propagator_bytes(self):
+        # two dense complex (2N)^2 matrices
+        assert fock.propagator_bytes(80) == 2 * 160**2 * 16
+
+
 class TestCatEquivalence:
     def test_conditioned_cat_matches_contract(self):
         # The two-component contract state (relative minus sign) is what the
@@ -272,9 +327,8 @@ class TestFullHamiltonian:
         # Omega1/omega integer so the strong drive completes whole rotations
         # between measurements; the reduction error then dominates and the
         # closed form should match to the loose 0.99 level
-        p = PhysicalParams(1.0, ETA, 21.0, 2.0)
         for n in (1, 2):
-            fid, _ = fock.closed_form_walk_fidelity(p, n, hamiltonian="full")
+            fid, _ = fock.closed_form_walk_fidelity(FULL_POINT, n, hamiltonian="full")
             assert fid >= 0.99
 
     def test_full_hamiltonian_hermitian(self):

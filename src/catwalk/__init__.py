@@ -6,10 +6,12 @@ The package is organized in five layers:
   rotations, the composite kick operator, overlaps, normalization).
 * :mod:`catwalk.protocol`: physical-to-dimensionless parameter mapping and
   the two conditioned protocols (n-pulse walk and two-component cat).
-* :mod:`catwalk.dephasing`: density matrices in the coherent-dyad basis and
+* :mod:`catwalk.dephasing`: density matrices in the coherent-dyad basis
+  (:class:`DyadEnsemble`; a pure state is its rank-1 :func:`projector`) and
   the per-pulse dephasing recursion.
 * :mod:`catwalk.observables`: position densities, Wigner functions, and
-  scalar diagnostics on phase-space grids.
+  scalar diagnostics on phase-space grids.  Everything but the position
+  density reads a :class:`DyadEnsemble`.
 * :mod:`catwalk.fock`: independent truncated-Fock-space evolution used to
   cross-check the closed forms.
 
@@ -37,6 +39,7 @@ from .dephasing import (
     dyad_trace,
     evolve_dyads,
     min_eigenvalue,
+    projector,
     pure_walk_density,
     purity,
     qubit_coherence_decay,

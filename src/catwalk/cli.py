@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dephasing import cat_density, walk_density
+from .dephasing import cat_density, projector, walk_density
 from .errors import (
     ConfigError,
     CutoffTooSmall,
@@ -42,14 +42,15 @@ from .errors import (
     ZeroProbabilityOutcome,
 )
 from .observables import (
+    WIGNER_BUDGET_BYTES,
     GridField,
     PhaseSpaceGrid,
     default_grid,
     diagnostics,
     grid_for,
     position_density,
+    wigner_bytes,
     wigner_mixed,
-    wigner_pure,
 )
 from .protocol import (
     PhysicalParams,
@@ -181,6 +182,16 @@ def _check_cutoff(cutoff: int):
                           f"over the budget of {fock.PROPAGATOR_BUDGET_BYTES:,}")
 
 
+def _check_grid(grid: PhaseSpaceGrid):
+    """Refuse a grid whose Wigner evaluation would not fit in
+    ``observables.WIGNER_BUDGET_BYTES``."""
+    need = wigner_bytes(grid)
+    if need > WIGNER_BUDGET_BYTES:
+        raise ConfigError(f"grid {grid.nx}x{grid.np} needs {need:,} bytes for its "
+                          "Wigner function and the 2x refinement, over the budget "
+                          f"of {WIGNER_BUDGET_BYTES:,}")
+
+
 def build_config(mode: str, raw: dict) -> ExperimentConfig:
     """Validate a raw key-value mapping against the selected mode."""
     if mode not in MODES:
@@ -207,6 +218,7 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
             cfg.fmt = raw["format"]
         if "grid" in raw:
             cfg.grid = parse_grid(raw["grid"])
+            _check_grid(cfg.grid)
         if "l1" in raw:
             cfg.l1 = float(raw["l1"])
         if "l2" in raw:
@@ -403,9 +415,10 @@ def _clean(diag: dict) -> dict:
 def _walk(cfg: ExperimentConfig):
     pp = cfg.protocol()
     state = walk_state(pp)
-    grid = grid_for(state, cfg.grid)
-    W = wigner_pure(state, grid)
-    diag = _clean(diagnostics(state, W))
+    rho = projector(state)
+    grid = grid_for(rho, cfg.grid)
+    W = wigner_mixed(rho, grid)
+    diag = _clean(diagnostics(rho, W))
     diag["success_probability"], _ = walk_record_probabilities(pp)
     tables = [alpha_table(pp), _pdist_table(state, grid), _wigner_table(W),
               _diagnostics_table(diag)]
@@ -414,25 +427,20 @@ def _walk(cfg: ExperimentConfig):
 
 def _cat(cfg: ExperimentConfig):
     pp = cfg.protocol()
-    state = cat_state(pp)
-    grid = grid_for(state, cfg.grid)
-    if cfg.decay_exponent > 0.0:
-        target = cat_density(pp, math.exp(-cfg.decay_exponent))
-        W = wigner_mixed(target, grid)
-    else:
-        target, W = state, wigner_pure(state, grid)
-    diag = _clean(diagnostics(target, W))
+    rho = cat_density(pp, math.exp(-cfg.decay_exponent))
+    grid = grid_for(rho, cfg.grid)
+    W = wigner_mixed(rho, grid)
+    diag = _clean(diagnostics(rho, W))
     diag["success_probability"] = cat_success_probability(pp)
-    return [_pdist_table(state, grid), _wigner_table(W), _diagnostics_table(diag)], diag
+    return [_pdist_table(cat_state(pp), grid), _wigner_table(W),
+            _diagnostics_table(diag)], diag
 
 
 def _decohere(cfg: ExperimentConfig):
     tables, diag = [], {}
     for xi in cfg.xi_values:
-        pp = cfg.protocol(xi=xi)
-        rho = walk_density(pp)
-        grid = grid_for(walk_state(replace(pp, xi=0.0)), cfg.grid)
-        W = wigner_mixed(rho, grid)
+        rho = walk_density(cfg.protocol(xi=xi))
+        W = wigner_mixed(rho, grid_for(rho, cfg.grid))
         diag[f"xi_{_xi_tag(xi)}"] = _clean(diagnostics(rho, W))
         tables.append(_wigner_table(W, xi))
     tables += [_diagnostics_table(diag[key], key) for key in sorted(diag)]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CoherentLabel, SuperposedState, gram_matrix, normalize, overlap
-from .protocol import ProtocolParams, cat_state, kick_labels, walk_components
+from .protocol import ProtocolParams, cat_state, kick_labels, walk_state
 
 __all__ = [
     "DyadEnsemble",
@@ -42,6 +42,7 @@ __all__ = [
     "walk_density",
     "walk_density_steps",
     "pure_walk_density",
+    "projector",
     "cat_density",
     "purity",
     "dyad_trace",
@@ -56,10 +57,12 @@ __all__ = [
 class DyadEnsemble:
     """rho = sum rho_{jk} |label_j><label_k| over a shared label table.
 
-    ``labels`` maps the integer kick index to its CoherentLabel; ``entries``
+    ``labels`` maps an integer index (the kick index j, or the component
+    position in a :func:`projector`) to its CoherentLabel; ``entries``
     maps (j, k) pairs to the complex weight rho_{jk}.  Physical instances
     are Hermitian (rho_{jk} = conj(rho_{kj})), unit trace under the
-    overlap-weighted sum, and positive semidefinite.
+    overlap-weighted sum, and positive semidefinite.  A pure state is the
+    rank-1 case, see :func:`projector`.
     """
 
     labels: dict
@@ -137,16 +140,29 @@ def walk_density_steps(pp: ProtocolParams):
         yield step, rho
 
 
+def projector(state: SuperposedState) -> DyadEnsemble:
+    """Rank-1 density |psi><psi| of a superposition, normalized first if needed.
+
+    Labels are keyed by component position and the entries c_j conj(c_k)
+    run component-major (j outer, k inner); that order fixes the order in
+    which the Wigner function and the moments are summed.
+    """
+    if not state.normalized:
+        state = normalize(state)
+    comps = state.components
+    return DyadEnsemble(
+        {j: lab for j, (_, lab) in enumerate(comps)},
+        {(j, k): cj * ck.conjugate()
+         for j, (cj, _) in enumerate(comps) for k, (ck, _) in enumerate(comps)},
+    )
+
+
 def pure_walk_density(pp: ProtocolParams) -> DyadEnsemble:
     """Projector |psi><psi| of the xi = 0 walk state, keyed by kick index."""
-    comps = walk_components(pp)
-    state = normalize(SuperposedState(tuple(comps)))
-    labels = {pp.n - 2 * m: lab for m, (_, lab) in enumerate(comps)}
-    coeffs = {pp.n - 2 * m: c for m, (c, _) in enumerate(state.components)}
-    entries = {
-        (j, k): coeffs[j] * coeffs[k].conjugate() for j in coeffs for k in coeffs
-    }
-    return DyadEnsemble(labels, entries)
+    rho = projector(walk_state(pp))
+    kick = {m: pp.n - 2 * m for m in rho.labels}
+    return DyadEnsemble({kick[m]: lab for m, lab in rho.labels.items()},
+                        {(kick[j], kick[k]): w for (j, k), w in rho.entries.items()})
 
 
 def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> DyadEnsemble:

@@ -20,8 +20,10 @@ and a p-profile:
 with alpha = ar + i ai the ket label, beta = br + i bi the bra label.  The
 dyad sum is accumulated as conjugate pairs, so the result is exactly real;
 grids of a few hundred points per axis with tens of dyads cost milliseconds.
-Moments are always computed from coefficients and overlaps, never from grid
-sums, so diagnostics accuracy does not depend on grid resolution.
+Every observable except the position density reads a DyadEnsemble; a pure
+state enters as its rank-1 projector.  Moments are always computed from
+dyad weights and overlaps, never from grid sums, so diagnostics accuracy
+does not depend on grid resolution.
 """
 
 import math
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import SuperposedState, normalize, overlap
-from .dephasing import DyadEnsemble, purity as _dyad_purity
+from .dephasing import DyadEnsemble, projector, purity
 from .errors import GridTooCoarse
 
 SQRT2 = math.sqrt(2.0)
@@ -39,6 +41,11 @@ SQRT2 = math.sqrt(2.0)
 DEFAULT_HALF_WIDTH = 6.0
 DEFAULT_POINTS = 201
 GAUSSIAN_MARGIN = 3.0  # half-width must exceed sqrt(2)|alpha| by this much
+# Largest wigner_bytes a run may need (square grids up to 1136^2).  Writing
+# the tables adds about twice as much again per point: a walk run on a
+# 1001^2 grid needs 99 MiB here and peaked at 305 MiB resident (Linux,
+# numpy 2.4), against 45 MiB on the default grid.
+WIGNER_BUDGET_BYTES = 128 * 2**20
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,10 @@ class PhaseSpaceGrid:
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.p_min < self.p_max):
             raise ValueError("grid bounds must be ordered")
+        # a finite span implies finite bounds
+        if not (math.isfinite(self.x_max - self.x_min)
+                and math.isfinite(self.p_max - self.p_min)):
+            raise ValueError("grid bounds and spans must be finite")
         if self.nx < 2 or self.np < 2:
             raise ValueError("grid needs at least 2 points per axis")
 
@@ -79,6 +90,14 @@ class PhaseSpaceGrid:
         )
 
 
+def wigner_bytes(grid: PhaseSpaceGrid) -> int:
+    """Peak bytes of a Wigner evaluation on ``grid`` and its 2x refinement:
+    the float64 field stays alive while the refined float64 field and its
+    complex128 kernel scratch are built."""
+    fine = grid.refined()
+    return 8 * grid.nx * grid.np + 24 * fine.nx * fine.np
+
+
 def default_grid() -> PhaseSpaceGrid:
     return PhaseSpaceGrid(
         -DEFAULT_HALF_WIDTH, DEFAULT_HALF_WIDTH,
@@ -87,7 +106,7 @@ def default_grid() -> PhaseSpaceGrid:
     )
 
 
-def grid_for(obj, base: PhaseSpaceGrid | None = None) -> PhaseSpaceGrid:
+def grid_for(rho: DyadEnsemble, base: PhaseSpaceGrid | None = None) -> PhaseSpaceGrid:
     """Default grid, expanded symmetrically if the state outgrows the box.
 
     The box half-width is raised to sqrt(2)|alpha| + 3 over all labels; the
@@ -96,21 +115,13 @@ def grid_for(obj, base: PhaseSpaceGrid | None = None) -> PhaseSpaceGrid:
     if base is None:
         base = default_grid()
     need = max(
-        (SQRT2 * abs(w_or_l.amplitude) + GAUSSIAN_MARGIN for w_or_l in _all_labels(obj)),
+        (SQRT2 * abs(lab.amplitude) + GAUSSIAN_MARGIN for lab in rho.labels.values()),
         default=0.0,
     )
     half = max(base.x_max, -base.x_min, base.p_max, -base.p_min)
     if need <= half:
         return base
     return PhaseSpaceGrid(-need, need, -need, need, base.nx, base.np)
-
-
-def _all_labels(obj):
-    if isinstance(obj, SuperposedState):
-        return list(obj.labels)
-    if isinstance(obj, DyadEnsemble):
-        return list(obj.labels.values())
-    raise TypeError(f"expected SuperposedState or DyadEnsemble, got {type(obj)!r}")
 
 
 @dataclass(frozen=True)
@@ -129,29 +140,17 @@ class GridField:
     norm: float = field(default=float("nan"))
 
 
-def _dyad_list(obj):
-    """Normalized dyads as (weight, ket amplitude, bra amplitude) triples.
+def _dyad_list(rho: DyadEnsemble):
+    """Dyads as (weight, ket amplitude, bra amplitude) triples, in entry order.
 
     Label phases are folded into the weights; the weights sum (with
     overlaps) to one.
     """
-    if isinstance(obj, SuperposedState):
-        state = obj if obj.normalized else normalize(obj)
-        out = []
-        for cm, lm in state.components:
-            for ck, lk in state.components:
-                w = cm * ck.conjugate() * np.exp(1j * (lm.phase - lk.phase))
-                out.append((w, lm.amplitude, lk.amplitude))
-        return out
-    if isinstance(obj, DyadEnsemble):
-        out = []
-        for (j, k), w in obj.entries.items():
-            lj, lk = obj.labels[j], obj.labels[k]
-            out.append(
-                (w * np.exp(1j * (lj.phase - lk.phase)), lj.amplitude, lk.amplitude)
-            )
-        return out
-    raise TypeError(f"expected SuperposedState or DyadEnsemble, got {type(obj)!r}")
+    out = []
+    for (j, k), w in rho.entries.items():
+        lj, lk = rho.labels[j], rho.labels[k]
+        out.append((w * np.exp(1j * (lj.phase - lk.phase)), lj.amplitude, lk.amplitude))
+    return out
 
 
 def position_wavefunction(state: SuperposedState, x: np.ndarray) -> np.ndarray:
@@ -232,9 +231,8 @@ def _accumulate_wigner(dyads, grid: PhaseSpaceGrid) -> np.ndarray:
 
 
 def wigner_pure(state: SuperposedState, grid: PhaseSpaceGrid) -> GridField:
-    """Wigner function of a normalized superposition, exactly real."""
-    W = _accumulate_wigner(_dyad_list(state), grid)
-    return GridField(grid, W, "wigner", float(W.sum() * grid.dx * grid.dp))
+    """Wigner function of a superposition: that of its projector."""
+    return wigner_mixed(projector(state), grid)
 
 
 def wigner_mixed(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> GridField:
@@ -243,30 +241,18 @@ def wigner_mixed(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> GridField:
     return GridField(grid, W, "wigner", float(W.sum() * grid.dx * grid.dp))
 
 
-def _moments(obj):
-    """<a>, <a^2>, <a^dag a> from coefficients and overlaps (grid-free)."""
+def _moments(rho: DyadEnsemble):
+    """<a>, <a^2>, <a^dag a> from dyad weights and overlaps (grid-free)."""
     e_a = 0j
     e_aa = 0j
     e_ada = 0j
-    if isinstance(obj, SuperposedState):
-        state = obj if obj.normalized else normalize(obj)
-        for cm, lm in state.components:
-            for ck, lk in state.components:
-                w = ck.conjugate() * cm * overlap(lk, lm)
-                am, ak = lm.amplitude, lk.amplitude
-                e_a += w * am
-                e_aa += w * am * am
-                e_ada += w * ak.conjugate() * am
-    elif isinstance(obj, DyadEnsemble):
-        for (j, k), w in obj.entries.items():
-            lj, lk = obj.labels[j], obj.labels[k]
-            ov = w * overlap(lk, lj)
-            aj, ak = lj.amplitude, lk.amplitude
-            e_a += ov * aj
-            e_aa += ov * aj * aj
-            e_ada += ov * ak.conjugate() * aj
-    else:
-        raise TypeError(f"expected SuperposedState or DyadEnsemble, got {type(obj)!r}")
+    for (j, k), w in rho.entries.items():
+        lj, lk = rho.labels[j], rho.labels[k]
+        ov = w * overlap(lk, lj)
+        aj, ak = lj.amplitude, lk.amplitude
+        e_a += ov * aj
+        e_aa += ov * aj * aj
+        e_ada += ov * ak.conjugate() * aj
     return e_a, e_aa, e_ada
 
 
@@ -277,28 +263,28 @@ def negativity_volume(field: GridField) -> float:
     return float(np.maximum(-field.values, 0.0).sum() * field.grid.dx * field.grid.dp)
 
 
-def diagnostics(obj, wigner: GridField | None = None, check_grid: bool = True) -> dict:
-    """Scalar summary of a state or ensemble.
+def diagnostics(rho: DyadEnsemble, wigner: GridField | None = None,
+                check_grid: bool = True) -> dict:
+    """Scalar summary of a density (use :func:`projector` for a pure state).
 
-    Moments (mean_x, mean_p, var_x, var_p) come from operator algebra on the
-    coefficients; purity likewise.  When the Wigner field of ``obj`` is
-    given, min_W, negativity_volume and wigner_norm are read from it.  With
+    Moments (mean_x, mean_p, var_x, var_p) and purity come from the dyad
+    weights and label overlaps.  When the Wigner field of ``rho`` is given,
+    min_W, negativity_volume and wigner_norm are read from it.  With
     ``check_grid`` the negativity volume is recomputed on the field's grid
     refined 2x and a GridTooCoarse warning is emitted if it moves by more
     than 5%.
     """
-    e_a, e_aa, e_ada = _moments(obj)
+    e_a, e_aa, e_ada = _moments(rho)
     mean_x = SQRT2 * e_a.real
     mean_p = SQRT2 * e_a.imag
     ex2 = (e_aa.real + e_ada.real) + 0.5
     ep2 = (-e_aa.real + e_ada.real) + 0.5
-    mixed = isinstance(obj, DyadEnsemble)
     out = {
         "mean_x": mean_x,
         "mean_p": mean_p,
         "var_x": ex2 - mean_x**2,
         "var_p": ep2 - mean_p**2,
-        "purity": _dyad_purity(obj) if mixed else 1.0,
+        "purity": purity(rho),
     }
     if wigner is not None:
         neg = negativity_volume(wigner)
@@ -306,8 +292,7 @@ def diagnostics(obj, wigner: GridField | None = None, check_grid: bool = True) -
         out["negativity_volume"] = neg
         out["wigner_norm"] = wigner.norm
         if check_grid:
-            refine = wigner_mixed if mixed else wigner_pure
-            neg2 = negativity_volume(refine(obj, wigner.grid.refined()))
+            neg2 = negativity_volume(wigner_mixed(rho, wigner.grid.refined()))
             if max(neg, neg2) > 1e-12 and abs(neg2 - neg) > 0.05 * max(neg, neg2):
                 warnings.warn(
                     f"negativity volume moved {neg:.3e} -> {neg2:.3e} under 2x "

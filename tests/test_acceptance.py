@@ -32,6 +32,7 @@ from catwalk.dephasing import (
     cat_density,
     dyad_trace,
     min_eigenvalue,
+    projector,
     pure_walk_density,
     trace_distance,
     walk_density,
@@ -221,7 +222,7 @@ def test_criterion_5_wigner_structure():
 )
 def test_criterion_5_global_x_variance_below_half():
     with criterion("5 (var_x < 0.5)", "documented expected failure"):
-        d = diagnostics(walk_state(fig_pp(5)))
+        d = diagnostics(projector(walk_state(fig_pp(5))))
         print(f"\n  measured var_x at n=5: {d['var_x']:.4f}")
         assert d["var_x"] < 0.5
 
@@ -312,8 +313,8 @@ def test_criterion_7_decoherence_consistency():
 def test_criterion_8_phi_parity():
     """|<x>| at phi = 4 pi is far below its value at phi = 9 pi / 2."""
     with criterion(8, "drive-phase parity of the displacement"):
-        even = diagnostics(walk_state(fig_pp(10, phi=4 * pi)))["mean_x"]
-        odd = diagnostics(walk_state(fig_pp(10, phi=4.5 * pi)))["mean_x"]
+        even = diagnostics(projector(walk_state(fig_pp(10, phi=4 * pi))))["mean_x"]
+        odd = diagnostics(projector(walk_state(fig_pp(10, phi=4.5 * pi))))["mean_x"]
         assert abs(even) < abs(odd)
         assert abs(even) < 0.05
         print(f"\n  criterion 8: |<x>| = {abs(even):.4f} (even) vs "

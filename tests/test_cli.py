@@ -21,9 +21,12 @@ from catwalk.cli import (
     parse_config_file,
     parse_grid,
 )
-from catwalk import fock
+from catwalk import fock, observables
 from catwalk.errors import ConfigError
 from catwalk.protocol import ProtocolParams
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -327,11 +330,34 @@ class TestExitCodes:
                          "omega2 = nan\nn = 1\n"),
         ("cat", "l1 = 0.1\nl2 = 0.01\nphi = 4.5pi\nn = 2\ndecay_exponent = nan\n"),
         ("cat", "l1 = 0.1\nl2 = 0.01\nphi = 4.5pi\nn = 2\ndecay_exponent = -3\n"),
+        ("walk", "l1 = 0.1\nl2 = 0.01\nn = 1\ngrid = -inf,inf,-6,6,11,11\n"),
+        ("walk", "l1 = 0.1\nl2 = 0.01\nn = 1\ngrid = -1e308,1e308,-6,6,11,11\n"),
     ], ids=["l1", "phi", "alpha0", "xi", "omega2", "decay_exponent_nan",
-            "decay_exponent_negative"])
+            "decay_exponent_negative", "grid_infinite", "grid_span_overflow"])
     def test_non_finite_parameter(self, tmp_path, mode, text):
         cfg = write_config(tmp_path, text)
         assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+    def test_oversized_grid_refused_by_estimate(self, tmp_path, monkeypatch, capsys):
+        spec = "-6,6,-6,6,100000,100000"
+        # never evaluate a Wigner function here, even if the refusal were missing
+        monkeypatch.setattr(observables, "_accumulate_wigner", None)
+        cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nn = 1\n")
+        assert main(["walk", "--config", str(cfg), f"--grid={spec}",
+                     "--out", str(tmp_path / "x")]) == 2
+        need = observables.wigner_bytes(parse_grid(spec))
+        assert need > observables.WIGNER_BUDGET_BYTES
+        assert f"{need:,} bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, raw", [
+        ("walk", {}),
+        ("walk", {"grid": "-8,8,-8,8,401,401"}),
+    ] + [(path.stem.replace("_", "-"), parse_config_file(path))
+         for path in sorted(CONFIGS.glob("*.cfg"))],
+        ids=["default", "401x401"] + [path.name for path in sorted(CONFIGS.glob("*.cfg"))])
+    def test_working_grids_accepted(self, mode, raw):
+        cfg = build_config(mode, raw)
+        assert observables.wigner_bytes(cfg.grid) <= observables.WIGNER_BUDGET_BYTES
 
     def test_seed_flag_refused(self, tmp_path):
         cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nn = 1\n")

@@ -1,16 +1,18 @@
 import math
+from dataclasses import replace
 from math import pi
 
 import numpy as np
 import pytest
 
-from catwalk.algebra import CoherentLabel, SuperposedState, normalize
-from catwalk.dephasing import walk_density
+from catwalk.algebra import CoherentLabel, SuperposedState, normalize, overlap
+from catwalk.dephasing import projector, walk_density
 from catwalk.errors import GridTooCoarse
 from catwalk.observables import (
     PhaseSpaceGrid,
     _accumulate_wigner,
     _dyad_profiles,
+    _moments,
     default_grid,
     diagnostics,
     grid_for,
@@ -42,6 +44,10 @@ class TestGrid:
             PhaseSpaceGrid(1, -1, -6, 6, 100, 100)
         with pytest.raises(ValueError):
             PhaseSpaceGrid(-6, 6, -6, 6, 1, 100)
+        with pytest.raises(ValueError, match="finite"):
+            PhaseSpaceGrid(-math.inf, math.inf, -6, 6, 11, 11)
+        with pytest.raises(ValueError, match="finite"):
+            PhaseSpaceGrid(-6, 6, -1e308, 1e308, 11, 11)
 
     def test_default(self):
         g = default_grid()
@@ -51,13 +57,13 @@ class TestGrid:
     def test_auto_expansion(self):
         # n = 20 drives labels out to |alpha| ~ 3.9; the box must follow
         state = walk_state(fig_pp(20))
-        g = grid_for(state)
+        g = grid_for(projector(state))
         need = max(math.sqrt(2) * abs(l.amplitude) for l in state.labels) + 3
         assert g.x_max == pytest.approx(need)
         assert g.nx == 201
 
     def test_no_expansion_when_contained(self):
-        assert grid_for(VACUUM) == default_grid()
+        assert grid_for(projector(VACUUM)) == default_grid()
 
 
 class TestPositionDensity:
@@ -203,9 +209,60 @@ class TestWignerMixed:
         np.testing.assert_array_equal(_accumulate_wigner(dyads, g), expected)
 
 
+class TestProjector:
+    """A pure state reaches every observable as its projector.  Its Wigner
+    function and moments must keep the bits of the loops that once summed
+    the pure state's components directly, copied here as the reference."""
+
+    @staticmethod
+    def component_dyads(state):
+        out = []
+        for cm, lm in state.components:
+            for ck, lk in state.components:
+                w = cm * ck.conjugate() * np.exp(1j * (lm.phase - lk.phase))
+                out.append((w, lm.amplitude, lk.amplitude))
+        return out
+
+    @staticmethod
+    def component_moments(state):
+        e_a = e_aa = e_ada = 0j
+        for cm, lm in state.components:
+            for ck, lk in state.components:
+                w = ck.conjugate() * cm * overlap(lk, lm)
+                am, ak = lm.amplitude, lk.amplitude
+                e_a += w * am
+                e_aa += w * am * am
+                e_ada += w * ak.conjugate() * am
+        return e_a, e_aa, e_ada
+
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    def test_bits_match_component_loops(self, n):
+        state = walk_state(fig_pp(n))
+        rho = projector(state)
+        g = default_grid()
+        expected = _accumulate_wigner(self.component_dyads(state), g)
+        np.testing.assert_array_equal(wigner_mixed(rho, g).values, expected)
+        assert _moments(rho) == self.component_moments(state)
+
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    def test_dephased_walk_has_the_pure_grid(self, n):
+        pp = fig_pp(n, xi=0.5)
+        small = PhaseSpaceGrid(-1, 1, -1, 1, 11, 11)  # forces expansion
+        pure = projector(walk_state(replace(pp, xi=0.0)))
+        assert grid_for(walk_density(pp)) == grid_for(pure)
+        assert grid_for(walk_density(pp), small) == grid_for(pure, small)
+
+    def test_normalizes_and_has_unit_purity(self):
+        raw = SuperposedState(((2.0, CoherentLabel(0.5)), (1j, CoherentLabel(-0.5))))
+        rho = projector(raw)
+        assert rho.entries == projector(normalize(raw)).entries
+        assert diagnostics(rho)["purity"] == pytest.approx(1.0, abs=1e-14)
+
+
 class TestDiagnostics:
     def test_vacuum(self):
-        d = diagnostics(VACUUM, wigner_pure(VACUUM, default_grid()), check_grid=False)
+        d = diagnostics(projector(VACUUM), wigner_pure(VACUUM, default_grid()),
+                        check_grid=False)
         assert d["mean_x"] == pytest.approx(0.0, abs=1e-14)
         assert d["var_x"] == pytest.approx(0.5, abs=1e-12)
         assert d["var_p"] == pytest.approx(0.5, abs=1e-12)
@@ -214,7 +271,7 @@ class TestDiagnostics:
 
     def test_coherent_state_minimum_uncertainty(self):
         state = pure_state((1.0, CoherentLabel(0.8 - 0.3j)))
-        d = diagnostics(state)
+        d = diagnostics(projector(state))
         assert d["mean_x"] == pytest.approx(math.sqrt(2) * 0.8, abs=1e-12)
         assert d["mean_p"] == pytest.approx(-math.sqrt(2) * 0.3, abs=1e-12)
         assert d["var_x"] == pytest.approx(0.5, abs=1e-12)
@@ -223,7 +280,7 @@ class TestDiagnostics:
     def test_moments_match_grid_integrals(self):
         state = walk_state(fig_pp(5))
         g = PhaseSpaceGrid(-8, 8, -8, 8, 801, 801)
-        d = diagnostics(state)
+        d = diagnostics(projector(state))
         dens = position_density(state, g)
         x = g.x_axis()
         mean_grid = (x * dens.values).sum() * g.dx
@@ -240,11 +297,11 @@ class TestDiagnostics:
         state = walk_state(fig_pp(5))
         coarse = PhaseSpaceGrid(-6, 6, -6, 6, 21, 21)
         with pytest.warns(GridTooCoarse):
-            diagnostics(state, wigner_pure(state, coarse))
+            diagnostics(projector(state), wigner_pure(state, coarse))
 
     def test_fine_grid_no_warning(self, recwarn):
         state = walk_state(fig_pp(5))
-        diagnostics(state, wigner_pure(state, default_grid()))
+        diagnostics(projector(state), wigner_pure(state, default_grid()))
         assert not [w for w in recwarn.list if issubclass(w.category, GridTooCoarse)]
 
 

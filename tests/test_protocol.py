@@ -283,9 +283,10 @@ class TestCatState:
 
 class TestPhiParity:
     def test_even_multiple_displacement_negligible(self):
+        from catwalk.dephasing import projector
         from catwalk.observables import diagnostics
 
-        even = diagnostics(walk_state(ProtocolParams(0.1, 0.01, 4 * pi, 10)))
-        odd = diagnostics(walk_state(fig_pp(10)))
+        even = diagnostics(projector(walk_state(ProtocolParams(0.1, 0.01, 4 * pi, 10))))
+        odd = diagnostics(projector(walk_state(fig_pp(10))))
         assert abs(even["mean_x"]) < 0.05
         assert abs(even["mean_x"]) < abs(odd["mean_x"])

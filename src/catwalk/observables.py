@@ -18,12 +18,15 @@ and a p-profile:
     C_ab   = exp[(br - ar)^2/2 - i (br - ar)(ai + bi) - i (ar ai - br bi)]
 
 with alpha = ar + i ai the ket label, beta = br + i bi the bra label.  The
-dyad sum is accumulated as conjugate pairs, so the result is exactly real;
-grids of a few hundred points per axis with tens of dyads cost milliseconds.
-Every observable except the position density reads a DyadEnsemble; a pure
-state enters as its rank-1 projector.  Moments are always computed from
-dyad weights and overlaps, never from grid sums, so diagnostics accuracy
-does not depend on grid resolution.
+dyads are paired with their Hermitian partners, so the result is exactly
+real, and the paired kernels are summed as one contraction of an x-profile
+matrix with a p-profile matrix, in fixed-size dyad blocks: memory beyond
+the field grows with the grid's axes and the block, not with the number of
+dyads.  The contraction uses no BLAS, so its bits do not depend on the BLAS
+thread count.  Every observable except the position density reads a
+DyadEnsemble; a pure state enters as its rank-1 projector.  Moments are
+always computed from dyad weights and overlaps, never from grid sums, so
+diagnostics accuracy does not depend on grid resolution.
 """
 
 import math
@@ -41,11 +44,16 @@ SQRT2 = math.sqrt(2.0)
 DEFAULT_HALF_WIDTH = 6.0
 DEFAULT_POINTS = 201
 GAUSSIAN_MARGIN = 3.0  # half-width must exceed sqrt(2)|alpha| by this much
-# Largest wigner_bytes a run may need (square grids up to 1136^2).  Writing
-# the tables adds about twice as much again per point: a walk run on a
-# 1001^2 grid needs 99 MiB here and peaked at 305 MiB resident (Linux,
+# Largest wigner_bytes a run may need (square grids up to 1136^2); that
+# estimate bounds the Wigner evaluation's peak from above.  Writing the
+# tables adds about twice as much again per point: a walk run on a 1001^2
+# grid is allowed 99 MiB here and peaked at 305 MiB resident (Linux,
 # numpy 2.4), against 45 MiB on the default grid.
 WIGNER_BUDGET_BYTES = 128 * 2**20
+# Dyads per Wigner contraction block: the profile matrices then take
+# O((nx + np) * block) bytes whatever the number of dyads.  Blocks of 32 to
+# 256 dyads all took 0.05-0.07 s for n = 20 on a 401^2 grid (2-CPU x86).
+DYAD_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -91,9 +99,11 @@ class PhaseSpaceGrid:
 
 
 def wigner_bytes(grid: PhaseSpaceGrid) -> int:
-    """Peak bytes of a Wigner evaluation on ``grid`` and its 2x refinement:
-    the float64 field stays alive while the refined float64 field and its
-    complex128 kernel scratch are built."""
+    """Upper bound on the peak bytes of a Wigner evaluation on ``grid`` and
+    its 2x refinement in :func:`diagnostics`: 8 per point of the kept field
+    and 24 per refined point.  The refined field needs 16 of those (the
+    field and one block's contribution, or its clipped negative part) plus
+    profile blocks of O(nx + np) size."""
     fine = grid.refined()
     return 8 * grid.nx * grid.np + 24 * fine.nx * fine.np
 
@@ -178,6 +188,11 @@ def position_density(state: SuperposedState, grid: PhaseSpaceGrid) -> GridField:
 
 
 def _dyad_profiles(weight, alpha, beta, x, p):
+    """(const, f(x), g(p)) of the dyad kernel in the module docstring.
+
+    Broadcasts: for arrays of D dyads and column axes x[:, None], p[:, None]
+    it returns const of shape (D,) and profiles of shape (nx, D), (np, D).
+    """
     ar, ai = alpha.real, alpha.imag
     br, bi = beta.real, beta.imag
     fx = np.exp(
@@ -202,31 +217,40 @@ def _accumulate_wigner(dyads, grid: PhaseSpaceGrid) -> np.ndarray:
     """Sum dyad kernels pairing Hermitian partners, so the result is exactly real.
 
     kernel(b, a) = conj(kernel(a, b)), hence the (a, b) and (b, a) dyads of a
-    Hermitian input combine into Re[(w_ab + conj(w_ba)) * kernel(a, b)].
+    Hermitian input combine into Re[z kernel(a, b)] with z = w_ab + conj(w_ba).
+    Each paired kernel is const_d f_d(x) g_d(p), so the field is one
+    contraction W = Re(F G^T) of the nx x D matrix F = z_d const_d f_d with
+    the np x D matrix G = g_d, taken over blocks of DYAD_BLOCK dyads.  Read
+    as float64, a complex row holds (Re, Im) pairs, so Re(F G^T) is the real
+    contraction of F's rows with those of conj(G): each dyad's two products
+    sit next to each other in the sum.  np.einsum sums without BLAS, so the
+    bits do not depend on the BLAS thread count.
     """
-    x = grid.x_axis()
-    p = grid.p_axis()
-    W = np.zeros((grid.nx, grid.np))
-    # One complex scratch array for every kernel: a fresh grid-sized
-    # temporary per dyad makes the allocator fault in new pages each time.
-    kernel = np.empty((grid.nx, grid.np), dtype=complex)
     acc = {}
     for w, a, b in dyads:
         key = (complex(a), complex(b))
         acc[key] = acc.get(key, 0j) + w
+    zs, kets, bras = [], [], []
     done = set()
     for (a, b), w in acc.items():
         if (a, b) in done:
             continue
-        if a == b:
-            z = w
-        else:
-            z = w + acc.get((b, a), 0j).conjugate()
+        if a != b:
+            w = w + acc.get((b, a), 0j).conjugate()
             done.add((b, a))
-        const, fx, gp = _dyad_profiles(z, a, b, x, p)
-        np.outer(fx, gp, out=kernel)
-        np.multiply(const, kernel, out=kernel)
-        W += kernel.real
+        zs.append(w)
+        kets.append(a)
+        bras.append(b)
+    z, kets, bras = np.array(zs), np.array(kets), np.array(bras)
+    x = grid.x_axis()[:, None]
+    p = grid.p_axis()[:, None]
+    W = np.zeros((grid.nx, grid.np))
+    for start in range(0, len(z), DYAD_BLOCK):
+        block = slice(start, start + DYAD_BLOCK)
+        const, fx, gp = _dyad_profiles(z[block], kets[block], bras[block], x, p)
+        np.multiply(const, fx, out=fx)
+        np.conjugate(gp, out=gp)
+        W += np.einsum("ik,jk->ij", fx.view(float), gp.view(float))
     return W
 
 
@@ -260,7 +284,10 @@ def negativity_volume(field: GridField) -> float:
     """Integral of max(0, -W) over the grid by plain Riemann sum."""
     if field.kind != "wigner":
         raise ValueError("negativity volume needs a Wigner field")
-    return float(np.maximum(-field.values, 0.0).sum() * field.grid.dx * field.grid.dp)
+    # one grid-sized temporary, so wigner_bytes bounds diagnostics' peak
+    clipped = np.negative(field.values)
+    np.maximum(clipped, 0.0, out=clipped)
+    return float(clipped.sum() * field.grid.dx * field.grid.dp)
 
 
 def diagnostics(rho: DyadEnsemble, wigner: GridField | None = None,

@@ -8,6 +8,7 @@ import pytest
 
 from catwalk.dephasing import (
     DyadEnsemble,
+    _normalized,
     cat_density,
     cross_term_weight,
     dyad_trace,
@@ -180,3 +181,16 @@ class TestEvolveDyads:
         pp = fig_pp(4, xi=0.5)
         for _, rho in walk_density_steps(pp):
             assert abs(dyad_trace(rho).real - 1.0) < 1e-12
+
+    def test_one_final_normalization_is_the_same_map(self, monkeypatch):
+        # the step map is linear, so where the trace is restored cannot matter
+        pp = fig_pp(12, xi=0.3)
+        expected = walk_density(pp)
+        monkeypatch.setattr("catwalk.dephasing._normalized", DyadEnsemble)
+        raw = walk_density(pp)
+        monkeypatch.undo()
+        rho = _normalized(raw.labels, raw.entries)
+        assert rho.entries.keys() == expected.entries.keys()
+        scale = max(abs(w) for w in expected.entries.values())
+        assert all(abs(rho.entries[jk] - w) <= 1e-9 * scale
+                   for jk, w in expected.entries.items())

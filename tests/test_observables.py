@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 from math import pi
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +17,7 @@ from catwalk.errors import GridTooCoarse
 from catwalk.observables import (
     PhaseSpaceGrid,
     _accumulate_wigner,
+    _dyad_list,
     _dyad_profiles,
     _moments,
     default_grid,
@@ -19,6 +26,7 @@ from catwalk.observables import (
     negativity_volume,
     position_density,
     position_wavefunction,
+    wigner_bytes,
     wigner_mixed,
     wigner_pure,
 )
@@ -195,18 +203,115 @@ class TestWignerMixed:
         assert negativity_volume(damped) < negativity_volume(full)
         assert abs(full.norm - 1.0) < 1e-3 and abs(damped.norm - 1.0) < 1e-3
 
-    def test_scratch_kernel_matches_fresh_temporaries(self, rng):
-        # the accumulator reuses one scratch array; its sum must equal the
-        # plain expression with a fresh temporary per dyad, bit for bit
-        g = PhaseSpaceGrid(-4, 4, -3, 3, 41, 31)
-        x, p = g.x_axis(), g.p_axis()
-        dyads = [(complex(*rng.normal(size=2)), complex(*rng.uniform(-1, 1, 2)),
-                  complex(*rng.uniform(-1, 1, 2))) for _ in range(6)]
-        expected = np.zeros((g.nx, g.np))
+    @staticmethod
+    def dyad_loop(dyads, grid):
+        """The per-dyad accumulation the contraction replaced: Hermitian
+        pairs summed one full-grid outer product at a time.  Returns the
+        field, the pointwise magnitude sum_d |const_d f_d(x) g_d(p)| of its
+        terms and the global rounding scale sum_d |const_d| max|f_d| max|g_d|."""
+        x, p = grid.x_axis(), grid.p_axis()
+        acc = {}
         for w, a, b in dyads:
-            const, fx, gp = _dyad_profiles(w, a, b, x, p)
-            expected += (const * np.outer(fx, gp)).real
-        np.testing.assert_array_equal(_accumulate_wigner(dyads, g), expected)
+            key = (complex(a), complex(b))
+            acc[key] = acc.get(key, 0j) + w
+        W = np.zeros((grid.nx, grid.np))
+        magnitude = np.zeros((grid.nx, grid.np))
+        scale = 0.0
+        done = set()
+        for (a, b), w in acc.items():
+            if (a, b) in done:
+                continue
+            z = w if a == b else w + acc.get((b, a), 0j).conjugate()
+            done.add((b, a))
+            const, fx, gp = _dyad_profiles(z, a, b, x, p)
+            W += (const * np.outer(fx, gp)).real
+            magnitude += abs(const) * np.outer(np.abs(fx), np.abs(gp))
+            scale += abs(const) * np.abs(fx).max() * np.abs(gp).max()
+        return W, magnitude, scale
+
+    @staticmethod
+    def wigner_mp(dyads, x, p):
+        """W(x, p) from the closed-form dyad kernels at 40 digits, unpaired."""
+        with mpmath.workdps(40):
+            s2 = mpmath.sqrt(2)
+            x, p = mpmath.mpf(x), mpmath.mpf(p)
+            total = mpmath.mpf(0)
+            for w, a, b in dyads:
+                ar, ai, br, bi = (mpmath.mpf(v) for v in (a.real, a.imag, b.real, b.imag))
+                exponent = (-(x - s2 * ar) ** 2 / 2 - (x - s2 * br) ** 2 / 2
+                            + 1j * s2 * (ai - bi) * x
+                            - (p - (ai + bi) / s2) ** 2 + 1j * s2 * (br - ar) * p
+                            + (br - ar) ** 2 / 2 - 1j * (br - ar) * (ai + bi)
+                            - 1j * (ar * ai - br * bi))
+                total += (mpmath.mpc(w.real, w.imag) * mpmath.exp(exponent)).real
+            return float(total / mpmath.pi)
+
+    def test_contraction_matches_dyad_loop_within_rounding(self, rng):
+        random_dyads = [(complex(*rng.normal(size=2)), complex(*rng.uniform(-1, 1, 2)),
+                         complex(*rng.uniform(-1, 1, 2))) for _ in range(6)]
+        cases = [
+            (random_dyads, PhaseSpaceGrid(-4, 4, -3, 3, 41, 31)),
+            (_dyad_list(projector(walk_state(fig_pp(10)))), default_grid()),
+            (_dyad_list(walk_density(fig_pp(20, xi=0.2))), default_grid()),
+        ]
+        for dyads, g in cases:
+            expected, _, scale = self.dyad_loop(dyads, g)
+            bound = 64 * np.finfo(float).eps * scale
+            assert np.abs(_accumulate_wigner(dyads, g) - expected).max() <= bound
+
+    @pytest.mark.parametrize("rho", [
+        pytest.param(lambda: projector(walk_state(fig_pp(10))), id="walk-10"),
+        pytest.param(lambda: projector(walk_state(fig_pp(20))), id="walk-20"),
+        pytest.param(lambda: walk_density(fig_pp(20, xi=0.2)), id="decohere-20"),
+    ])
+    def test_contraction_error_against_mpmath(self, rho):
+        # The contraction sums in another order than the loop and neither is
+        # the more exact, so its worst error may not exceed 3x the loop's.
+        # Rounding errors gather where the terms are largest: half of the
+        # seeded points are drawn from there, plus the point where the two
+        # sums differ most.
+        rho = rho()
+        g = grid_for(rho).refined()
+        dyads = _dyad_list(rho)
+        W = _accumulate_wigner(dyads, g)
+        W_loop, magnitude, _ = self.dyad_loop(dyads, g)
+        rng = np.random.default_rng(20261018)
+        flat = np.concatenate([
+            rng.choice(g.nx * g.np, 12, replace=False),
+            rng.choice(np.argsort(magnitude, axis=None)[-2000:], 12, replace=False),
+            [np.abs(W - W_loop).argmax()],
+        ])
+        rows, cols = np.unravel_index(flat, W.shape)
+        x, p = g.x_axis(), g.p_axis()
+        ref = np.array([self.wigner_mp(dyads, x[i], p[j]) for i, j in zip(rows, cols)])
+        err = np.abs(W[rows, cols] - ref).max()
+        err_loop = np.abs(W_loop[rows, cols] - ref).max()
+        assert err <= 3 * err_loop
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        import catwalk
+
+        code = """
+import hashlib, math
+from catwalk.dephasing import projector, walk_density
+from catwalk.observables import PhaseSpaceGrid, grid_for, wigner_mixed
+from catwalk.protocol import ProtocolParams, walk_state
+def pp(n, xi):
+    return ProtocolParams(0.1, 0.01, 4.5 * math.pi, n, xi)
+for rho in (projector(walk_state(pp(10, 0.0))), walk_density(pp(20, 0.2))):
+    g = grid_for(rho)
+    for grid in (g, g.refined(), PhaseSpaceGrid(g.x_min, g.x_max, g.p_min, g.p_max, 41, 31)):
+        print(hashlib.sha256(wigner_mixed(rho, grid).values.tobytes()).hexdigest())
+"""
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(catwalk.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                 text=True, env=env, check=True).stdout
+            hashes.append(out.split())
+        assert len(hashes[0]) == 6
+        assert hashes[0] == hashes[1]
 
 
 class TestProjector:
@@ -292,6 +397,19 @@ class TestDiagnostics:
         d = diagnostics(walk_density(fig_pp(5, xi=1.0)))
         assert abs(d["mean_x"]) < 0.1
         assert d["purity"] < 1.0
+
+    @pytest.mark.parametrize("points", [201, 401])
+    def test_peak_memory_within_wigner_bytes(self, points):
+        # the field, its 2x refinement and the negativity volumes of both
+        rho = walk_density(fig_pp(20, xi=0.2))
+        g = grid_for(rho, PhaseSpaceGrid(-6, 6, -6, 6, points, points))
+        tracemalloc.start()
+        try:
+            diagnostics(rho, wigner_mixed(rho, g))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= wigner_bytes(g)
 
     def test_grid_too_coarse_warning(self):
         state = walk_state(fig_pp(5))

@@ -44,16 +44,20 @@ SQRT2 = math.sqrt(2.0)
 DEFAULT_HALF_WIDTH = 6.0
 DEFAULT_POINTS = 201
 GAUSSIAN_MARGIN = 3.0  # half-width must exceed sqrt(2)|alpha| by this much
-# Largest wigner_bytes a run may need (square grids up to 1136^2); that
+# Largest wigner_bytes a run may need (square grids up to 1060^2); that
 # estimate bounds the Wigner evaluation's peak from above.  Writing the
 # tables adds about twice as much again per point: a walk run on a 1001^2
-# grid is allowed 99 MiB here and peaked at 305 MiB resident (Linux,
+# grid is allowed 115 MiB here and peaked at 305 MiB resident (Linux,
 # numpy 2.4), against 45 MiB on the default grid.
 WIGNER_BUDGET_BYTES = 128 * 2**20
 # Dyads per Wigner contraction block: the profile matrices then take
 # O((nx + np) * block) bytes whatever the number of dyads.  Blocks of 32 to
 # 256 dyads all took 0.05-0.07 s for n = 20 on a 401^2 grid (2-CPU x86).
 DYAD_BLOCK = 64
+# Bytes per axis point and dyad of a block while its profiles are built:
+# the kept x- or p-profile and the temporaries that evaluate it, measured
+# at 48 (numpy 2.4) on grids with one long axis.
+PROFILE_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -100,12 +104,14 @@ class PhaseSpaceGrid:
 
 def wigner_bytes(grid: PhaseSpaceGrid) -> int:
     """Upper bound on the peak bytes of a Wigner evaluation on ``grid`` and
-    its 2x refinement in :func:`diagnostics`: 8 per point of the kept field
-    and 24 per refined point.  The refined field needs 16 of those (the
-    field and one block's contribution, or its clipped negative part) plus
-    profile blocks of O(nx + np) size."""
+    its 2x refinement in :func:`diagnostics`: 8 per point of the kept field,
+    24 per refined point (the refined field and one block's contribution,
+    or its clipped negative part) and the refined grid's profile blocks,
+    PROFILE_BYTES per axis point and dyad of a block.  The last term
+    dominates on grids with one short axis."""
     fine = grid.refined()
-    return 8 * grid.nx * grid.np + 24 * fine.nx * fine.np
+    return (8 * grid.nx * grid.np + 24 * fine.nx * fine.np
+            + PROFILE_BYTES * DYAD_BLOCK * (fine.nx + fine.np))
 
 
 def default_grid() -> PhaseSpaceGrid:

@@ -349,6 +349,18 @@ class TestExitCodes:
         assert need > observables.WIGNER_BUDGET_BYTES
         assert f"{need:,} bytes" in capsys.readouterr().err
 
+    def test_skinny_grid_refused_by_estimate(self, tmp_path, monkeypatch, capsys):
+        # few points in all, but the dyad profile blocks of its long axis
+        # would take over 120 MB
+        spec = "-6,6,-6,6,20001,21"
+        monkeypatch.setattr(observables, "_accumulate_wigner", None)
+        cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nn = 1\n")
+        assert main(["walk", "--config", str(cfg), f"--grid={spec}",
+                     "--out", str(tmp_path / "x")]) == 2
+        need = observables.wigner_bytes(parse_grid(spec))
+        assert need > observables.WIGNER_BUDGET_BYTES
+        assert f"{need:,} bytes" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode, raw", [
         ("walk", {}),
         ("walk", {"grid": "-8,8,-8,8,401,401"}),

@@ -265,11 +265,14 @@ class TestWignerMixed:
         pytest.param(lambda: walk_density(fig_pp(20, xi=0.2)), id="decohere-20"),
     ])
     def test_contraction_error_against_mpmath(self, rho):
-        # The contraction sums in another order than the loop and neither is
-        # the more exact, so its worst error may not exceed 3x the loop's.
-        # Rounding errors gather where the terms are largest: half of the
-        # seeded points are drawn from there, plus the point where the two
-        # sums differ most.
+        # A rounding bound at each point that holds for any summation order:
+        # |W - W_mp| <= 128 eps sum_d |const_d f_d(x) g_d(p)|.  Both the
+        # contraction and the per-dyad loop stayed within 26 eps times that
+        # sum for walk n = 10 and decohere n = 20 over ten draws of the kick
+        # parameters.  Rounding errors gather where the terms are largest
+        # and, relative to them, where the exponents are: the seeded points
+        # are uniform, among the largest terms, the point where the two sums
+        # differ most and the one where the terms are smallest.
         rho = rho()
         g = grid_for(rho).refined()
         dyads = _dyad_list(rho)
@@ -279,14 +282,13 @@ class TestWignerMixed:
         flat = np.concatenate([
             rng.choice(g.nx * g.np, 12, replace=False),
             rng.choice(np.argsort(magnitude, axis=None)[-2000:], 12, replace=False),
-            [np.abs(W - W_loop).argmax()],
+            [np.abs(W - W_loop).argmax(), magnitude.argmin()],
         ])
         rows, cols = np.unravel_index(flat, W.shape)
         x, p = g.x_axis(), g.p_axis()
         ref = np.array([self.wigner_mp(dyads, x[i], p[j]) for i, j in zip(rows, cols)])
-        err = np.abs(W[rows, cols] - ref).max()
-        err_loop = np.abs(W_loop[rows, cols] - ref).max()
-        assert err <= 3 * err_loop
+        bound = 128 * np.finfo(float).eps * magnitude[rows, cols]
+        assert np.all(np.abs(W[rows, cols] - ref) <= bound)
 
     def test_bits_do_not_depend_on_blas_threads(self):
         import catwalk
@@ -398,11 +400,14 @@ class TestDiagnostics:
         assert abs(d["mean_x"]) < 0.1
         assert d["purity"] < 1.0
 
-    @pytest.mark.parametrize("points", [201, 401])
-    def test_peak_memory_within_wigner_bytes(self, points):
-        # the field, its 2x refinement and the negativity volumes of both
+    @pytest.mark.filterwarnings("ignore::catwalk.errors.GridTooCoarse")
+    @pytest.mark.parametrize("nx, np_", [(201, 201), (401, 401), (2001, 5), (5, 2001)],
+                             ids=["201", "401", "2001x5", "5x2001"])
+    def test_peak_memory_within_wigner_bytes(self, nx, np_):
+        # the field, its 2x refinement and the negativity volumes of both;
+        # on a skinny grid the dyad profile blocks outweigh the field
         rho = walk_density(fig_pp(20, xi=0.2))
-        g = grid_for(rho, PhaseSpaceGrid(-6, 6, -6, 6, points, points))
+        g = grid_for(rho, PhaseSpaceGrid(-6, 6, -6, 6, nx, np_))
         tracemalloc.start()
         try:
             diagnostics(rho, wigner_mixed(rho, g))

@@ -263,6 +263,10 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
         cfg.derive = True  # oracle mode is inherently physical-parameter driven
     if mode in ("walk", "cat") and len(cfg.xi_values) > 1:
         raise ConfigError("xi lists are only supported in decohere mode")
+    tags = [_xi_tag(xi) for xi in cfg.xi_values]
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"xi values {raw['xi']} share output names "
+                          f"({', '.join(tags)}); they must differ in 6 significant digits")
     if mode == "cat" and cfg.n < 1:
         raise ConfigError("cat mode needs n >= 1")
     if not cfg.decay_exponent >= 0.0:  # also refuses NaN; inf is full suppression

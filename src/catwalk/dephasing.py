@@ -22,10 +22,12 @@ paths.  Renormalization is applied after every step.  The step map is
 linear, so normalizing once at the end gives the same density up to
 rounding (a relative 2.4e-11 at n = 12, xi = 0.3).
 
-Labels are keyed by the integer kick index j, never by float amplitude, so
-same-label dyads coalesce exactly and the ensemble holds at most (n+1)^2
-entries after n steps.  The kick phases theta_j ride on the labels, which
-is what makes the weight recursion above purely index-local.
+Each density is one tuple of labels in row order and one (m, m) weight
+matrix.  After s walk steps the rows are the kick indices j = -s, -s+2, ...,
+s in ascending order, so the matrix holds exactly (s+1)^2 weights and one
+step is four shifted-slice adds on the zero-padded matrix.  The kick phases
+theta_j ride on the labels, which is what makes the weight recursion above
+purely index-local.
 """
 
 import cmath
@@ -34,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CoherentLabel, SuperposedState, gram_matrix, normalize, overlap
+from .algebra import DEGENERACY_CUTOFF, CoherentLabel, SuperposedState, gram_matrix, normalize
+from .errors import DegenerateState
 from .protocol import ProtocolParams, cat_state, kick_labels, walk_state
 
 __all__ = [
@@ -54,73 +57,72 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DyadEnsemble:
-    """rho = sum rho_{jk} |label_j><label_k| over a shared label table.
+    """rho = sum_{jk} weights[j, k] |labels[j]><labels[k]|.
 
-    ``labels`` maps an integer index (the kick index j, or the component
-    position in a :func:`projector`) to its CoherentLabel; ``entries``
-    maps (j, k) pairs to the complex weight rho_{jk}.  Physical instances
-    are Hermitian (rho_{jk} = conj(rho_{kj})), unit trace under the
-    overlap-weighted sum, and positive semidefinite.  A pure state is the
-    rank-1 case, see :func:`projector`.
+    ``labels`` is a tuple of CoherentLabels in row order: ascending kick
+    index j for the walk densities, component order for a
+    :func:`projector`.  ``weights`` is the complex (m, m) matrix rho_jk,
+    kept as a read-only copy.  Physical instances are Hermitian, unit trace
+    under the overlap-weighted sum and positive semidefinite; a pure state
+    is the rank-1 case.  Instances compare by identity, since ``==`` on an
+    array field has no single truth value.
     """
 
-    labels: dict
-    entries: dict
+    labels: tuple
+    weights: np.ndarray
 
-    def indices(self) -> list:
-        return sorted(self.labels)
+    def __post_init__(self):
+        labels = tuple(self.labels)
+        weights = np.array(self.weights, dtype=complex)
+        if weights.shape != (len(labels), len(labels)):
+            raise ValueError(f"weights of shape {weights.shape} do not fit "
+                             f"{len(labels)} labels")
+        weights.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "weights", weights)
 
-    def as_matrices(self):
-        """(index list, weight matrix R, Gram matrix G) in index order."""
-        idx = self.indices()
-        R = np.array(
-            [[self.entries.get((j, k), 0j) for k in idx] for j in idx],
-            dtype=complex,
-        )
-        G = gram_matrix([self.labels[j] for j in idx])
-        return idx, R, G
+    @property
+    def entries(self) -> np.ndarray:
+        """The weights as one flat read-only view, row-major: one per dyad."""
+        return self.weights.ravel()
 
 
 def dyad_trace(rho: DyadEnsemble) -> complex:
-    """Tr rho = sum_{jk} rho_{jk} <label_k|label_j>."""
-    total = 0j
-    for (j, k), w in rho.entries.items():
-        total += w * overlap(rho.labels[k], rho.labels[j])
-    return total
+    """Tr rho = sum_{jk} rho_{jk} <label_k|label_j>, each part summed by
+    math.fsum, so exactly rounded whatever the order of the terms."""
+    terms = rho.weights * gram_matrix(rho.labels).T
+    return complex(math.fsum(terms.real.flat), math.fsum(terms.imag.flat))
 
 
-def _normalized(labels: dict, entries: dict) -> DyadEnsemble:
-    rho = DyadEnsemble(labels, entries)
+def _normalized(labels, weights) -> DyadEnsemble:
+    """The ensemble scaled to unit trace; DegenerateState when the trace is
+    <= DEGENERACY_CUTOFF, as for a superposition whose components cancel."""
+    rho = DyadEnsemble(labels, weights)
     tr = dyad_trace(rho).real
-    return DyadEnsemble(labels, {jk: w / tr for jk, w in entries.items()})
+    if tr <= DEGENERACY_CUTOFF:
+        raise DegenerateState(f"dyads cancel: Tr rho = {tr:.3e}")
+    return DyadEnsemble(labels, rho.weights / tr)
 
 
 def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams) -> DyadEnsemble:
     """One conditioned pulse pair with dephasing exponent pp.xi.
 
-    The index range grows by one on each side; weights follow the four-term
+    The m rows of ``rho`` are the kick labels j = -(m-1), ..., m-1 (step 2)
+    of pp's kick table, as :func:`walk_density_steps` makes them; the result
+    has one row more, j = -m, ..., m.  Weights follow the four-term
     recursion in the module docstring and the result is renormalized to
     unit trace.  xi = inf is accepted and kills the cross terms outright.
     """
     damp = math.exp(-pp.xi) if math.isfinite(pp.xi) else 0.0
     cross = cmath.exp(2j * pp.phi) * damp
-    reach = max(abs(j) for j in rho.labels) + 1
+    reach = len(rho.labels)
     table = kick_labels(pp.l1, pp.l2, pp.alpha0, reach)
-    span = range(-reach, reach + 1, 2)
-    entries = {}
-    for j in span:
-        for k in span:
-            w = (
-                rho.entries.get((j - 1, k - 1), 0j)
-                + rho.entries.get((j + 1, k + 1), 0j)
-                + cross * rho.entries.get((j - 1, k + 1), 0j)
-                + cross.conjugate() * rho.entries.get((j + 1, k - 1), 0j)
-            )
-            if w != 0:
-                entries[(j, k)] = w
-    return _normalized({j: table[j] for j in span}, entries)
+    R = np.pad(rho.weights, 1)
+    weights = (R[:-1, :-1] + R[1:, 1:]
+               + cross * R[:-1, 1:] + cross.conjugate() * R[1:, :-1])
+    return _normalized([table[j] for j in range(-reach, reach + 1, 2)], weights)
 
 
 def walk_density(pp: ProtocolParams) -> DyadEnsemble:
@@ -134,7 +136,7 @@ def walk_density(pp: ProtocolParams) -> DyadEnsemble:
 def walk_density_steps(pp: ProtocolParams):
     """Yield (step, DyadEnsemble) for step = 0..n, starting from the pure
     |alpha0><alpha0| projector."""
-    rho = DyadEnsemble({0: CoherentLabel(pp.alpha0)}, {(0, 0): 1.0 + 0j})
+    rho = DyadEnsemble((CoherentLabel(pp.alpha0),), [[1.0]])
     yield 0, rho
     for step in range(1, pp.n + 1):
         rho = evolve_dyads(rho, pp)
@@ -144,26 +146,19 @@ def walk_density_steps(pp: ProtocolParams):
 def projector(state: SuperposedState) -> DyadEnsemble:
     """Rank-1 density |psi><psi| of a superposition, normalized first if needed.
 
-    Labels are keyed by component position and the entries c_j conj(c_k)
-    run component-major (j outer, k inner); that order fixes the order in
-    which the Wigner function and the moments are summed.
+    Rows run in component order, with weights c_j conj(c_k).
     """
     if not state.normalized:
         state = normalize(state)
-    comps = state.components
-    return DyadEnsemble(
-        {j: lab for j, (_, lab) in enumerate(comps)},
-        {(j, k): cj * ck.conjugate()
-         for j, (cj, _) in enumerate(comps) for k, (ck, _) in enumerate(comps)},
-    )
+    c = state.coefficients
+    return DyadEnsemble(state.labels, np.outer(c, c.conj()))
 
 
 def pure_walk_density(pp: ProtocolParams) -> DyadEnsemble:
-    """Projector |psi><psi| of the xi = 0 walk state, keyed by kick index."""
+    """Projector |psi><psi| of the xi = 0 walk state, rows in ascending kick
+    index like :func:`walk_density` (component m has kick index n - 2m)."""
     rho = projector(walk_state(pp))
-    kick = {m: pp.n - 2 * m for m in rho.labels}
-    return DyadEnsemble({kick[m]: lab for m, lab in rho.labels.items()},
-                        {(kick[j], kick[k]): w for (j, k), w in rho.entries.items()})
+    return DyadEnsemble(rho.labels[::-1], rho.weights[::-1, ::-1])
 
 
 def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> DyadEnsemble:
@@ -171,35 +166,30 @@ def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> DyadEnsem
 
     ``cross_suppression`` multiplies both off-diagonal dyads (use
     exp(-3 n Gamma T / 4) for a decay rate Gamma acting over the whole n-cycle
-    run); the result is renormalized.
+    run); the result is renormalized.  Rows are the kick indices -n and n.
     """
     if not 0.0 <= cross_suppression <= 1.0:
         raise ValueError("cross_suppression must lie in [0, 1]")
     state = cat_state(pp)
     (c_minus, lab_minus), (c_plus, lab_plus) = state.components
-    labels = {-pp.n: lab_minus, pp.n: lab_plus}
-    entries = {
-        (-pp.n, -pp.n): c_minus * c_minus.conjugate(),
-        (pp.n, pp.n): c_plus * c_plus.conjugate(),
-        (-pp.n, pp.n): cross_suppression * c_minus * c_plus.conjugate(),
-        (pp.n, -pp.n): cross_suppression * c_plus * c_minus.conjugate(),
-    }
-    return _normalized(labels, entries)
+    weights = [
+        [c_minus * c_minus.conjugate(), cross_suppression * c_minus * c_plus.conjugate()],
+        [cross_suppression * c_plus * c_minus.conjugate(), c_plus * c_plus.conjugate()],
+    ]
+    return _normalized((lab_minus, lab_plus), weights)
 
 
 def _weighted_matrix(rho: DyadEnsemble):
     """Hermitian matrix G^(1/2) R G^(1/2) whose spectrum is rho's physical one."""
-    _, R, G = rho.as_matrices()
-    w, V = np.linalg.eigh(G)
+    w, V = np.linalg.eigh(gram_matrix(rho.labels))
     w = np.clip(w, 0.0, None)
     Gh = (V * np.sqrt(w)) @ V.conj().T
-    return Gh @ R @ Gh
+    return Gh @ rho.weights @ Gh
 
 
 def purity(rho: DyadEnsemble) -> float:
     """Tr rho^2 through the Gram-weighted double sum."""
-    _, R, G = rho.as_matrices()
-    RG = R @ G
+    RG = rho.weights @ gram_matrix(rho.labels)
     return np.trace(RG @ RG).real
 
 
@@ -209,29 +199,18 @@ def min_eigenvalue(rho: DyadEnsemble) -> float:
 
 
 def trace_distance(a: DyadEnsemble, b: DyadEnsemble) -> float:
-    """(1/2)||a - b||_1 for ensembles sharing one label table."""
-    idx = sorted(set(a.labels) | set(b.labels))
-    for j in idx:
-        la, lb = a.labels.get(j), b.labels.get(j)
-        if la is not None and lb is not None and la != lb:
-            raise ValueError(f"label tables disagree at index {j}")
-    labels = {j: (a.labels.get(j) or b.labels[j]) for j in idx}
-    diff = {
-        (j, k): a.entries.get((j, k), 0j) - b.entries.get((j, k), 0j)
-        for j in idx
-        for k in idx
-    }
-    M = _weighted_matrix(DyadEnsemble(labels, diff))
+    """(1/2)||a - b||_1 for ensembles with equal label tuples."""
+    if a.labels != b.labels:
+        raise ValueError("trace distance needs equal label tuples")
+    M = _weighted_matrix(DyadEnsemble(a.labels, a.weights - b.weights))
     return 0.5 * float(np.abs(np.linalg.eigvalsh(M)).sum())
 
 
 def cross_term_weight(rho: DyadEnsemble) -> float:
     """Total interference weight sum_{j != k} |rho_{jk} <label_k|label_j>|."""
-    total = 0.0
-    for (j, k), w in rho.entries.items():
-        if j != k:
-            total += abs(w * overlap(rho.labels[k], rho.labels[j]))
-    return total
+    terms = np.abs(rho.weights * gram_matrix(rho.labels).T)
+    np.fill_diagonal(terms, 0.0)
+    return float(terms.sum())
 
 
 def qubit_coherence_decay(t: float, Gamma: float) -> float:

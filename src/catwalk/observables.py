@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import SuperposedState, normalize, overlap
+from .algebra import SuperposedState, gram_matrix, normalize
 from .dephasing import DyadEnsemble, projector, purity
 from .errors import GridTooCoarse
 
@@ -131,7 +131,7 @@ def grid_for(rho: DyadEnsemble, base: PhaseSpaceGrid | None = None) -> PhaseSpac
     if base is None:
         base = default_grid()
     need = max(
-        (SQRT2 * abs(lab.amplitude) + GAUSSIAN_MARGIN for lab in rho.labels.values()),
+        (SQRT2 * abs(lab.amplitude) + GAUSSIAN_MARGIN for lab in rho.labels),
         default=0.0,
     )
     half = max(base.x_max, -base.x_min, base.p_max, -base.p_min)
@@ -154,19 +154,6 @@ class GridField:
     values: np.ndarray
     kind: str
     norm: float = field(default=float("nan"))
-
-
-def _dyad_list(rho: DyadEnsemble):
-    """Dyads as (weight, ket amplitude, bra amplitude) triples, in entry order.
-
-    Label phases are folded into the weights; the weights sum (with
-    overlaps) to one.
-    """
-    out = []
-    for (j, k), w in rho.entries.items():
-        lj, lk = rho.labels[j], rho.labels[k]
-        out.append((w * np.exp(1j * (lj.phase - lk.phase)), lj.amplitude, lk.amplitude))
-    return out
 
 
 def position_wavefunction(state: SuperposedState, x: np.ndarray) -> np.ndarray:
@@ -219,35 +206,29 @@ def _dyad_profiles(weight, alpha, beta, x, p):
     return const, fx, gp
 
 
-def _accumulate_wigner(dyads, grid: PhaseSpaceGrid) -> np.ndarray:
+def _accumulate_wigner(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> np.ndarray:
     """Sum dyad kernels pairing Hermitian partners, so the result is exactly real.
 
-    kernel(b, a) = conj(kernel(a, b)), hence the (a, b) and (b, a) dyads of a
-    Hermitian input combine into Re[z kernel(a, b)] with z = w_ab + conj(w_ba).
-    Each paired kernel is const_d f_d(x) g_d(p), so the field is one
-    contraction W = Re(F G^T) of the nx x D matrix F = z_d const_d f_d with
-    the np x D matrix G = g_d, taken over blocks of DYAD_BLOCK dyads.  Read
-    as float64, a complex row holds (Re, Im) pairs, so Re(F G^T) is the real
-    contraction of F's rows with those of conj(G): each dyad's two products
-    sit next to each other in the sum.  np.einsum sums without BLAS, so the
-    bits do not depend on the BLAS thread count.
+    The label phases are folded into the weights, w_jk = rho_jk
+    e^{i(theta_j - theta_k)}.  kernel(k, j) = conj(kernel(j, k)), hence the
+    (j, k) and (k, j) dyads combine into Re[z_jk kernel(j, k)] with
+    z_jk = w_jk + conj(w_kj), taken over the upper triangle j <= k row by
+    row; pairs with z = 0 are skipped.  Each paired kernel is const_d
+    f_d(x) g_d(p), so the field is one contraction W = Re(F G^T) of the
+    nx x D matrix F = z_d const_d f_d with the np x D matrix G = g_d, taken
+    over blocks of DYAD_BLOCK dyads.  Read as float64, a complex row holds
+    (Re, Im) pairs, so Re(F G^T) is the real contraction of F's rows with
+    those of conj(G): each dyad's two products sit next to each other in
+    the sum.  np.einsum sums without BLAS, so the bits do not depend on the
+    BLAS thread count.
     """
-    acc = {}
-    for w, a, b in dyads:
-        key = (complex(a), complex(b))
-        acc[key] = acc.get(key, 0j) + w
-    zs, kets, bras = [], [], []
-    done = set()
-    for (a, b), w in acc.items():
-        if (a, b) in done:
-            continue
-        if a != b:
-            w = w + acc.get((b, a), 0j).conjugate()
-            done.add((b, a))
-        zs.append(w)
-        kets.append(a)
-        bras.append(b)
-    z, kets, bras = np.array(zs), np.array(kets), np.array(bras)
+    amp = np.array([lab.amplitude for lab in rho.labels])
+    phase = np.array([lab.phase for lab in rho.labels])
+    w = rho.weights * np.exp(1j * (phase[:, None] - phase))
+    j, k = np.triu_indices(len(w))
+    z = (np.triu(w) + np.triu(w.T.conj(), 1))[j, k]
+    keep = z != 0
+    z, kets, bras = z[keep], amp[j[keep]], amp[k[keep]]
     x = grid.x_axis()[:, None]
     p = grid.p_axis()[:, None]
     W = np.zeros((grid.nx, grid.np))
@@ -267,23 +248,18 @@ def wigner_pure(state: SuperposedState, grid: PhaseSpaceGrid) -> GridField:
 
 def wigner_mixed(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> GridField:
     """Wigner function of a dyad ensemble, exactly real."""
-    W = _accumulate_wigner(_dyad_list(rho), grid)
+    W = _accumulate_wigner(rho, grid)
     return GridField(grid, W, "wigner", float(W.sum() * grid.dx * grid.dp))
 
 
 def _moments(rho: DyadEnsemble):
-    """<a>, <a^2>, <a^dag a> from dyad weights and overlaps (grid-free)."""
-    e_a = 0j
-    e_aa = 0j
-    e_ada = 0j
-    for (j, k), w in rho.entries.items():
-        lj, lk = rho.labels[j], rho.labels[k]
-        ov = w * overlap(lk, lj)
-        aj, ak = lj.amplitude, lk.amplitude
-        e_a += ov * aj
-        e_aa += ov * aj * aj
-        e_ada += ov * ak.conjugate() * aj
-    return e_a, e_aa, e_ada
+    """<a>, <a^2>, <a^dag a> from dyad weights and overlaps (grid-free): the
+    sums of rho_jk <label_k|label_j> times a_j, a_j^2 and conj(a_k) a_j."""
+    terms = rho.weights * gram_matrix(rho.labels).T
+    a = np.array([lab.amplitude for lab in rho.labels])
+    terms_a = terms * a[:, None]
+    return (complex(terms_a.sum()), complex((terms_a * a[:, None]).sum()),
+            complex((terms_a * a.conj()).sum()))
 
 
 def negativity_volume(field: GridField) -> float:

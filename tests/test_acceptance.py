@@ -296,7 +296,7 @@ def test_criterion_7_decoherence_consistency():
             assert trace_distance(walk_density(pp), pure_walk_density(pp)) < 1e-9
 
         for _, rho in walk_density_steps(fig_pp(8, xi=0.25)):
-            _, R, _ = rho.as_matrices()
+            R = rho.weights
             assert np.linalg.norm(R - R.conj().T, np.inf) < 1e-10
             assert abs(dyad_trace(rho).real - 1.0) < 1e-10
             assert min_eigenvalue(rho) > -1e-10
@@ -305,8 +305,8 @@ def test_criterion_7_decoherence_consistency():
         factor = math.exp(-2.0)  # total dressed-coherence decay over 10 cycles
         pure = cat_density(pp)
         damped = cat_density(pp, cross_suppression=factor)
-        r_pure = pure.entries[(-10, 10)] / pure.entries[(10, 10)]
-        r_damped = damped.entries[(-10, 10)] / damped.entries[(10, 10)]
+        r_pure = pure.weights[0, 1] / pure.weights[1, 1]  # rows: kicks -10, 10
+        r_damped = damped.weights[0, 1] / damped.weights[1, 1]
         assert abs(r_damped / r_pure - factor) < 1e-12
 
 

@@ -338,6 +338,20 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text)
         assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("xi", ["0.2,0.2000001", "0.2,0.2"])
+    def test_xi_values_with_one_file_name_refused(self, tmp_path, xi):
+        # each xi names its wigner_xi_<tag> file and diagnostics block
+        cfg = write_config(tmp_path, f"l1 = 0.1\nl2 = 0.01\nn = 1\nxi = {xi}\n")
+        out = tmp_path / "x"
+        assert main(["decohere", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_cancelling_dephased_walk_exits_3(self, tmp_path):
+        # l1 = 0 keeps every label at alpha0 and phi = pi/2 makes the two
+        # kick branches cancel: the dyad weights have zero trace
+        cfg = write_config(tmp_path, "l1 = 0\nl2 = 0.01\nphi = 0.5pi\nn = 3\nxi = 0\n")
+        assert main(["decohere", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+
     def test_oversized_grid_refused_by_estimate(self, tmp_path, monkeypatch, capsys):
         spec = "-6,6,-6,6,100000,100000"
         # never evaluate a Wigner function here, even if the refusal were missing

@@ -5,7 +5,10 @@ from math import pi
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from catwalk.algebra import CoherentLabel, gram_matrix
 from catwalk.dephasing import (
     DyadEnsemble,
     _normalized,
@@ -21,6 +24,7 @@ from catwalk.dephasing import (
     walk_density,
     walk_density_steps,
 )
+from catwalk.errors import DegenerateState
 from catwalk.protocol import ProtocolParams
 
 
@@ -51,7 +55,7 @@ def classical_path_mixture(l1, l2, n):
 class TestStepInvariants:
     def test_hermiticity_trace_psd_each_step(self):
         for step, rho in walk_density_steps(fig_pp(6, xi=0.3)):
-            idx, R, _ = rho.as_matrices()
+            R = rho.weights
             assert np.linalg.norm(R - R.conj().T) < 1e-12
             assert abs(dyad_trace(rho).real - 1.0) < 1e-10
             assert abs(dyad_trace(rho).imag) < 1e-12
@@ -67,6 +71,63 @@ class TestStepInvariants:
         pp = fig_pp(1, xi=0.0)
         rho = walk_density(pp)
         assert trace_distance(rho, pure_walk_density(pp)) < 1e-12
+
+    @given(
+        l1=st.floats(0.0, 0.5),
+        l2=st.floats(0.0, 1.0),
+        phi=st.floats(-pi, pi),
+        xi=st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.just(math.inf)),
+        n=st.integers(0, 12),
+        alpha0=st.complex_numbers(max_magnitude=1.5),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_fuzz_invariants(self, l1, l2, phi, xi, n, alpha0):
+        pp = ProtocolParams(l1, l2, phi, n, xi, alpha0)
+        try:
+            rho = walk_density(pp)
+        except DegenerateState:
+            assume(False)
+        # sum |rho_jk <label_k|label_j>|: how far rounding is amplified.
+        # Beyond 1e4 (small l1 with phi near pi/2) the invariants below are
+        # lost to cancellation in any summation order.
+        cancellation = np.abs(rho.weights * gram_matrix(rho.labels).T).sum()
+        assume(cancellation <= 1e4)
+        R = rho.weights
+        assert np.abs(R - R.conj().T).max() <= 1e-12 * np.abs(R).max()
+        assert abs(dyad_trace(rho) - 1) <= 16 * np.finfo(float).eps * cancellation
+        assert min_eigenvalue(rho) >= -1e-10
+        if xi == 0:
+            assert trace_distance(rho, pure_walk_density(pp)) <= 1e-9
+        if xi == math.inf:
+            assert np.array_equal(R, np.diag(np.diag(R)))
+            assert cross_term_weight(rho) == 0.0
+
+
+class TestEnsemble:
+    def test_weights_are_read_only(self):
+        rho = walk_density(fig_pp(3, xi=0.2))
+        with pytest.raises(ValueError):
+            rho.weights[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            rho.entries[0] = 2.0
+
+    def test_weights_are_copied_in(self):
+        weights = np.eye(2, dtype=complex) / 2
+        rho = DyadEnsemble((CoherentLabel(0.5), CoherentLabel(-0.5)), weights)
+        weights[0, 0] = 7.0
+        assert rho.weights[0, 0] == 0.5
+
+    def test_shape_must_fit_the_labels(self):
+        with pytest.raises(ValueError):
+            DyadEnsemble((CoherentLabel(0.5),), np.eye(2))
+
+    def test_trace_distance_needs_equal_label_tuples(self):
+        pp = fig_pp(3)
+        a = walk_density(pp)
+        with pytest.raises(ValueError):
+            trace_distance(a, walk_density(fig_pp(2)))
+        with pytest.raises(ValueError):
+            trace_distance(a, walk_density(ProtocolParams(0.11, 0.01, 4.5 * pi, 3)))
 
 
 class TestPureLimit:
@@ -86,14 +147,16 @@ class TestClassicalLimit:
         pp = ProtocolParams(0.1, 0.01, 4.5 * pi, n, xi=float("inf"))
         rho = walk_density(pp)
         weights, endpoints = classical_path_mixture(0.1, 0.01, n)
-        for (j, k), w in rho.entries.items():
+        kicks = range(-n, n + 1, 2)  # the rows, in ascending kick index
+        for (row, j), (col, k) in product(enumerate(kicks), repeat=2):
+            w = rho.weights[row, col]
             if j == k:
                 assert w.real == pytest.approx(weights[j], abs=1e-12)
                 assert abs(w.imag) < 1e-14
             else:
                 assert abs(w) < 1e-14
-        for j, alpha in endpoints.items():
-            assert abs(rho.labels[j].amplitude - alpha) < 1e-12
+        for row, j in enumerate(kicks):
+            assert abs(rho.labels[row].amplitude - endpoints[j]) < 1e-12
 
 
 class TestMonotones:
@@ -151,8 +214,9 @@ class TestCatDensity:
         damped = cat_density(pp, cross_suppression=factor)
         # suppression applies exactly to the off-diagonal dyads, up to the
         # common renormalization constant
-        r_pure = pure.entries[(-10, 10)] / pure.entries[(10, 10)]
-        r_damped = damped.entries[(-10, 10)] / damped.entries[(10, 10)]
+        # rows are the kick indices -10 and 10
+        r_pure = pure.weights[0, 1] / pure.weights[1, 1]
+        r_damped = damped.weights[0, 1] / damped.weights[1, 1]
         assert abs(r_damped / r_pure - factor) < 1e-12
 
     def test_damped_cat_invariants(self):
@@ -171,10 +235,10 @@ class TestEvolveDyads:
         pp = fig_pp(1, xi=0.7)
         rho0 = pure_walk_density(fig_pp(0))
         rho1 = evolve_dyads(rho0, pp)
-        assert set(rho1.labels) == {-1, 1}
+        assert len(rho1.labels) == 2  # kick indices -1 and 1
         damp = math.exp(-0.7)
         # cross terms carry e^{+-2i phi} e^{-xi} relative to the diagonals
-        c = rho1.entries[(1, -1)] / rho1.entries[(1, 1)]
+        c = rho1.weights[1, 0] / rho1.weights[1, 1]
         assert abs(c) == pytest.approx(damp, rel=1e-12)
 
     def test_trace_renormalized_every_step(self):
@@ -189,8 +253,7 @@ class TestEvolveDyads:
         monkeypatch.setattr("catwalk.dephasing._normalized", DyadEnsemble)
         raw = walk_density(pp)
         monkeypatch.undo()
-        rho = _normalized(raw.labels, raw.entries)
-        assert rho.entries.keys() == expected.entries.keys()
-        scale = max(abs(w) for w in expected.entries.values())
-        assert all(abs(rho.entries[jk] - w) <= 1e-9 * scale
-                   for jk, w in expected.entries.items())
+        rho = _normalized(raw.labels, raw.weights)
+        assert rho.labels == expected.labels
+        scale = np.abs(expected.weights).max()
+        assert np.abs(rho.weights - expected.weights).max() <= 1e-9 * scale

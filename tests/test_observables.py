@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -11,13 +12,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from catwalk.algebra import CoherentLabel, SuperposedState, normalize, overlap
-from catwalk.dephasing import projector, walk_density
+from catwalk.algebra import CoherentLabel, SuperposedState, gram_matrix, normalize, overlap
+from catwalk.dephasing import DyadEnsemble, projector, walk_density
 from catwalk.errors import GridTooCoarse
 from catwalk.observables import (
     PhaseSpaceGrid,
     _accumulate_wigner,
-    _dyad_list,
     _dyad_profiles,
     _moments,
     default_grid,
@@ -30,7 +30,7 @@ from catwalk.observables import (
     wigner_mixed,
     wigner_pure,
 )
-from catwalk.protocol import ProtocolParams, walk_state
+from catwalk.protocol import ProtocolParams, walk_components, walk_state
 
 from conftest import wigner_dyad_closed, wigner_dyad_quadrature
 
@@ -44,6 +44,28 @@ def pure_state(*pairs):
 
 
 VACUUM = pure_state((1.0, CoherentLabel.vacuum()))
+
+# Rounding bound on the moments <a>, <a^2> and <a^dag a> that holds for any
+# summation order: MOMENT_ROUNDING eps sum_jk |rho_jk G_kj| (1 + |a_j|^2).
+# Against mpmath the moments stayed within 1.0 times eps times that sum for
+# ten draws of the kick parameters (walk n = 10 and 20, dephased walk n = 20
+# at xi = 0 and 0.2); the per-dyad loops they replaced reached 1.34.
+MOMENT_ROUNDING = 4
+
+
+def moment_scale(rho):
+    """eps sum_jk |rho_jk <label_k|label_j>| (1 + |a_j|^2)."""
+    a = np.array([lab.amplitude for lab in rho.labels])
+    terms = np.abs(rho.weights * gram_matrix(rho.labels).T)
+    return np.finfo(float).eps * float((terms * (1 + np.abs(a[:, None]) ** 2)).sum())
+
+
+def dyad_triples(rho):
+    """The dyads of ``rho`` as (weight, ket amplitude, bra amplitude), row by
+    row, with the label phases folded into the weights."""
+    return [(rho.weights[j, k] * np.exp(1j * (lj.phase - lk.phase)),
+             lj.amplitude, lk.amplitude)
+            for j, lj in enumerate(rho.labels) for k, lk in enumerate(rho.labels)]
 
 
 class TestGrid:
@@ -249,15 +271,22 @@ class TestWignerMixed:
     def test_contraction_matches_dyad_loop_within_rounding(self, rng):
         random_dyads = [(complex(*rng.normal(size=2)), complex(*rng.uniform(-1, 1, 2)),
                          complex(*rng.uniform(-1, 1, 2))) for _ in range(6)]
+        # six dyads |ket_i><bra_i| of a non-Hermitian ensemble with 12 rows
+        R = np.zeros((12, 12), dtype=complex)
+        R[range(6), range(6, 12)] = [w for w, _, _ in random_dyads]
+        labels = ([CoherentLabel(a) for _, a, _ in random_dyads]
+                  + [CoherentLabel(b) for _, _, b in random_dyads])
+        walk = projector(walk_state(fig_pp(10)))
+        dephased = walk_density(fig_pp(20, xi=0.2))
         cases = [
-            (random_dyads, PhaseSpaceGrid(-4, 4, -3, 3, 41, 31)),
-            (_dyad_list(projector(walk_state(fig_pp(10)))), default_grid()),
-            (_dyad_list(walk_density(fig_pp(20, xi=0.2))), default_grid()),
+            (DyadEnsemble(labels, R), random_dyads, PhaseSpaceGrid(-4, 4, -3, 3, 41, 31)),
+            (walk, dyad_triples(walk), default_grid()),
+            (dephased, dyad_triples(dephased), default_grid()),
         ]
-        for dyads, g in cases:
+        for rho, dyads, g in cases:
             expected, _, scale = self.dyad_loop(dyads, g)
             bound = 64 * np.finfo(float).eps * scale
-            assert np.abs(_accumulate_wigner(dyads, g) - expected).max() <= bound
+            assert np.abs(_accumulate_wigner(rho, g) - expected).max() <= bound
 
     @pytest.mark.parametrize("rho", [
         pytest.param(lambda: projector(walk_state(fig_pp(10))), id="walk-10"),
@@ -275,8 +304,8 @@ class TestWignerMixed:
         # differ most and the one where the terms are smallest.
         rho = rho()
         g = grid_for(rho).refined()
-        dyads = _dyad_list(rho)
-        W = _accumulate_wigner(dyads, g)
+        dyads = dyad_triples(rho)
+        W = _accumulate_wigner(rho, g)
         W_loop, magnitude, _ = self.dyad_loop(dyads, g)
         rng = np.random.default_rng(20261018)
         flat = np.concatenate([
@@ -318,8 +347,9 @@ for rho in (projector(walk_state(pp(10, 0.0))), walk_density(pp(20, 0.2))):
 
 class TestProjector:
     """A pure state reaches every observable as its projector.  Its Wigner
-    function and moments must keep the bits of the loops that once summed
-    the pure state's components directly, copied here as the reference."""
+    function and moments must match, within rounding, the loops that once
+    summed the pure state's components directly, copied here as the
+    reference."""
 
     @staticmethod
     def component_dyads(state):
@@ -343,13 +373,16 @@ class TestProjector:
         return e_a, e_aa, e_ada
 
     @pytest.mark.parametrize("n", [1, 5, 10])
-    def test_bits_match_component_loops(self, n):
+    def test_matches_component_loops_within_rounding(self, n):
         state = walk_state(fig_pp(n))
         rho = projector(state)
         g = default_grid()
-        expected = _accumulate_wigner(self.component_dyads(state), g)
-        np.testing.assert_array_equal(wigner_mixed(rho, g).values, expected)
-        assert _moments(rho) == self.component_moments(state)
+        expected, _, scale = TestWignerMixed.dyad_loop(self.component_dyads(state), g)
+        W = wigner_mixed(rho, g).values
+        assert np.abs(W - expected).max() <= 64 * np.finfo(float).eps * scale
+        bound = MOMENT_ROUNDING * moment_scale(rho)
+        for got, want in zip(_moments(rho), self.component_moments(state)):
+            assert abs(got - want) <= bound
 
     @pytest.mark.parametrize("n", [1, 5, 10])
     def test_dephased_walk_has_the_pure_grid(self, n):
@@ -362,7 +395,7 @@ class TestProjector:
     def test_normalizes_and_has_unit_purity(self):
         raw = SuperposedState(((2.0, CoherentLabel(0.5)), (1j, CoherentLabel(-0.5))))
         rho = projector(raw)
-        assert rho.entries == projector(normalize(raw)).entries
+        np.testing.assert_array_equal(rho.weights, projector(normalize(raw)).weights)
         assert diagnostics(rho)["purity"] == pytest.approx(1.0, abs=1e-14)
 
 
@@ -399,6 +432,52 @@ class TestDiagnostics:
         d = diagnostics(walk_density(fig_pp(5, xi=1.0)))
         assert abs(d["mean_x"]) < 0.1
         assert d["purity"] < 1.0
+
+    @staticmethod
+    def moments_mp(labels, R):
+        """<a>, <a^2>, <a^dag a> at 40 digits, labels and weights taken as
+        exact, divided by the trace."""
+        with mpmath.workdps(40):
+            amp = [mpmath.mpc(lab.amplitude) for lab in labels]
+            ph = [mpmath.mpf(lab.phase) for lab in labels]
+            tr = e_a = e_aa = e_ada = 0
+            for j, aj in enumerate(amp):
+                for k, ak in enumerate(amp):
+                    # rho_jk <label_k|label_j>
+                    t = R[j][k] * mpmath.exp(1j * (ph[j] - ph[k]) - (abs(aj) ** 2 + abs(ak) ** 2) / 2
+                                             + mpmath.conj(ak) * aj)
+                    tr += t
+                    e_a += t * aj
+                    e_aa += t * aj * aj
+                    e_ada += t * mpmath.conj(ak) * aj
+            return [complex(v / tr) for v in (e_a, e_aa, e_ada)]
+
+    @pytest.mark.parametrize("kind, n, xi", [
+        ("walk", 10, 0.0), ("walk", 20, 0.0), ("decohere", 20, 0.0), ("decohere", 20, 0.2),
+    ], ids=["walk-10", "walk-20", "decohere-20-xi0", "decohere-20-xi0.2"])
+    def test_moments_against_mpmath(self, kind, n, xi):
+        # The reference starts from the same float labels, the walk's raw
+        # coefficients or the recursion's cross factor and runs the rest
+        # (normalization, recursion, overlaps, sums) at 40 digits.
+        pp = fig_pp(n, xi)
+        if kind == "walk":
+            rho = projector(walk_state(pp))
+            c = [mpmath.mpc(coeff) for coeff, _ in walk_components(pp)]
+            R = [[cj * mpmath.conj(ck) for ck in c] for cj in c]
+        else:
+            rho = walk_density(pp)
+            cross = mpmath.mpc(cmath.exp(2j * pp.phi) * math.exp(-pp.xi))
+            weights = {(0, 0): mpmath.mpc(1)}
+            for step in range(1, n + 1):
+                w = lambda j, k: weights.get((j, k), 0)  # noqa: E731
+                span = range(-step, step + 1, 2)
+                weights = {(j, k): w(j - 1, k - 1) + w(j + 1, k + 1) + cross * w(j - 1, k + 1)
+                           + mpmath.conj(cross) * w(j + 1, k - 1) for j in span for k in span}
+            kicks = range(-n, n + 1, 2)
+            R = [[weights[j, k] for k in kicks] for j in kicks]
+        bound = MOMENT_ROUNDING * moment_scale(rho)
+        for got, want in zip(_moments(rho), self.moments_mp(rho.labels, R)):
+            assert abs(got - want) <= bound
 
     @pytest.mark.filterwarnings("ignore::catwalk.errors.GridTooCoarse")
     @pytest.mark.parametrize("nx, np_", [(201, 201), (401, 401), (2001, 5), (5, 2001)],

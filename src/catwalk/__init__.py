@@ -11,8 +11,8 @@ The package is organized in five layers:
   matrix; a pure state is its rank-1 :func:`projector`) and the per-pulse
   dephasing recursion as shifted-slice adds on that matrix.
 * :mod:`catwalk.observables`: position densities, Wigner functions, and
-  scalar diagnostics on phase-space grids.  Everything but the position
-  density reads a :class:`DyadEnsemble`.
+  scalar diagnostics on phase-space grids, each read from a
+  :class:`DyadEnsemble`.
 * :mod:`catwalk.fock`: independent truncated-Fock-space evolution used to
   cross-check the closed forms.
 
@@ -65,7 +65,6 @@ from .observables import (
     grid_for,
     negativity_volume,
     position_density,
-    position_wavefunction,
     wigner_mixed,
     wigner_pure,
 )

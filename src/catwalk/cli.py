@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dephasing import cat_density, projector, walk_density
+from .dephasing import DyadEnsemble, cat_density, projector, walk_density
 from .errors import (
     ConfigError,
     CutoffTooSmall,
@@ -55,7 +55,6 @@ from .observables import (
 from .protocol import (
     PhysicalParams,
     ProtocolParams,
-    cat_state,
     cat_success_probability,
     derive_protocol,
     kick_labels,
@@ -261,8 +260,10 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
 
     if mode == "oracle-check" and not cfg.derive:
         cfg.derive = True  # oracle mode is inherently physical-parameter driven
-    if mode in ("walk", "cat") and len(cfg.xi_values) > 1:
-        raise ConfigError("xi lists are only supported in decohere mode")
+    for key, reader in (("xi", "decohere"), ("decay_exponent", "cat")):
+        if key in raw and mode != reader:
+            raise ConfigError(f"{key} is read only in {reader} mode; "
+                              f"{mode} would ignore it")
     tags = [_xi_tag(xi) for xi in cfg.xi_values]
     if len(set(tags)) < len(tags):
         raise ConfigError(f"xi values {raw['xi']} share output names "
@@ -375,8 +376,8 @@ def alpha_table(pp: ProtocolParams) -> Table:
                  })
 
 
-def _pdist_table(state, grid: PhaseSpaceGrid) -> Table:
-    dens = position_density(state, grid)
+def _pdist_table(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> Table:
+    dens = position_density(rho, grid)
     return Table("pdist", "pdist",
                  f"position probability density; riemann_sum = {dens.norm:.12e}; "
                  "columns: x, density",
@@ -418,13 +419,12 @@ def _clean(diag: dict) -> dict:
 
 def _walk(cfg: ExperimentConfig):
     pp = cfg.protocol()
-    state = walk_state(pp)
-    rho = projector(state)
+    rho = projector(walk_state(pp))
     grid = grid_for(rho, cfg.grid)
     W = wigner_mixed(rho, grid)
     diag = _clean(diagnostics(rho, W))
     diag["success_probability"], _ = walk_record_probabilities(pp)
-    tables = [alpha_table(pp), _pdist_table(state, grid), _wigner_table(W),
+    tables = [alpha_table(pp), _pdist_table(rho, grid), _wigner_table(W),
               _diagnostics_table(diag)]
     return tables, diag
 
@@ -436,7 +436,7 @@ def _cat(cfg: ExperimentConfig):
     W = wigner_mixed(rho, grid)
     diag = _clean(diagnostics(rho, W))
     diag["success_probability"] = cat_success_probability(pp)
-    return [_pdist_table(cat_state(pp), grid), _wigner_table(W),
+    return [_pdist_table(rho, grid), _wigner_table(W),
             _diagnostics_table(diag)], diag
 
 

@@ -162,21 +162,18 @@ def pure_walk_density(pp: ProtocolParams) -> DyadEnsemble:
 
 
 def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> DyadEnsemble:
-    """Density matrix of the cat state with its single cross dyad damped.
+    """Projector of :func:`cat_state` with its cross dyads damped.
 
-    ``cross_suppression`` multiplies both off-diagonal dyads (use
+    ``cross_suppression`` multiplies both off-diagonal weights (use
     exp(-3 n Gamma T / 4) for a decay rate Gamma acting over the whole n-cycle
     run); the result is renormalized.  Rows are the kick indices -n and n.
     """
     if not 0.0 <= cross_suppression <= 1.0:
         raise ValueError("cross_suppression must lie in [0, 1]")
-    state = cat_state(pp)
-    (c_minus, lab_minus), (c_plus, lab_plus) = state.components
-    weights = [
-        [c_minus * c_minus.conjugate(), cross_suppression * c_minus * c_plus.conjugate()],
-        [cross_suppression * c_plus * c_minus.conjugate(), c_plus * c_plus.conjugate()],
-    ]
-    return _normalized((lab_minus, lab_plus), weights)
+    rho = projector(cat_state(pp))
+    weights = cross_suppression * rho.weights
+    np.fill_diagonal(weights, rho.weights.diagonal())
+    return _normalized(rho.labels, weights)
 
 
 def _weighted_matrix(rho: DyadEnsemble):

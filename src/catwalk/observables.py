@@ -23,9 +23,10 @@ real, and the paired kernels are summed as one contraction of an x-profile
 matrix with a p-profile matrix, in fixed-size dyad blocks: memory beyond
 the field grows with the grid's axes and the block, not with the number of
 dyads.  The contraction uses no BLAS, so its bits do not depend on the BLAS
-thread count.  Every observable except the position density reads a
-DyadEnsemble; a pure state enters as its rank-1 projector.  Moments are
-always computed from dyad weights and overlaps, never from grid sums, so
+thread count.  Every observable reads a DyadEnsemble and a pure state
+enters as its rank-1 projector, so the position density is the p-marginal
+of the Wigner function for pure and mixed states alike.  Moments are always
+computed from dyad weights and overlaps, never from grid sums, so
 diagnostics accuracy does not depend on grid resolution.
 """
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import SuperposedState, gram_matrix, normalize
+from .algebra import SuperposedState, gram_matrix
 from .dephasing import DyadEnsemble, projector, purity
 from .errors import GridTooCoarse
 
@@ -156,27 +157,28 @@ class GridField:
     norm: float = field(default=float("nan"))
 
 
-def position_wavefunction(state: SuperposedState, x: np.ndarray) -> np.ndarray:
-    """psi(x) = sum_m c_m e^{i theta_m} psi_{alpha_m}(x)."""
-    x = np.asarray(x, dtype=float)
-    tot = np.zeros_like(x, dtype=complex)
-    for c, lab in state.components:
-        ar, ai = lab.amplitude.real, lab.amplitude.imag
-        tot += (
-            c
-            * np.exp(1j * lab.phase)
-            * math.pi**-0.25
-            * np.exp(-((x - SQRT2 * ar) ** 2) / 2 + 1j * SQRT2 * ai * x - 1j * ar * ai)
-        )
-    return tot
+def _folded(rho: DyadEnsemble):
+    """Label amplitudes a_j and the weights with the label phases folded in,
+    w_jk = rho_jk e^{i(theta_j - theta_k)}."""
+    amp = np.array([lab.amplitude for lab in rho.labels])
+    phase = np.array([lab.phase for lab in rho.labels])
+    return amp, rho.weights * np.exp(1j * (phase[:, None] - phase))
 
 
-def position_density(state: SuperposedState, grid: PhaseSpaceGrid) -> GridField:
-    """|psi(x)|^2 on the grid's x axis; integrates to 1 up to box truncation."""
-    if not state.normalized:
-        state = normalize(state)
-    x = grid.x_axis()
-    dens = np.abs(position_wavefunction(state, x)) ** 2
+def position_density(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> GridField:
+    """<x|rho|x> on the grid's x axis; integrates to 1 up to box truncation.
+
+    rho(x) = Re sum_jk psi_j(x) w_jk conj(psi_k(x)) with psi_j the coherent
+    wavefunction of amplitude a_j in the module docstring and w the folded
+    weights.  The nx x m matrix of the psi_j is summed by np.einsum, without
+    BLAS, so the bits do not depend on the BLAS thread count.
+    """
+    amp, w = _folded(rho)
+    ar, ai = amp.real, amp.imag
+    x = grid.x_axis()[:, None]
+    psi = math.pi**-0.25 * np.exp(
+        -((x - SQRT2 * ar) ** 2) / 2 + 1j * SQRT2 * ai * x - 1j * ar * ai)
+    dens = np.einsum("ij,jk,ik->i", psi, w, psi.conj()).real
     return GridField(grid, dens, "probability_density", float(dens.sum() * grid.dx))
 
 
@@ -209,10 +211,9 @@ def _dyad_profiles(weight, alpha, beta, x, p):
 def _accumulate_wigner(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> np.ndarray:
     """Sum dyad kernels pairing Hermitian partners, so the result is exactly real.
 
-    The label phases are folded into the weights, w_jk = rho_jk
-    e^{i(theta_j - theta_k)}.  kernel(k, j) = conj(kernel(j, k)), hence the
-    (j, k) and (k, j) dyads combine into Re[z_jk kernel(j, k)] with
-    z_jk = w_jk + conj(w_kj), taken over the upper triangle j <= k row by
+    The label phases are folded into the weights by :func:`_folded`.
+    kernel(k, j) = conj(kernel(j, k)), hence the (j, k) and (k, j) dyads
+    combine into Re[z_jk kernel(j, k)] with z_jk = w_jk + conj(w_kj), taken over the upper triangle j <= k row by
     row; pairs with z = 0 are skipped.  Each paired kernel is const_d
     f_d(x) g_d(p), so the field is one contraction W = Re(F G^T) of the
     nx x D matrix F = z_d const_d f_d with the np x D matrix G = g_d, taken
@@ -222,9 +223,7 @@ def _accumulate_wigner(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> np.ndarray:
     the sum.  np.einsum sums without BLAS, so the bits do not depend on the
     BLAS thread count.
     """
-    amp = np.array([lab.amplitude for lab in rho.labels])
-    phase = np.array([lab.phase for lab in rho.labels])
-    w = rho.weights * np.exp(1j * (phase[:, None] - phase))
+    amp, w = _folded(rho)
     j, k = np.triu_indices(len(w))
     z = (np.triu(w) + np.triu(w.T.conj(), 1))[j, k]
     keep = z != 0
@@ -272,16 +271,14 @@ def negativity_volume(field: GridField) -> float:
     return float(clipped.sum() * field.grid.dx * field.grid.dp)
 
 
-def diagnostics(rho: DyadEnsemble, wigner: GridField | None = None,
-                check_grid: bool = True) -> dict:
+def diagnostics(rho: DyadEnsemble, wigner: GridField | None = None) -> dict:
     """Scalar summary of a density (use :func:`projector` for a pure state).
 
     Moments (mean_x, mean_p, var_x, var_p) and purity come from the dyad
     weights and label overlaps.  When the Wigner field of ``rho`` is given,
-    min_W, negativity_volume and wigner_norm are read from it.  With
-    ``check_grid`` the negativity volume is recomputed on the field's grid
-    refined 2x and a GridTooCoarse warning is emitted if it moves by more
-    than 5%.
+    min_W, negativity_volume and wigner_norm are read from it, and the
+    negativity volume is recomputed on the field's grid refined 2x: a
+    GridTooCoarse warning is emitted if it moves by more than 5%.
     """
     e_a, e_aa, e_ada = _moments(rho)
     mean_x = SQRT2 * e_a.real
@@ -300,13 +297,12 @@ def diagnostics(rho: DyadEnsemble, wigner: GridField | None = None,
         out["min_W"] = float(wigner.values.min())
         out["negativity_volume"] = neg
         out["wigner_norm"] = wigner.norm
-        if check_grid:
-            neg2 = negativity_volume(wigner_mixed(rho, wigner.grid.refined()))
-            if max(neg, neg2) > 1e-12 and abs(neg2 - neg) > 0.05 * max(neg, neg2):
-                warnings.warn(
-                    f"negativity volume moved {neg:.3e} -> {neg2:.3e} under 2x "
-                    "grid refinement",
-                    GridTooCoarse,
-                    stacklevel=2,
-                )
+        neg2 = negativity_volume(wigner_mixed(rho, wigner.grid.refined()))
+        if max(neg, neg2) > 1e-12 and abs(neg2 - neg) > 0.05 * max(neg, neg2):
+            warnings.warn(
+                f"negativity volume moved {neg:.3e} -> {neg2:.3e} under 2x "
+                "grid refinement",
+                GridTooCoarse,
+                stacklevel=2,
+            )
     return out

@@ -256,6 +256,21 @@ def cat_labels(l1: float, l2: float, n: int) -> tuple:
     return plus, minus
 
 
+def _cat_raw(pp: ProtocolParams) -> SuperposedState:
+    """The conditioned, unnormalized cat state
+    [e^{-i phi'}|beta_{-n}> - e^{+i phi'}|beta_{+n}>] / 2 with
+    phi' = 2 n phi reduced mod 2 pi; its squared norm is the outcome
+    probability."""
+    if pp.n < 1:
+        raise ValueError("cat protocol needs at least one cycle")
+    plus, minus = cat_labels(pp.l1, pp.l2, pp.n)
+    phi_c = (2.0 * pp.n * pp.phi) % TAU
+    return SuperposedState((
+        (0.5 * cmath.exp(-1j * phi_c), minus),
+        (-0.5 * cmath.exp(1j * phi_c), plus),
+    ))
+
+
 def cat_state(pp: ProtocolParams) -> SuperposedState:
     """Two-component superposition after n uninterrupted drive cycles.
 
@@ -264,37 +279,15 @@ def cat_state(pp: ProtocolParams) -> SuperposedState:
     alpha0 = 0.  Raises DegenerateState when the two components cancel
     (e.g. l1 = l2 = 0 with phi' an integer multiple of pi).
     """
-    if pp.n < 1:
-        raise ValueError("cat protocol needs at least one cycle")
     if pp.alpha0 != 0:
         raise ValueError("cat protocol starts from the vacuum (alpha0 = 0)")
-    plus, minus = cat_labels(pp.l1, pp.l2, pp.n)
-    phi_c = (2.0 * pp.n * pp.phi) % TAU
-    comps = (
-        (cmath.exp(-1j * phi_c), minus),
-        (-cmath.exp(1j * phi_c), plus),
-    )
-    return normalize(SuperposedState(comps))
+    return normalize(_cat_raw(pp))
 
 
 def cat_success_probability(pp: ProtocolParams) -> float:
-    """Probability of the single conditioning measurement of the cat protocol.
-
-    The conditioned (unnormalized) state is
-    [e^{-i phi'}|beta_{-n}> - e^{+i phi'}|beta_{+n}>] / 2, so the outcome
-    probability is its squared norm.
-    """
-    if pp.n < 1:
-        raise ValueError("cat protocol needs at least one cycle")
-    plus, minus = cat_labels(pp.l1, pp.l2, pp.n)
-    phi_c = 2.0 * pp.n * pp.phi
-    raw = SuperposedState(
-        (
-            (0.5 * cmath.exp(-1j * phi_c), minus),
-            (-0.5 * cmath.exp(1j * phi_c), plus),
-        )
-    )
-    return norm_squared(raw)
+    """Probability of the single conditioning measurement of the cat
+    protocol: the squared norm of the conditioned state."""
+    return norm_squared(_cat_raw(pp))
 
 
 @dataclass(frozen=True)

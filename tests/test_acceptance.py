@@ -147,7 +147,7 @@ def test_criterion_4_position_structure():
         # n = 1: two peaks, symmetric about x = 0
         grid = PhaseSpaceGrid(-8, 8, -8, 8, 3201, 3)
         x = grid.x_axis()
-        dens1 = position_density(walk_state(fig_pp(1)), grid).values
+        dens1 = position_density(projector(walk_state(fig_pp(1))), grid).values
         peaks = find_peaks(x, dens1)
         assert len(peaks) == 2
         (x_neg, h_neg), (x_pos, h_pos) = sorted(peaks)
@@ -159,7 +159,7 @@ def test_criterion_4_position_structure():
 
         # n = 10 and n = 20: dominant negative-side peak, positive side < 10%
         for n in (10, 20):
-            dens = position_density(walk_state(fig_pp(n)), grid).values
+            dens = position_density(projector(walk_state(fig_pp(n))), grid).values
             neg_max = dens[x < 0].max()
             pos_max = dens[x > 0].max()
             assert x[np.argmax(dens)] < 0
@@ -179,7 +179,7 @@ def test_criterion_4_equal_heights_within_one_percent():
     with criterion("4 (n=1 heights within 1%)", "documented expected failure"):
         grid = PhaseSpaceGrid(-8, 8, -8, 8, 3201, 3)
         x = grid.x_axis()
-        dens = position_density(walk_state(fig_pp(1)), grid).values
+        dens = position_density(projector(walk_state(fig_pp(1))), grid).values
         peaks = find_peaks(x, dens)
         (_, h_neg), (_, h_pos) = sorted(peaks)
         rel = abs(h_pos - h_neg) / max(h_pos, h_neg)
@@ -265,7 +265,7 @@ def test_criterion_6_wigner_validity():
             assert np.abs(W.values).max() <= 1 / pi + 1e-9, name
             # marginal against the position density
             marginal = W.values.sum(axis=1) * grid.dp
-            dens = position_density(state, grid).values
+            dens = position_density(projector(state), grid).values
             assert np.abs(marginal - dens).max() < 1e-4, name
             # pointwise reality of the raw complex dyad sum
             total = np.zeros((len(xs_sub), len(ps_sub)), dtype=complex)

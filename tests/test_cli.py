@@ -95,11 +95,23 @@ class TestParsing:
         with pytest.raises(ConfigError):
             build_config("walk", {"mode": "cat"})
 
-    def test_xi_list_only_in_decohere(self):
+    def test_xi_list_only_in_decohere(self, tmp_path):
         with pytest.raises(ConfigError):
             build_config("walk", {"xi": "0,0.2"})
         cfg = build_config("decohere", {"xi": "0,0.2", "n": "2"})
         assert cfg.xi_values == (0.0, 0.2)
+        # xi is read only by decohere and decay_exponent only by cat;
+        # any other mode refuses them instead of ignoring them
+        for mode, key in [("walk", "xi"), ("cat", "xi"), ("alpha-table", "xi"),
+                          ("oracle-check", "xi"), ("walk", "decay_exponent"),
+                          ("decohere", "decay_exponent"),
+                          ("alpha-table", "decay_exponent"),
+                          ("oracle-check", "decay_exponent")]:
+            with pytest.raises(ConfigError, match=key):
+                build_config(mode, {"n": "2", key: "0.5"})
+        cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nphi = 4.5pi\nn = 2\nxi = 0.5\n")
+        assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestAlphaTable:
@@ -194,6 +206,22 @@ class TestCatRun:
         report = json.loads((out / "report.json").read_text())
         assert report["diagnostics"]["purity"] < 1.0
         assert (out / "wigner.csv").exists()
+
+    @pytest.mark.parametrize("decay", ["0", "2.0"])
+    def test_pdist_is_the_wigner_marginal(self, tmp_path, decay):
+        # both files are read from the one damped density
+        cfg = write_config(
+            tmp_path,
+            f"l1 = 0.1\nl2 = 0.01\nphi = 4.5pi\nn = 10\ndecay_exponent = {decay}\n",
+        )
+        out = tmp_path / "cat"
+        assert main(["cat", "--config", str(cfg), "--out", str(out)]) == 0
+        x, dens = np.loadtxt(out / "pdist.csv", delimiter=",", skiprows=2).T
+        w = np.loadtxt(out / "wigner.csv", delimiter=",", skiprows=2)
+        p = np.unique(w[:, 1])
+        marginal = w[:, 2].reshape(len(x), len(p)).sum(axis=1) * (p[1] - p[0])
+        np.testing.assert_array_equal(w[:: len(p), 0], x)
+        assert np.abs(marginal - dens).max() < 1e-5
 
     def test_cat_needs_cycles(self, tmp_path):
         cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nn = 0\n")

@@ -25,14 +25,13 @@ from catwalk.observables import (
     grid_for,
     negativity_volume,
     position_density,
-    position_wavefunction,
     wigner_bytes,
     wigner_mixed,
     wigner_pure,
 )
 from catwalk.protocol import ProtocolParams, walk_components, walk_state
 
-from conftest import wigner_dyad_closed, wigner_dyad_quadrature
+from conftest import coherent_psi_x, wigner_dyad_closed, wigner_dyad_quadrature
 
 
 def fig_pp(n, xi=0.0):
@@ -99,7 +98,7 @@ class TestGrid:
 class TestPositionDensity:
     def test_vacuum_gaussian(self):
         g = default_grid()
-        dens = position_density(VACUUM, g)
+        dens = position_density(projector(VACUUM), g)
         x = g.x_axis()
         assert np.allclose(dens.values, np.exp(-(x**2)) / math.sqrt(pi), atol=1e-12)
         assert dens.values.max() == pytest.approx(1 / math.sqrt(pi))
@@ -109,14 +108,14 @@ class TestPositionDensity:
         alpha = 0.311558267 + 1.96710148j
         state = pure_state((1.0, CoherentLabel(alpha)))
         g = default_grid()
-        dens = position_density(state, g)
+        dens = position_density(projector(state), g)
         center = g.x_axis()[np.argmax(dens.values)]
         assert center == pytest.approx(math.sqrt(2) * alpha.real, abs=g.dx)
         assert math.sqrt(2) * alpha.real == pytest.approx(0.4406, abs=2e-4)
 
     def test_two_symmetric_peaks_at_n1(self):
         g = PhaseSpaceGrid(-6, 6, -6, 6, 1201, 3)
-        dens = position_density(walk_state(fig_pp(1)), g).values
+        dens = position_density(projector(walk_state(fig_pp(1))), g).values
         x = g.x_axis()
         peaks = [
             (x[i], dens[i])
@@ -128,6 +127,35 @@ class TestPositionDensity:
         (x1, h1), (x2, h2) = peaks
         assert x1 == pytest.approx(-x2, abs=0.02)
         assert abs(h1 - h2) / max(h1, h2) < 0.02
+
+    def test_phase_tracked(self):
+        # a label phase theta acts as the factor e^{i theta} on its coefficient
+        g = default_grid()
+
+        def density(coeff, theta):
+            state = SuperposedState(((1.0, CoherentLabel(0.5 + 0.2j)),
+                                     (coeff, CoherentLabel(-0.4 + 0.1j, theta))))
+            return position_density(projector(state), g).values
+
+        on_label = density(1.0, 1.0)
+        assert np.abs(on_label - density(cmath.exp(1j), 0.0)).max() < 1e-14
+        assert np.abs(on_label - density(1.0, 0.0)).max() > 0.01
+
+    def test_incoherent_walk_is_a_sum_of_gaussians(self):
+        # at xi = inf only the diagonal weights survive
+        rho = walk_density(fig_pp(10, xi=math.inf))
+        np.testing.assert_array_equal(rho.weights, np.diag(np.diagonal(rho.weights)))
+        g = default_grid()
+        x = g.x_axis()
+        expected = sum(rho.weights[j, j].real * np.abs(coherent_psi_x(lab.amplitude, x)) ** 2
+                       for j, lab in enumerate(rho.labels))
+        assert np.abs(position_density(rho, g).values - expected).max() < 1e-14
+
+    def test_dephased_walk_is_the_wigner_marginal(self):
+        g = default_grid()
+        rho = walk_density(fig_pp(5, xi=0.5))
+        marginal = wigner_mixed(rho, g).values.sum(axis=1) * g.dp
+        assert np.abs(marginal - position_density(rho, g).values).max() < 1e-4
 
 
 class TestWignerPure:
@@ -193,7 +221,7 @@ class TestWignerPure:
         state = walk_state(fig_pp(5))
         W = wigner_pure(state, g)
         marginal = W.values.sum(axis=1) * g.dp
-        dens = position_density(state, g).values
+        dens = position_density(projector(state), g).values
         assert np.abs(marginal - dens).max() < 1e-4
 
     def test_interference_negativity(self):
@@ -325,12 +353,13 @@ class TestWignerMixed:
         code = """
 import hashlib, math
 from catwalk.dephasing import projector, walk_density
-from catwalk.observables import PhaseSpaceGrid, grid_for, wigner_mixed
+from catwalk.observables import PhaseSpaceGrid, grid_for, position_density, wigner_mixed
 from catwalk.protocol import ProtocolParams, walk_state
 def pp(n, xi):
     return ProtocolParams(0.1, 0.01, 4.5 * math.pi, n, xi)
 for rho in (projector(walk_state(pp(10, 0.0))), walk_density(pp(20, 0.2))):
     g = grid_for(rho)
+    print(hashlib.sha256(position_density(rho, g).values.tobytes()).hexdigest())
     for grid in (g, g.refined(), PhaseSpaceGrid(g.x_min, g.x_max, g.p_min, g.p_max, 41, 31)):
         print(hashlib.sha256(wigner_mixed(rho, grid).values.tobytes()).hexdigest())
 """
@@ -341,7 +370,7 @@ for rho in (projector(walk_state(pp(10, 0.0))), walk_density(pp(20, 0.2))):
             out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                  text=True, env=env, check=True).stdout
             hashes.append(out.split())
-        assert len(hashes[0]) == 6
+        assert len(hashes[0]) == 8
         assert hashes[0] == hashes[1]
 
 
@@ -401,8 +430,7 @@ class TestProjector:
 
 class TestDiagnostics:
     def test_vacuum(self):
-        d = diagnostics(projector(VACUUM), wigner_pure(VACUUM, default_grid()),
-                        check_grid=False)
+        d = diagnostics(projector(VACUUM), wigner_pure(VACUUM, default_grid()))
         assert d["mean_x"] == pytest.approx(0.0, abs=1e-14)
         assert d["var_x"] == pytest.approx(0.5, abs=1e-12)
         assert d["var_p"] == pytest.approx(0.5, abs=1e-12)
@@ -421,7 +449,7 @@ class TestDiagnostics:
         state = walk_state(fig_pp(5))
         g = PhaseSpaceGrid(-8, 8, -8, 8, 801, 801)
         d = diagnostics(projector(state))
-        dens = position_density(state, g)
+        dens = position_density(projector(state), g)
         x = g.x_axis()
         mean_grid = (x * dens.values).sum() * g.dx
         var_grid = ((x - mean_grid) ** 2 * dens.values).sum() * g.dx
@@ -506,13 +534,3 @@ class TestDiagnostics:
         diagnostics(projector(state), wigner_pure(state, default_grid()))
         assert not [w for w in recwarn.list if issubclass(w.category, GridTooCoarse)]
 
-
-class TestWavefunction:
-    def test_phase_tracked(self):
-        lab = CoherentLabel(0.5 + 0j, 1.0)
-        state = SuperposedState(((1.0, lab),), normalized=True)
-        x = np.array([0.0, 0.7])
-        psi = position_wavefunction(state, x)
-        bare = SuperposedState(((1.0, CoherentLabel(0.5 + 0j)),), normalized=True)
-        psi0 = position_wavefunction(bare, x)
-        assert np.allclose(psi, np.exp(1j) * psi0)

@@ -2,23 +2,26 @@
 
 Subcommands: walk | cat | decohere | oracle-check | alpha-table.  Each is
 one entry of ``MODES``: the function that computes its tables and
-diagnostics, the outputs it writes by default, and the outputs it can write
-at all (requesting any other is a configuration error).  ``run`` writes the
-tables the config's ``outputs`` select and the report.
+diagnostics, the outputs it writes by default, the outputs it can write at
+all, and the config keys it reads (requesting any other output or giving
+any other key is a configuration error).  ``run`` writes the tables the
+config's ``outputs`` select and the report.
 
 Configs are flat ``key = value`` text files ('#' starts a comment); the
-flags --out, --format and --grid override file values.  Angles accept a
-"pi" suffix ("4.5pi", "-0.5pi", "pi"); everything else is plain floats,
-complex literals ("0.3+0.1j") for alpha0, and comma lists where noted.
+flags --out, --format and, where the mode reads a grid, --grid override
+file values.  Angles accept a "pi" suffix ("4.5pi", "-0.5pi", "pi");
+everything else is plain floats, complex literals ("0.3+0.1j") for alpha0,
+and comma lists where noted.
 Outputs are CSV by default (one '#' header comment, a column-name row, then
 data rows with fixed scientific formatting) or a JSON mirror of the same
 table; identical configs produce byte-identical data files.  A report.json
-accompanies every run with the echoed config, diagnostics, file checksums,
-warnings, and wall time (the report's wall-time field is the one
-non-reproducible output).
+accompanies every run with the resolved value of each key the mode reads,
+diagnostics, file checksums, warnings, and wall time (the report's
+wall-time field is the one non-reproducible output).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-gate failure
-(Fock leakage, degenerate superposition, zero-probability outcome).
+Exit codes: 0 success, 2 configuration error (rates outside the model's
+validity gates included), 3 numerical-gate failure (Fock leakage,
+degenerate superposition, zero-probability outcome).
 """
 
 import argparse
@@ -39,6 +42,7 @@ from .errors import (
     ConfigError,
     CutoffTooSmall,
     DegenerateState,
+    RegimeViolation,
     ZeroProbabilityOutcome,
 )
 from .observables import (
@@ -130,7 +134,7 @@ class ExperimentConfig:
     """Resolved run configuration (all defaults applied)."""
 
     mode: str
-    output_dir: Path
+    output_dir: Path = Path(".")
     fmt: str = "csv"
     grid: PhaseSpaceGrid = field(default_factory=default_grid)
     outputs: tuple = ()
@@ -142,13 +146,11 @@ class ExperimentConfig:
     xi_values: tuple = (0.0,)
     alpha0: complex = 0j
     decay_exponent: float = 0.0
-    # physical parameters (used when derive=true, and by oracle-check)
-    derive: bool = False
+    # physical rates; when any is given, l1, l2 and phi are computed from them
     omega: float | None = None
     g: float | None = None
     omega1: float | None = None
     omega2: float | None = None
-    gamma: float = 0.0
     cutoff: int = fock.DEFAULT_CUTOFF
     full_hamiltonian: bool = False
 
@@ -157,16 +159,38 @@ class ExperimentConfig:
                    if getattr(self, k) is None]
         if missing:
             raise ConfigError(f"missing physical parameters: {', '.join(missing)}")
-        return PhysicalParams(self.omega, self.g, self.omega1, self.omega2, self.gamma)
+        return PhysicalParams(self.omega, self.g, self.omega1, self.omega2)
 
     def protocol(self, xi: float | None = None) -> ProtocolParams:
-        if self.derive:
-            pp = derive_protocol(self.physical(), self.n, self.alpha0)
-            return pp if xi is None else replace(pp, xi=xi)
-        return ProtocolParams(
-            self.l1, self.l2, self.phi, self.n,
-            self.xi_values[0] if xi is None else xi, self.alpha0,
-        )
+        xi = self.xi_values[0] if xi is None else xi
+        if (self.omega, self.g, self.omega1, self.omega2) == (None,) * 4:
+            return ProtocolParams(self.l1, self.l2, self.phi, self.n, xi, self.alpha0)
+        return replace(derive_protocol(self.physical(), self.n, self.alpha0), xi=xi)
+
+
+# Config key -> (the ExperimentConfig field it sets, its parser).  Which keys
+# a mode reads is part of MODES.
+KEYS = {
+    "mode": ("mode", str),
+    "out": ("output_dir", Path),
+    "format": ("fmt", str),
+    "outputs": ("outputs",
+                lambda text: tuple(s.strip() for s in text.split(",") if s.strip())),
+    "n": ("n", int),
+    "grid": ("grid", parse_grid),
+    "l1": ("l1", float),
+    "l2": ("l2", float),
+    "phi": ("phi", parse_angle),
+    "alpha0": ("alpha0", lambda text: complex(text.replace(" ", ""))),
+    "xi": ("xi_values", lambda text: tuple(float(v) for v in text.split(","))),
+    "decay_exponent": ("decay_exponent", float),
+    "omega": ("omega", float),
+    "g": ("g", float),
+    "omega1": ("omega1", float),
+    "omega2": ("omega2", float),
+    "cutoff": ("cutoff", int),
+    "full_hamiltonian": ("full_hamiltonian", _parse_bool),
+}
 
 
 def _check_cutoff(cutoff: int):
@@ -192,78 +216,45 @@ def _check_grid(grid: PhaseSpaceGrid):
 
 
 def build_config(mode: str, raw: dict) -> ExperimentConfig:
-    """Validate a raw key-value mapping against the selected mode."""
+    """Validate a raw key-value mapping against the selected mode.
+
+    Every key must be one the mode reads.  The protocol is computed from the
+    rates omega, g, omega1, omega2 when any of them is given and taken from
+    l1, l2, phi otherwise; a config may not give both."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
-    known = {
-        "mode", "out", "format", "grid", "outputs",
-        "l1", "l2", "phi", "n", "xi", "alpha0", "decay_exponent",
-        "derive", "omega", "g", "omega1", "omega2", "gamma", "cutoff",
-        "full_hamiltonian",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    if "mode" in raw and raw["mode"] != mode:
-        raise ConfigError(
-            f"config says mode = {raw['mode']!r} but {mode!r} was requested"
-        )
+    spec = MODES[mode]
+    ignored = set(raw) - set(spec.keys)
+    if ignored:
+        raise ConfigError(f"{mode} does not read {', '.join(sorted(ignored))}; "
+                          f"it reads {', '.join(spec.keys)}")
+    missing = [key for key in spec.requires if key not in raw]
+    if missing:
+        raise ConfigError(f"{mode} needs {', '.join(missing)}")
+    if set(raw) & {"omega", "g", "omega1", "omega2"} and set(raw) & {"l1", "l2", "phi"}:
+        raise ConfigError("give the protocol either as the rates omega, g, omega1, "
+                          "omega2 or as l1, l2, phi, not both")
 
-    cfg = ExperimentConfig(mode=mode, output_dir=Path(raw.get("out", ".")))
-    try:
-        if "format" in raw:
-            if raw["format"] not in ("csv", "json"):
-                raise ConfigError("format must be 'csv' or 'json'")
-            cfg.fmt = raw["format"]
-        if "grid" in raw:
-            cfg.grid = parse_grid(raw["grid"])
-            _check_grid(cfg.grid)
-        if "l1" in raw:
-            cfg.l1 = float(raw["l1"])
-        if "l2" in raw:
-            cfg.l2 = float(raw["l2"])
-        if "phi" in raw:
-            cfg.phi = parse_angle(raw["phi"])
-        if "n" in raw:
-            cfg.n = int(raw["n"])
-        if "xi" in raw:
-            cfg.xi_values = tuple(float(v) for v in str(raw["xi"]).split(","))
-        if "alpha0" in raw:
-            cfg.alpha0 = complex(str(raw["alpha0"]).replace(" ", ""))
-        if "decay_exponent" in raw:
-            cfg.decay_exponent = float(raw["decay_exponent"])
-        if "derive" in raw:
-            cfg.derive = _parse_bool(raw["derive"])
-        for key in ("omega", "g", "omega1", "omega2", "gamma"):
-            if key in raw:
-                setattr(cfg, key, float(raw[key]))
-        if "cutoff" in raw:
-            cfg.cutoff = int(raw["cutoff"])
-            _check_cutoff(cfg.cutoff)
-        if "full_hamiltonian" in raw:
-            cfg.full_hamiltonian = _parse_bool(raw["full_hamiltonian"])
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+    values = {"mode": mode}
+    for key, text in raw.items():
+        name, parse = KEYS[key]
+        try:
+            values[name] = parse(str(text))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from None
+    cfg = ExperimentConfig(**values)
+    if cfg.mode != mode:
+        raise ConfigError(f"config says mode = {cfg.mode!r} but {mode!r} was requested")
+    if cfg.fmt not in ("csv", "json"):
+        raise ConfigError("format must be 'csv' or 'json'")
+    cfg.outputs = cfg.outputs or spec.defaults
+    bad = set(cfg.outputs) - set(spec.writable)
+    if bad:
+        raise ConfigError(f"{mode} cannot write {', '.join(sorted(bad))}; "
+                          f"it writes {', '.join(spec.writable)}")
+    _check_grid(cfg.grid)
+    _check_cutoff(cfg.cutoff)
 
-    writable = MODES[mode].writable
-    requested = raw.get("outputs")
-    if requested:
-        cfg.outputs = tuple(s.strip() for s in requested.split(",") if s.strip())
-        bad = set(cfg.outputs) - set(writable)
-        if bad:
-            raise ConfigError(f"{mode} cannot write {', '.join(sorted(bad))}; "
-                              f"it writes {', '.join(writable)}")
-    else:
-        cfg.outputs = MODES[mode].defaults
-
-    if mode == "oracle-check" and not cfg.derive:
-        cfg.derive = True  # oracle mode is inherently physical-parameter driven
-    for key, reader in (("xi", "decohere"), ("decay_exponent", "cat")):
-        if key in raw and mode != reader:
-            raise ConfigError(f"{key} is read only in {reader} mode; "
-                              f"{mode} would ignore it")
     tags = [_xi_tag(xi) for xi in cfg.xi_values]
     if len(set(tags)) < len(tags):
         raise ConfigError(f"xi values {raw['xi']} share output names "
@@ -465,7 +456,7 @@ def _oracle_check(cfg: ExperimentConfig):
     fid_min = min([1.0] + fids)
     pp = derive_protocol(phys, cfg.n, cfg.alpha0)
     diag = {"fidelity_min": fid_min, "leakage_max": leak_max,
-            "l1": pp.l1, "l2": pp.l2, "phi": pp.phi, "xi": pp.xi}
+            "l1": pp.l1, "l2": pp.l2, "phi": pp.phi}
     print(f"oracle-check: min closed-form fidelity over n=1..{cfg.n}: {fid_min:.9f}")
     table = Table("oracle_check", "oracle-table",
                   "closed form vs matrix evolution; columns: " + ", ".join(columns),
@@ -479,21 +470,38 @@ def _alpha_table(cfg: ExperimentConfig):
 
 @dataclass(frozen=True)
 class Mode:
-    """A subcommand: its computation and the outputs it writes."""
+    """A subcommand: its computation, the outputs it writes, the config keys
+    it reads besides those every mode reads, and the keys it cannot run
+    without."""
 
     compute: Callable  # ExperimentConfig -> (list of Table, diagnostics dict)
     defaults: tuple
     writable: tuple
+    reads: tuple
+    requires: tuple = ()
+
+    @property
+    def keys(self) -> tuple:
+        """Every config key the mode reads: the run keys, n, the four
+        physical rates and its own."""
+        return ("mode", "out", "format", "outputs", "n",
+                "omega", "g", "omega1", "omega2") + self.reads
 
 
 MODES = {
     "walk": Mode(_walk, ("alpha-table", "pdist", "diagnostics"),
-                 ("alpha-table", "pdist", "wigner", "diagnostics")),
+                 ("alpha-table", "pdist", "wigner", "diagnostics"),
+                 ("grid", "l1", "l2", "phi", "alpha0")),
     "cat": Mode(_cat, ("pdist", "wigner", "diagnostics"),
-                ("pdist", "wigner", "diagnostics")),
-    "decohere": Mode(_decohere, ("wigner", "diagnostics"), ("wigner", "diagnostics")),
-    "oracle-check": Mode(_oracle_check, ("oracle-table",), ("oracle-table", "diagnostics")),
-    "alpha-table": Mode(_alpha_table, ("alpha-table",), ("alpha-table",)),
+                ("pdist", "wigner", "diagnostics"),
+                ("grid", "l1", "l2", "phi", "decay_exponent")),
+    "decohere": Mode(_decohere, ("wigner", "diagnostics"), ("wigner", "diagnostics"),
+                     ("grid", "l1", "l2", "phi", "alpha0", "xi")),
+    "oracle-check": Mode(_oracle_check, ("oracle-table",), ("oracle-table", "diagnostics"),
+                         ("alpha0", "cutoff", "full_hamiltonian"),
+                         requires=("omega", "g", "omega1", "omega2")),
+    "alpha-table": Mode(_alpha_table, ("alpha-table",), ("alpha-table",),
+                        ("l1", "l2", "alpha0")),
 }
 
 
@@ -508,7 +516,7 @@ def run(cfg: ExperimentConfig) -> RunReport:
                  for t in tables if t.output in cfg.outputs]
     report = RunReport(
         mode=cfg.mode,
-        config=_echo_config(cfg),
+        config={key: getattr(cfg, KEYS[key][0]) for key in MODES[cfg.mode].keys},
         diagnostics=diag,
         outputs=artifacts,
         warnings=[str(w.message) for w in caught],
@@ -518,23 +526,6 @@ def run(cfg: ExperimentConfig) -> RunReport:
     return report
 
 
-def _echo_config(cfg: ExperimentConfig) -> dict:
-    out = {}
-    for key, value in vars(cfg).items():
-        if key == "grid":
-            out[key] = [cfg.grid.x_min, cfg.grid.x_max, cfg.grid.p_min,
-                        cfg.grid.p_max, cfg.grid.nx, cfg.grid.np]
-        elif isinstance(value, Path):
-            out[key] = str(value)
-        elif isinstance(value, complex):
-            out[key] = str(value)
-        elif isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catwalk",
@@ -542,12 +533,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "qubit-resonator system",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
+    for mode, spec in MODES.items():
         p = sub.add_parser(mode)
         p.add_argument("--config", type=Path, help="flat key = value config file")
         p.add_argument("--out", type=Path, help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), dest="fmt")
-        p.add_argument("--grid", help="xmin,xmax,pmin,pmax,nx,np")
+        p.add_argument("--format", choices=("csv", "json"))
+        if "grid" in spec.keys:
+            p.add_argument("--grid", help="xmin,xmax,pmin,pmax,nx,np")
     return parser
 
 
@@ -555,15 +547,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         raw = parse_config_file(args.config) if args.config else {}
-        if args.out is not None:
-            raw["out"] = str(args.out)
-        if args.fmt is not None:
-            raw["format"] = args.fmt
-        if args.grid is not None:
-            raw["grid"] = args.grid
+        for key in ("out", "format", "grid"):
+            if getattr(args, key, None) is not None:
+                raw[key] = str(getattr(args, key))
         cfg = build_config(args.mode, raw)
         report = run(cfg)
-    except ConfigError as exc:
+    except (ConfigError, RegimeViolation) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CutoffTooSmall, DegenerateState, ZeroProbabilityOutcome) as exc:

@@ -12,7 +12,10 @@ import pytest
 
 from catwalk.cli import (
     FLOAT_FMT,
+    KEYS,
+    MODES,
     Table,
+    _build_parser,
     _write_table,
     alpha_table,
     build_config,
@@ -23,7 +26,7 @@ from catwalk.cli import (
 )
 from catwalk import fock, observables
 from catwalk.errors import ConfigError
-from catwalk.protocol import ProtocolParams
+from catwalk.protocol import PhysicalParams, ProtocolParams, derive_protocol
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -185,6 +188,24 @@ class TestWalkRun:
             )
         assert outs[0] == outs[1]
 
+    def test_rates_give_the_walk_of_their_knobs(self, tmp_path):
+        # the four rates alone set the protocol; no switch selects them
+        omega1 = 16.25 / (1 - 1e-4 / 2)
+        pp = derive_protocol(PhysicalParams(1.0, 0.01, omega1, 1.5), 3)
+        outputs = "outputs = alpha-table,pdist,wigner,diagnostics\n"
+        rates = write_config(tmp_path, f"omega = 1.0\ng = 0.01\nomega1 = {omega1!r}\n"
+                                       "omega2 = 1.5\nn = 3\n" + outputs, "rates.cfg")
+        knobs = write_config(tmp_path, f"l1 = {pp.l1!r}\nl2 = {pp.l2!r}\n"
+                                       f"phi = {pp.phi!r}\nn = 3\n" + outputs, "knobs.cfg")
+        files = []
+        for cfg in (rates, knobs):
+            out = tmp_path / cfg.stem
+            assert main(["walk", "--config", str(cfg), "--out", str(out)]) == 0
+            files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                          if p.name != "report.json"})
+        assert len(files[0]) == 4 and files[0] == files[1]
+        assert pp.l1 == pytest.approx(0.015)
+
     def test_json_format(self, tmp_path):
         cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nphi = 4.5pi\nn = 1\n")
         out = tmp_path / "j"
@@ -255,6 +276,60 @@ ORACLE_CFG = (f"omega = 1.0\ng = 0.01\nomega1 = {16.25 / (1 - 1e-4 / 2)}\n"
               "omega2 = 1.5\nn = {n}\ncutoff = {cutoff}\nfull_hamiltonian = {full}\n")
 
 
+# A valid value for each key some mode does not read.
+VALID = {"grid": "-6,6,-6,6,11,11", "l1": "0.1", "l2": "0.01", "phi": "4.5pi",
+         "alpha0": "0.1", "xi": "0.5", "decay_exponent": "2.0", "cutoff": "80",
+         "full_hamiltonian": "false"}
+
+
+def base_config(mode):
+    if mode == "oracle-check":
+        return ORACLE_CFG.format(n=2, cutoff=80, full="false")
+    return "l1 = 0.1\nl2 = 0.01\nn = 2\n"
+
+
+class TestReadSets:
+    """A key the selected mode does not read is refused, never ignored."""
+
+    @pytest.mark.parametrize("mode, key", [
+        (mode, key) for mode, spec in MODES.items() for key in KEYS if key not in spec.keys
+    ], ids=lambda v: v)
+    def test_unread_key_refused(self, tmp_path, mode, key):
+        raw = parse_config_file(write_config(tmp_path, base_config(mode)))
+        build_config(mode, raw)
+        with pytest.raises(ConfigError, match=f"{mode} does not read {key};"):
+            build_config(mode, dict(raw, **{key: VALID[key]}))
+        cfg = write_config(tmp_path, base_config(mode) + f"{key} = {VALID[key]}\n")
+        out = tmp_path / "x"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("key", ["derive", "gamma"])
+    def test_removed_knobs_refused(self, mode, key):
+        # the protocol's source follows from the keys given, and no mode
+        # reads a decay rate
+        with pytest.raises(ConfigError, match=key):
+            build_config(mode, {"n": "2", key: "0.2"})
+
+    @pytest.mark.parametrize("key", ["l1", "l2", "phi"])
+    def test_rates_with_knobs_refused(self, key):
+        raw = {"omega": "1.0", "g": "0.01", "omega1": "16.25", "omega2": "1.5",
+               "n": "2", key: VALID[key]}
+        with pytest.raises(ConfigError, match="not both"):
+            build_config("walk", raw)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_grid_flag_only_where_read(self, mode):
+        argv = [mode, f"--grid={VALID['grid']}"]
+        if "grid" in MODES[mode].keys:
+            assert _build_parser().parse_args(argv).grid == VALID["grid"]
+        else:
+            with pytest.raises(SystemExit) as exc:
+                _build_parser().parse_args(argv)
+            assert exc.value.code == 2
+
+
 class TestOracleCheckRun:
     def test_reports_fidelity(self, tmp_path, capsys):
         eta = 1e-2
@@ -287,7 +362,7 @@ class TestOracleCheckRun:
         assert 0.0 < leak <= fock.LEAKAGE_MAX
         rows = (out / "diagnostics.csv").read_text().splitlines()[2:]
         assert [r.split(",")[0] for r in rows] == [
-            "fidelity_min", "l1", "l2", "leakage_max", "phi", "xi"]
+            "fidelity_min", "l1", "l2", "leakage_max", "phi"]
 
     @pytest.mark.parametrize("n, full, expected", [
         (2, "false", 2), (8, "false", 2), (8, "true", 4),
@@ -412,6 +487,28 @@ class TestExitCodes:
     def test_working_grids_accepted(self, mode, raw):
         cfg = build_config(mode, raw)
         assert observables.wigner_bytes(cfg.grid) <= observables.WIGNER_BUDGET_BYTES
+
+    @pytest.mark.parametrize("mode, text", [
+        ("oracle-check", ORACLE_CFG.format(n=2, cutoff=80, full="false")
+         .replace("omega2 = 1.5", "omega2 = 1.7")),
+        ("walk", "omega = 1.0\ng = 0.2\nomega1 = 100.0\nomega2 = 1.0\nn = 2\n"),
+    ], ids=["hierarchy", "eta"])
+    def test_rates_outside_validity_gates(self, tmp_path, mode, text, capsys):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "x"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
+                             ids=lambda path: path.name)
+    def test_shipped_configs_run(self, tmp_path, path):
+        out = tmp_path / "o"
+        assert main([path.stem.replace("_", "-"), "--config", str(path),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["outputs"] and all(Path(o["path"]).exists()
+                                         for o in report["outputs"])
 
     def test_seed_flag_refused(self, tmp_path):
         cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nn = 1\n")

@@ -7,17 +7,21 @@ all, and the config keys it reads (requesting any other output or giving
 any other key is a configuration error).  ``run`` writes the tables the
 config's ``outputs`` select and the report.
 
-Configs are flat ``key = value`` text files ('#' starts a comment); the
-flags --out, --format and, where the mode reads a grid, --grid override
-file values.  Angles accept a "pi" suffix ("4.5pi", "-0.5pi", "pi");
-everything else is plain floats, complex literals ("0.3+0.1j") for alpha0,
-and comma lists where noted.
+Configs are flat ``key = value`` text files ('#' starts a comment; a key
+given twice is a configuration error); the flags --out, --format and, where
+the mode reads a grid, --grid override file values.  Angles accept a "pi"
+suffix ("4.5pi", "-0.5pi", "pi"); everything else is plain floats, complex
+literals ("0.3+0.1j") for alpha0, and comma lists where noted.
 Outputs are CSV by default (one '#' header comment, a column-name row, then
 data rows with fixed scientific formatting) or a JSON mirror of the same
-table; identical configs produce byte-identical data files.  A report.json
-accompanies every run with the resolved value of each key the mode reads,
-diagnostics, file checksums, warnings, and wall time (the report's
-wall-time field is the one non-reproducible output).
+table; identical configs produce byte-identical data files.  A Wigner
+table holds its two axes and the (nx, np) field, not one repeated value per
+row; the writer formats each axis value once and streams one block of rows
+per x value to the file and its SHA-256, so it never holds more than one
+block of text.  A report.json accompanies every run with the resolved value
+of each key the mode reads, diagnostics, file checksums, warnings, and wall
+times: the whole run and, under ``timings``, the computation and each
+table's write (the wall times are the one non-reproducible output).
 
 Exit codes: 0 success, 2 configuration error (rates outside the model's
 validity gates included), 3 numerical-gate failure (Fock leakage,
@@ -33,6 +37,7 @@ import time
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -103,8 +108,9 @@ def parse_grid(text: str) -> PhaseSpaceGrid:
 
 
 def parse_config_file(path) -> dict:
-    """Read a flat key = value file; '#' starts a comment, blank lines skip."""
-    data = {}
+    """Read a flat key = value file; '#' starts a comment, blank lines skip.
+    A key given twice, also as its '-' and '_' spellings, is refused."""
+    data, first = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -116,7 +122,12 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        data[key.strip().lower().replace("-", "_")] = value.strip()
+        key = key.strip().lower().replace("-", "_")
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: {key} is given again; "
+                              f"line {first[key]} gives it first")
+        first[key] = lineno
+        data[key] = value.strip()
     return data
 
 
@@ -277,13 +288,16 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
 
 @dataclass
 class RunReport:
-    """Summary of one run: echoed config, diagnostics, emitted files."""
+    """Summary of one run: echoed config, diagnostics, emitted files and
+    wall times (``timings``: ``compute_s`` for the mode's tables and
+    diagnostics, ``write_s`` per written table)."""
 
     mode: str
     config: dict
     diagnostics: dict
     outputs: list
     warnings: list
+    timings: dict
     wall_time_s: float
 
     def to_json(self) -> str:
@@ -294,6 +308,7 @@ class RunReport:
                 "diagnostics": self.diagnostics,
                 "outputs": self.outputs,
                 "warnings": self.warnings,
+                "timings": self.timings,
                 "wall_time_s": self.wall_time_s,
             },
             indent=2,
@@ -305,16 +320,29 @@ class RunReport:
 @dataclass(frozen=True)
 class Table:
     """One data file: its name, the output that selects it, a header comment
-    and equally long columns (float, int or str) in file order."""
+    and its columns (float, int or str) in file order.
+
+    Without ``axes`` the columns are equally long 1-D sequences, one value
+    per row.  A grid table names its (outer, inner) axis columns in
+    ``axes``; those hold each axis value once and every other column is an
+    (outer, inner) field, so row i * n_inner + j reads outer[i], inner[j]
+    and field[i, j]."""
 
     name: str
     output: str
     comment: str
     columns: dict
+    axes: tuple = ()
 
     @property
     def n_rows(self) -> int:
+        if self.axes:
+            return math.prod(len(self.columns[a]) for a in self.axes)
         return len(next(iter(self.columns.values())))
+
+
+# Marks the outer-axis cell in a block template; no cell text contains it.
+_SPLICE = "\0"
 
 
 def _cell(kind: str, fmt: str) -> str:
@@ -323,34 +351,70 @@ def _cell(kind: str, fmt: str) -> str:
     return "%d" if kind in "iu" else "%s"
 
 
-def _render(table: Table, fmt: str) -> str:
-    """File text of a table: one row template, filled for every row by a
-    single % operation.  JSON has the layout of
-    ``json.dumps(body, indent=2, sort_keys=True)``."""
-    cols = [np.asarray(c) for c in table.columns.values()]
-    cells = [_cell(c.dtype.kind, fmt) for c in cols]
-    values = [c.tolist() for c in cols]
-    if fmt == "json":
-        values = [[json.dumps(v) for v in vs] if c.dtype.kind == "U" else vs
-                  for c, vs in zip(cols, values)]
-    flat = tuple(v for row in zip(*values) for v in row)
-    n_rows = table.n_rows
+def _values(column: np.ndarray, fmt: str) -> list:
+    """% arguments of a 1-D column: JSON quotes and escapes its strings."""
+    values = column.tolist()
+    if fmt == "json" and column.dtype.kind == "U":
+        return [json.dumps(v) for v in values]
+    return values
+
+
+def _render(table: Table, fmt: str):
+    """Yield the file text of a table in blocks, one per outer-axis value
+    (one block for a table without axes).  The block template is built
+    once, with the inner-axis cells as literal text; each block splices in
+    its outer-axis cell and fills the field cells by a single % on that row
+    of the fields.  Each axis value is formatted once.  JSON has the layout
+    of ``json.dumps(body, indent=2, sort_keys=True)``."""
+    cols = {k: np.asarray(c) for k, c in table.columns.items()}
+    outer, inner = table.axes or (None, None)
+    n_outer = len(cols[outer]) if outer else 1
+    n_inner = len(cols[inner]) if inner else table.n_rows
     if fmt == "csv":
-        row = ",".join(cells) + "\n"
-        return f"# {table.comment}\n{','.join(table.columns)}\n" + (row * n_rows) % flat
-    head = json.dumps({"columns": list(table.columns), "comment": table.comment,
-                       "rows": []}, indent=2, sort_keys=True)
-    row = "    [\n" + ",\n".join("      " + c for c in cells) + "\n    ]"
-    rows = "[\n" + ",\n".join([row] * n_rows) % flat + "\n  ]" if n_rows else "[]"
-    return head[:-len("[]\n}")] + rows + "\n}\n"
+        yield f"# {table.comment}\n{','.join(cols)}\n"
+    else:
+        head = json.dumps({"columns": list(cols), "comment": table.comment,
+                           "rows": []}, indent=2, sort_keys=True)
+        yield head[:-len("[]\n}")] + "[\n" if table.n_rows else head + "\n"
+    if not table.n_rows:
+        return
+
+    def cells(name):
+        cell = _cell(cols[name].dtype.kind, fmt)
+        if name == outer:
+            return [_SPLICE] * n_inner
+        if name == inner:
+            return [cell % v for v in _values(cols[name], fmt)]
+        return [cell] * n_inner
+
+    rows = zip(*(cells(name) for name in cols))
+    if fmt == "csv":
+        template = "".join(",".join(row) + "\n" for row in rows)
+    else:
+        template = ",\n".join("    [\n      " + ",\n      ".join(row) + "\n    ]"
+                               for row in rows)
+    parts = template.split(_SPLICE)
+    fields = [cols[k].reshape(n_outer, n_inner) for k in cols if k not in table.axes]
+    outer_cell = _cell(cols[outer].dtype.kind, fmt) if outer else ""
+    sep = ",\n" if fmt == "json" else ""
+    for i in range(n_outer):
+        splice = outer_cell % _values(cols[outer][i:i + 1], fmt)[0] if outer else ""
+        args = tuple(chain.from_iterable(zip(*(_values(f[i], fmt) for f in fields))))
+        yield (sep if i else "") + splice.join(parts) % args
+    if fmt == "json":
+        yield "\n  ]\n}\n"
 
 
 def _write_table(path: Path, table: Table, fmt: str) -> dict:
-    """Write one table deterministically; returns its report entry."""
-    payload = _render(table, fmt)
-    path.write_text(payload, newline="\n")
-    return {"name": table.name, "path": str(path),
-            "sha256": hashlib.sha256(payload.encode()).hexdigest(),
+    """Write one table deterministically, block by block, hashing the bytes
+    as they are written; returns its report entry."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for text in _render(table, fmt):
+            data = text.encode()
+            f.write(data)
+            digest.update(data)
+    return {"name": table.name, "path": str(path), "sha256": digest.hexdigest(),
             "rows": table.n_rows}
 
 
@@ -384,11 +448,10 @@ def _wigner_table(W: GridField, xi: float | None = None) -> Table:
     name, at = "wigner", ""
     if xi is not None:
         name, at = f"wigner_xi_{_xi_tag(xi)}", f" at xi = {xi:g}"
-    x, p = W.grid.x_axis(), W.grid.p_axis()
     return Table(name, "wigner",
                  f"wigner function{at}; riemann_sum = {W.norm:.12e}; columns: x, p, w",
-                 {"x": np.repeat(x, len(p)), "p": np.tile(p, len(x)),
-                  "w": W.values.ravel()})
+                 {"x": W.grid.x_axis(), "p": W.grid.p_axis(), "w": W.values},
+                 axes=("x", "p"))
 
 
 def _diagnostics_table(diag: dict, key: str | None = None) -> Table:
@@ -432,14 +495,19 @@ def _cat(cfg: ExperimentConfig):
 
 
 def _decohere(cfg: ExperimentConfig):
-    tables, diag = [], {}
-    for xi in cfg.xi_values:
-        rho = walk_density(cfg.protocol(xi=xi))
-        W = wigner_mixed(rho, grid_for(rho, cfg.grid))
-        diag[f"xi_{_xi_tag(xi)}"] = _clean(diagnostics(rho, W))
-        tables.append(_wigner_table(W, xi))
-    tables += [_diagnostics_table(diag[key], key) for key in sorted(diag)]
-    return tables, diag
+    """One Wigner table per xi, each computed only when asked for, so that
+    run() writes it and lets it go before the next xi."""
+    diag = {}
+
+    def tables():
+        for xi in cfg.xi_values:
+            rho = walk_density(cfg.protocol(xi=xi))
+            W = wigner_mixed(rho, grid_for(rho, cfg.grid))
+            diag[f"xi_{_xi_tag(xi)}"] = _clean(diagnostics(rho, W))
+            yield _wigner_table(W, xi)
+        yield from (_diagnostics_table(diag[key], key) for key in sorted(diag))
+
+    return tables(), diag
 
 
 def _oracle_check(cfg: ExperimentConfig):
@@ -474,7 +542,9 @@ class Mode:
     it reads besides those every mode reads, and the keys it cannot run
     without."""
 
-    compute: Callable  # ExperimentConfig -> (list of Table, diagnostics dict)
+    # ExperimentConfig -> (iterable of Table, diagnostics dict); the dict is
+    # complete once the tables are exhausted
+    compute: Callable
     defaults: tuple
     writable: tuple
     reads: tuple
@@ -509,17 +579,25 @@ def run(cfg: ExperimentConfig) -> RunReport:
     """Execute one configured run and write the requested artifacts."""
     t0 = time.perf_counter()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    artifacts, write_s = [], {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         tables, diag = MODES[cfg.mode].compute(cfg)
-    artifacts = [_write_table(cfg.output_dir / f"{t.name}.{cfg.fmt}", t, cfg.fmt)
-                 for t in tables if t.output in cfg.outputs]
+        for t in tables:
+            if t.output in cfg.outputs:
+                t_write = time.perf_counter()
+                artifacts.append(_write_table(cfg.output_dir / f"{t.name}.{cfg.fmt}",
+                                              t, cfg.fmt))
+                write_s[t.name] = time.perf_counter() - t_write
+    timings = {"compute_s": time.perf_counter() - t0 - sum(write_s.values()),
+               "write_s": write_s}
     report = RunReport(
         mode=cfg.mode,
         config={key: getattr(cfg, KEYS[key][0]) for key in MODES[cfg.mode].keys},
         diagnostics=diag,
         outputs=artifacts,
         warnings=[str(w.message) for w in caught],
+        timings=timings,
         wall_time_s=time.perf_counter() - t0,
     )
     (cfg.output_dir / "report.json").write_text(report.to_json() + "\n", newline="\n")

@@ -89,24 +89,26 @@ class DyadEnsemble:
         return self.weights.ravel()
 
 
-def dyad_trace(rho: DyadEnsemble) -> complex:
+def dyad_trace(rho: DyadEnsemble, gram: np.ndarray | None = None) -> complex:
     """Tr rho = sum_{jk} rho_{jk} <label_k|label_j>, each part summed by
-    math.fsum, so exactly rounded whatever the order of the terms."""
-    terms = rho.weights * gram_matrix(rho.labels).T
+    math.fsum, so exactly rounded whatever the order of the terms.  ``gram``
+    is ``gram_matrix(rho.labels)`` when the caller has it already."""
+    G = gram_matrix(rho.labels) if gram is None else gram
+    terms = rho.weights * G.T
     return complex(math.fsum(terms.real.flat), math.fsum(terms.imag.flat))
 
 
-def _normalized(labels, weights) -> DyadEnsemble:
+def _normalized(labels, weights, gram=None) -> DyadEnsemble:
     """The ensemble scaled to unit trace; DegenerateState when the trace is
     <= DEGENERACY_CUTOFF, as for a superposition whose components cancel."""
     rho = DyadEnsemble(labels, weights)
-    tr = dyad_trace(rho).real
+    tr = dyad_trace(rho, gram).real
     if tr <= DEGENERACY_CUTOFF:
         raise DegenerateState(f"dyads cancel: Tr rho = {tr:.3e}")
     return DyadEnsemble(labels, rho.weights / tr)
 
 
-def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams) -> DyadEnsemble:
+def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams, kicks=None) -> DyadEnsemble:
     """One conditioned pulse pair with dephasing exponent pp.xi.
 
     The m rows of ``rho`` are the kick labels j = -(m-1), ..., m-1 (step 2)
@@ -114,15 +116,25 @@ def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams) -> DyadEnsemble:
     has one row more, j = -m, ..., m.  Weights follow the four-term
     recursion in the module docstring and the result is renormalized to
     unit trace.  xi = inf is accepted and kills the cross terms outright.
+    ``kicks`` is :func:`_kicks` of pp for some N >= m (built for N = m when
+    not given); the step slices its rows and their Gram block from it.
     """
     damp = math.exp(-pp.xi) if math.isfinite(pp.xi) else 0.0
     cross = cmath.exp(2j * pp.phi) * damp
     reach = len(rho.labels)
-    table = kick_labels(pp.l1, pp.l2, pp.alpha0, reach)
+    labels, G = _kicks(pp, reach) if kicks is None else kicks
+    rows = slice(len(labels) // 2 - reach, len(labels) // 2 + reach + 1, 2)
     R = np.pad(rho.weights, 1)
     weights = (R[:-1, :-1] + R[1:, 1:]
                + cross * R[:-1, 1:] + cross.conjugate() * R[1:, :-1])
-    return _normalized([table[j] for j in range(-reach, reach + 1, 2)], weights)
+    return _normalized(labels[rows], weights, G[rows, rows])
+
+
+def _kicks(pp: ProtocolParams, n: int):
+    """The labels j = -n..n of pp's kick table and their Gram matrix."""
+    table = kick_labels(pp.l1, pp.l2, pp.alpha0, n)
+    labels = tuple(table[j] for j in range(-n, n + 1))
+    return labels, gram_matrix(labels)
 
 
 def walk_density(pp: ProtocolParams) -> DyadEnsemble:
@@ -135,11 +147,13 @@ def walk_density(pp: ProtocolParams) -> DyadEnsemble:
 
 def walk_density_steps(pp: ProtocolParams):
     """Yield (step, DyadEnsemble) for step = 0..n, starting from the pure
-    |alpha0><alpha0| projector."""
+    |alpha0><alpha0| projector.  The kick table and the Gram matrix of its
+    2n+1 labels are built once; every step's trace slices them."""
+    kicks = _kicks(pp, pp.n)
     rho = DyadEnsemble((CoherentLabel(pp.alpha0),), [[1.0]])
     yield 0, rho
     for step in range(1, pp.n + 1):
-        rho = evolve_dyads(rho, pp)
+        rho = evolve_dyads(rho, pp, kicks)
         yield step, rho
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import pi
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from catwalk.cli import (
     MODES,
     Table,
     _build_parser,
+    _wigner_table,
     _write_table,
     alpha_table,
     build_config,
@@ -74,6 +76,27 @@ class TestParsing:
         cfg = write_config(tmp_path, "this is not a config\n")
         with pytest.raises(ConfigError):
             parse_config_file(cfg)
+
+    @pytest.mark.parametrize("first, again", [("n = 5", "n = 2"),
+                                              ("decay-exponent = 1", "decay_exponent = 0")])
+    def test_key_given_twice_rejected(self, tmp_path, first, again):
+        cfg = write_config(tmp_path, f"l1 = 0.1\n{first}\nl2 = 0.01\n{again}\n")
+        with pytest.raises(ConfigError, match=r"run.cfg:4: .* again; line 2 gives it first"):
+            parse_config_file(cfg)
+
+    def test_key_given_twice_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nn = 5\nn = 2\n")
+        assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_flags_override_file_values(self, tmp_path):
+        cfg = write_config(tmp_path, f"l1 = 0.1\nn = 1\nout = {tmp_path / 'file'}\n"
+                                     "format = csv\noutputs = alpha-table\n")
+        out = tmp_path / "flag"
+        assert main(["alpha-table", "--config", str(cfg), "--out", str(out),
+                     "--format", "json"]) == 0
+        assert (out / "alpha_table.json").exists() and not (tmp_path / "file").exists()
 
     def test_unknown_key_rejected(self):
         # output_dir, seed and n_max were accepted once and did nothing
@@ -160,6 +183,10 @@ class TestWalkRun:
             assert hashlib.sha256(payload).hexdigest() == item["sha256"]
         assert report["diagnostics"]["success_probability"] < 1e-3
         assert report["diagnostics"]["mean_x"] == pytest.approx(-1.0935, abs=1e-3)
+        timings = report["timings"]
+        assert set(timings["write_s"]) == names
+        assert timings["compute_s"] > 0 and all(t > 0 for t in timings["write_s"].values())
+        assert timings["compute_s"] + sum(timings["write_s"].values()) <= report["wall_time_s"]
 
     def test_pdist_reparses_and_normalizes(self, tmp_path):
         cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nphi = 4.5pi\nn = 1\n")
@@ -270,6 +297,18 @@ class TestDecohereRun:
                                 "wigner_xi_1"]
         d = report["diagnostics"]
         assert d["xi_0"]["negativity_volume"] > d["xi_1"]["negativity_volume"]
+
+    def test_each_xi_table_is_computed_when_asked_for(self):
+        # run() writes each xi's Wigner table before the next xi is computed,
+        # so the fields of earlier xi are not held
+        cfg = build_config("decohere", {"l1": "0.1", "l2": "0.01", "phi": "4.5pi",
+                                        "n": "2", "xi": "0,0.5",
+                                        "grid": "-6,6,-6,6,11,11"})
+        tables, diag = MODES["decohere"].compute(cfg)
+        assert diag == {}
+        assert next(tables).name == "wigner_xi_0" and list(diag) == ["xi_0"]
+        assert [t.name for t in tables] == ["wigner_xi_0.5", "diagnostics_xi_0",
+                                            "diagnostics_xi_0.5"]
 
 
 ORACLE_CFG = (f"omega = 1.0\ng = 0.01\nomega1 = {16.25 / (1 - 1e-4 / 2)}\n"
@@ -553,6 +592,49 @@ class TestWriter:
         assert path.read_bytes() == expected.encode()
         assert item["sha256"] == hashlib.sha256(expected.encode()).hexdigest()
         assert item["rows"] == n_rows
+
+    X = np.array([-0.0, 1.5, 1.5, 1e-300, np.nan, np.inf, -np.inf])
+    P = np.array([np.inf, -0.0, 0.0, 2.5, 2.5, np.nan, -1e-300])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("nx, np_", [(7, 7), (1, 7), (7, 1), (1, 1), (3, 5)])
+    def test_grid_bytes_match_reference(self, tmp_path, fmt, nx, np_):
+        x, p = self.X[:nx], self.P[::-1][:np_]
+        w = np.random.default_rng(nx * 10 + np_).normal(size=(nx, np_)) * 1e-3
+        w.flat[::3] = [-0.0, np.nan, np.inf, -np.inf, 1e-300][:len(w.flat[::3])]
+        table = Table("g", "g", "a grid", {"x": x, "p": p, "w": w}, axes=("x", "p"))
+        columns = {"x": np.repeat(x, len(p)), "p": np.tile(p, len(x)), "w": w.ravel()}
+        rows = [tuple(map(float, row)) for row in zip(*columns.values())]
+        path = tmp_path / f"g.{fmt}"
+        item = _write_table(path, table, fmt)
+        expected = self.reference("a grid", columns, rows, fmt)
+        assert path.read_bytes() == expected.encode()
+        assert item["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert item["rows"] == nx * np_
+
+    @staticmethod
+    def write_peak(tmp_path, nx, np_):
+        """Peak bytes allocated while a Wigner table of nx x np points is written."""
+        grid = observables.PhaseSpaceGrid(-6, 6, -6, 6, nx, np_)
+        W = observables.GridField(grid, np.random.default_rng(0).normal(size=(nx, np_)),
+                                  "wigner")
+        table = _wigner_table(W)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _write_table(tmp_path / "w.csv", table, "csv")
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_writer_memory_is_one_row_block(self, tmp_path):
+        # the text of one x value's block, not of the whole file (about
+        # 0.2 and 0.4 MB measured); a list of every x value would add
+        # 38 kB from 401 to 1601 values of x
+        for n in (401, 801):
+            assert self.write_peak(tmp_path, n, n) < 2**20
+        short, tall = (self.write_peak(tmp_path, nx, 51) for nx in (401, 1601))
+        assert tall < short + 8192
 
 
 def test_cli_import_leaves_scipy_out():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from catwalk import dephasing
 from catwalk.algebra import CoherentLabel, gram_matrix
 from catwalk.dephasing import (
     DyadEnsemble,
@@ -241,6 +242,27 @@ class TestEvolveDyads:
         c = rho1.weights[1, 0] / rho1.weights[1, 1]
         assert abs(c) == pytest.approx(damp, rel=1e-12)
 
+    def test_one_kick_table_and_gram_per_walk(self, monkeypatch):
+        # every step slices the walk's one Gram; the bits equal steps that
+        # build their own labels and Gram
+        pp = fig_pp(6, xi=0.3)
+        rho = DyadEnsemble((CoherentLabel(pp.alpha0),), [[1.0]])
+        for _ in range(pp.n):
+            rho = evolve_dyads(rho, pp)
+        calls = {"kick_labels": 0, "gram_matrix": 0}
+        for name in calls:
+            original = getattr(dephasing, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(dephasing, name, counted)
+        walked = walk_density(pp)
+        assert calls == {"kick_labels": 1, "gram_matrix": 1}
+        assert walked.labels == rho.labels
+        assert np.array_equal(walked.weights, rho.weights)
+
     def test_trace_renormalized_every_step(self):
         pp = fig_pp(4, xi=0.5)
         for _, rho in walk_density_steps(pp):
@@ -250,7 +272,8 @@ class TestEvolveDyads:
         # the step map is linear, so where the trace is restored cannot matter
         pp = fig_pp(12, xi=0.3)
         expected = walk_density(pp)
-        monkeypatch.setattr("catwalk.dephasing._normalized", DyadEnsemble)
+        monkeypatch.setattr("catwalk.dephasing._normalized",
+                            lambda labels, weights, gram=None: DyadEnsemble(labels, weights))
         raw = walk_density(pp)
         monkeypatch.undo()
         rho = _normalized(raw.labels, raw.weights)

@@ -198,9 +198,10 @@ def _weighted_matrix(rho: DyadEnsemble):
     return Gh @ rho.weights @ Gh
 
 
-def purity(rho: DyadEnsemble) -> float:
-    """Tr rho^2 through the Gram-weighted double sum."""
-    RG = rho.weights @ gram_matrix(rho.labels)
+def purity(rho: DyadEnsemble, gram: np.ndarray | None = None) -> float:
+    """Tr rho^2 through the Gram-weighted double sum.  ``gram`` is
+    ``gram_matrix(rho.labels)`` when the caller has it already."""
+    RG = rho.weights @ (gram_matrix(rho.labels) if gram is None else gram)
     return np.trace(RG @ RG).real
 
 

@@ -46,10 +46,10 @@ DEFAULT_HALF_WIDTH = 6.0
 DEFAULT_POINTS = 201
 GAUSSIAN_MARGIN = 3.0  # half-width must exceed sqrt(2)|alpha| by this much
 # Largest wigner_bytes a run may need (square grids up to 1060^2); that
-# estimate bounds the Wigner evaluation's peak from above.  Writing the
-# tables adds about twice as much again per point: a walk run on a 1001^2
-# grid is allowed 115 MiB here and peaked at 305 MiB resident (Linux,
-# numpy 2.4), against 45 MiB on the default grid.
+# estimate bounds the Wigner evaluation's peak from above.  The tables are
+# written in fixed-size chunks on top of it: a walk run on a 1001^2 grid is
+# allowed 115 MiB here and peaked at 111.5 MiB resident, a decohere run on
+# an 801^2 grid at 84-86 MiB for 1 to 4 xi values (Linux, numpy 2.4).
 WIGNER_BUDGET_BYTES = 128 * 2**20
 # Dyads per Wigner contraction block: the profile matrices then take
 # O((nx + np) * block) bytes whatever the number of dyads.  Blocks of 32 to
@@ -251,10 +251,11 @@ def wigner_mixed(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> GridField:
     return GridField(grid, W, "wigner", float(W.sum() * grid.dx * grid.dp))
 
 
-def _moments(rho: DyadEnsemble):
+def _moments(rho: DyadEnsemble, gram: np.ndarray | None = None):
     """<a>, <a^2>, <a^dag a> from dyad weights and overlaps (grid-free): the
-    sums of rho_jk <label_k|label_j> times a_j, a_j^2 and conj(a_k) a_j."""
-    terms = rho.weights * gram_matrix(rho.labels).T
+    sums of rho_jk <label_k|label_j> times a_j, a_j^2 and conj(a_k) a_j.
+    ``gram`` is ``gram_matrix(rho.labels)`` when the caller has it already."""
+    terms = rho.weights * (gram_matrix(rho.labels) if gram is None else gram).T
     a = np.array([lab.amplitude for lab in rho.labels])
     terms_a = terms * a[:, None]
     return (complex(terms_a.sum()), complex((terms_a * a[:, None]).sum()),
@@ -280,7 +281,8 @@ def diagnostics(rho: DyadEnsemble, wigner: GridField | None = None) -> dict:
     negativity volume is recomputed on the field's grid refined 2x: a
     GridTooCoarse warning is emitted if it moves by more than 5%.
     """
-    e_a, e_aa, e_ada = _moments(rho)
+    gram = gram_matrix(rho.labels)
+    e_a, e_aa, e_ada = _moments(rho, gram)
     mean_x = SQRT2 * e_a.real
     mean_p = SQRT2 * e_a.imag
     ex2 = (e_aa.real + e_ada.real) + 0.5
@@ -290,7 +292,7 @@ def diagnostics(rho: DyadEnsemble, wigner: GridField | None = None) -> dict:
         "mean_p": mean_p,
         "var_x": ex2 - mean_x**2,
         "var_p": ep2 - mean_p**2,
-        "purity": purity(rho),
+        "purity": purity(rho, gram),
     }
     if wigner is not None:
         neg = negativity_volume(wigner)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catwalk.cli import (
     FLOAT_FMT,
@@ -26,7 +28,7 @@ from catwalk.cli import (
     parse_config_file,
     parse_grid,
 )
-from catwalk import fock, observables
+from catwalk import efmt, fock, observables
 from catwalk.errors import ConfigError
 from catwalk.protocol import PhysicalParams, ProtocolParams, derive_protocol
 
@@ -637,11 +639,104 @@ class TestWriter:
         assert tall < short + 8192
 
 
+class TestShippedTables:
+    """Every table of every configs/*.cfg against TestWriter.reference."""
+
+    @staticmethod
+    def flat(table):
+        """A table's columns one value per row, as the reference reads them."""
+        cols = {k: np.asarray(v) for k, v in table.columns.items()}
+        if table.axes:
+            outer, inner = table.axes
+            n_outer, n_inner = len(cols[outer]), len(cols[inner])
+            cols = {k: (np.repeat(v, n_inner) if k == outer
+                        else np.tile(v, n_outer) if k == inner else v.ravel())
+                    for k, v in cols.items()}
+        return cols, list(zip(*(v.tolist() for v in cols.values())))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda path: path.name)
+    def test_shipped_config_tables_match_reference(self, tmp_path, path, fmt):
+        # real Wigner tails, pdist, labels and diagnostics, every output
+        mode = path.stem.replace("_", "-")
+        raw = dict(parse_config_file(path), format=fmt, out=str(tmp_path),
+                   outputs=",".join(MODES[mode].writable))
+        tables, _ = MODES[mode].compute(build_config(mode, raw))
+        names = []
+        for table in tables:
+            columns, rows = self.flat(table)
+            out = tmp_path / f"{table.name}.{fmt}"
+            _write_table(out, table, fmt)
+            assert out.read_bytes() == TestWriter.reference(table.comment, columns, rows,
+                                                            fmt).encode(), table.name
+            names.append(table.output)
+        assert set(names) == set(MODES[mode].writable)
+
+
+class TestFloatCells:
+    """efmt.cells against FLOAT_FMT % v, byte for byte."""
+
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, dtype=np.float64).ravel()
+        got = [row.tobytes().replace(b"\0", b"").decode() for row in efmt.cells(values)]
+        assert got == [FLOAT_FMT % v for v in values.tolist()]
+
+    @staticmethod
+    def with_neighbours(values):
+        values = np.asarray(values, dtype=np.float64)
+        return np.concatenate([values, np.nextafter(values, 0.0),
+                               np.nextafter(values, np.inf), -values])
+
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_any_floats(self, values):
+        self.check(values)
+
+    def test_powers_of_ten(self):
+        self.check(self.with_neighbours([float(f"1e{k}") for k in range(-323, 309)]))
+
+    def test_rounding_to_the_next_power_of_ten(self):
+        # 9.9999999999995e-283 took the exponent from the rounded value once
+        self.check(self.with_neighbours([float(f"9.9999999999995e{k}")
+                                         for k in range(-323, 309)]))
+
+    def test_exact_decimal_ties(self):
+        # d.dddddddddddd5 * 10**k held exactly: digits, a 14-digit odd
+        # multiple of 5**j, times 10**e with j = max(-e, 1), is a dyadic
+        # rational of < 53 bits; e runs over -20..2, where such ties exist
+        rng = np.random.default_rng(7)
+        ties = []
+        for e in rng.integers(-20, 3, size=2000).tolist():
+            step = 5 ** max(-e, 1)
+            lo, hi = -(-10**13 // step), (10**14 - 1) // step
+            digits = step * (2 * int(rng.integers(lo // 2, (hi - 1) // 2 + 1)) + 1)
+            v = float(f"{digits}e{e}")
+            num, den = v.as_integer_ratio()
+            assert num * 10**max(-e, 0) == digits * 10**max(e, 0) * den
+            ties.append(v)
+        self.check(self.with_neighbours(ties))
+
+    def test_zeros_subnormals_and_range_edges(self):
+        self.check([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                    np.nextafter(2.2250738585072014e-308, 0), np.finfo(float).max,
+                    np.nan, np.inf, -np.inf])
+        self.check(self.with_neighbours([efmt._FAST_MIN, efmt._FAST_MAX]))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(11)
+        self.check(rng.integers(0, 2**63, size=20_000, dtype=np.int64).view(np.float64))
+
+
 def test_cli_import_leaves_scipy_out():
+    # scipy is for the tests; fractions and decimal would add to the cold
+    # start, and the float formatter's tables are built by catwalk.cli alone
     import catwalk
 
-    code = "import sys, catwalk.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = ("import sys, catwalk; print('catwalk.efmt' in sys.modules); import catwalk.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))")
     env = dict(os.environ, PYTHONPATH=str(Path(catwalk.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.split() == ["False", "[]"]

@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from catwalk import dephasing, observables
 from catwalk.algebra import CoherentLabel, SuperposedState, gram_matrix, normalize, overlap
 from catwalk.dephasing import DyadEnsemble, projector, walk_density
 from catwalk.errors import GridTooCoarse
@@ -460,6 +461,25 @@ class TestDiagnostics:
         d = diagnostics(walk_density(fig_pp(5, xi=1.0)))
         assert abs(d["mean_x"]) < 0.1
         assert d["purity"] < 1.0
+
+    def test_one_gram_per_density(self, monkeypatch):
+        # moments and purity read one Gram matrix; the values are the bits
+        # of each building its own
+        rho = walk_density(fig_pp(6, xi=0.3))
+        own = {"moments": _moments(rho), "purity": dephasing.purity(rho)}
+        calls = []
+
+        def counted(labels):
+            calls.append(len(labels))
+            return gram_matrix(labels)
+
+        monkeypatch.setattr(observables, "gram_matrix", counted)
+        monkeypatch.setattr(dephasing, "gram_matrix", counted)
+        d = diagnostics(rho)
+        assert calls == [len(rho.labels)]
+        e_a = own["moments"][0]
+        assert (d["mean_x"], d["mean_p"]) == (math.sqrt(2) * e_a.real, math.sqrt(2) * e_a.imag)
+        assert d["purity"] == own["purity"]
 
     @staticmethod
     def moments_mp(labels, R):

@@ -84,7 +84,6 @@ from .protocol import (
     run_conditioned_walk,
     single_cycle,
     walk_components,
-    walk_record_probabilities,
     walk_state,
 )
 

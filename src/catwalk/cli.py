@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dephasing import DyadEnsemble, cat_density, projector, walk_density
+from .dephasing import DyadEnsemble, cat_density, walk_density, walk_density_steps
 from .errors import (
     ConfigError,
     CutoffTooSmall,
@@ -67,8 +67,6 @@ from .protocol import (
     cat_success_probability,
     derive_protocol,
     kick_labels,
-    walk_record_probabilities,
-    walk_state,
 )
 from . import efmt, fock
 from .efmt import FLOAT_FMT
@@ -476,21 +474,26 @@ def _diagnostics_table(diag: dict, key: str | None = None) -> Table:
                  {"key": keys, "value": [float(diag[k]) for k in keys]})
 
 
-def _clean(diag: dict) -> dict:
-    return {k: float(v) for k, v in diag.items()}
-
-
 # Each mode computes its tables and its diagnostics; run() writes the tables
 # that cfg.outputs selects.
 
 
-def _walk(cfg: ExperimentConfig):
-    pp = cfg.protocol()
-    rho = projector(walk_state(pp))
-    grid = grid_for(rho, cfg.grid)
+def _read(rho: DyadEnsemble, base: PhaseSpaceGrid):
+    """(grid, Wigner field, diagnostics as floats) of one density, on the
+    grid ``grid_for`` fits around it."""
+    grid = grid_for(rho, base)
     W = wigner_mixed(rho, grid)
-    diag = _clean(diagnostics(rho, W))
-    diag["success_probability"], _ = walk_record_probabilities(pp)
+    return grid, W, {k: float(v) for k, v in diagnostics(rho, W).items()}
+
+
+def _walk(cfg: ExperimentConfig):
+    """The xi = 0 walk density and its record probability, both from the
+    dephasing recursion that ``decohere`` runs."""
+    pp = cfg.protocol()
+    for _, rho, record in walk_density_steps(pp):
+        pass
+    grid, W, diag = _read(rho, cfg.grid)
+    diag["success_probability"] = record
     tables = [alpha_table(pp), _pdist_table(rho, grid), _wigner_table(W),
               _diagnostics_table(diag)]
     return tables, diag
@@ -499,9 +502,7 @@ def _walk(cfg: ExperimentConfig):
 def _cat(cfg: ExperimentConfig):
     pp = cfg.protocol()
     rho = cat_density(pp, math.exp(-cfg.decay_exponent))
-    grid = grid_for(rho, cfg.grid)
-    W = wigner_mixed(rho, grid)
-    diag = _clean(diagnostics(rho, W))
+    grid, W, diag = _read(rho, cfg.grid)
     diag["success_probability"] = cat_success_probability(pp)
     return [_pdist_table(rho, grid), _wigner_table(W),
             _diagnostics_table(diag)], diag
@@ -515,8 +516,7 @@ def _decohere(cfg: ExperimentConfig):
     def tables():
         for xi in cfg.xi_values:
             rho = walk_density(cfg.protocol(xi=xi))
-            W = wigner_mixed(rho, grid_for(rho, cfg.grid))
-            diag[f"xi_{_xi_tag(xi)}"] = _clean(diagnostics(rho, W))
+            _, W, diag[f"xi_{_xi_tag(xi)}"] = _read(rho, cfg.grid)
             yield _wigner_table(W, xi)
         yield from (_diagnostics_table(diag[key], key) for key in sorted(diag))
 

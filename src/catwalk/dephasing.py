@@ -15,7 +15,8 @@ and one pulse pair maps the weights as
                     + e^{-2i phi - xi} rho_{j+1,k-1} ]
 
 (the same-branch kicks are undamped, the cross-branch terms carry the
-dephasing factor and the e^{+-2i phi} drive phases; C restores unit trace).
+dephasing factor and the e^{+-2i phi} drive phases; C restores unit trace,
+and 1/(4C) is the probability of that cycle's ground outcome).
 At xi = 0 this is exactly the pure conditioned-walk recursion; as
 exp(-xi) -> 0 it collapses onto the classical binomial mixture of kick
 paths.  Renormalization is applied after every step.  The step map is
@@ -98,24 +99,29 @@ def dyad_trace(rho: DyadEnsemble, gram: np.ndarray | None = None) -> complex:
     return complex(math.fsum(terms.real.flat), math.fsum(terms.imag.flat))
 
 
-def _normalized(labels, weights, gram=None) -> DyadEnsemble:
-    """The ensemble scaled to unit trace; DegenerateState when the trace is
-    <= DEGENERACY_CUTOFF, as for a superposition whose components cancel."""
+def _normalized(labels, weights, gram=None) -> tuple:
+    """(the ensemble scaled to unit trace, the trace it had); DegenerateState
+    when the trace is <= DEGENERACY_CUTOFF, as for a superposition whose
+    components cancel."""
     rho = DyadEnsemble(labels, weights)
     tr = dyad_trace(rho, gram).real
     if tr <= DEGENERACY_CUTOFF:
         raise DegenerateState(f"dyads cancel: Tr rho = {tr:.3e}")
-    return DyadEnsemble(labels, rho.weights / tr)
+    return DyadEnsemble(labels, rho.weights / tr), tr
 
 
-def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams, kicks=None) -> DyadEnsemble:
+def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams, kicks=None) -> tuple:
     """One conditioned pulse pair with dephasing exponent pp.xi.
 
-    The m rows of ``rho`` are the kick labels j = -(m-1), ..., m-1 (step 2)
-    of pp's kick table, as :func:`walk_density_steps` makes them; the result
-    has one row more, j = -m, ..., m.  Weights follow the four-term
-    recursion in the module docstring and the result is renormalized to
-    unit trace.  xi = inf is accepted and kills the cross terms outright.
+    Returns (the conditioned ensemble, the probability of the ground
+    outcome).  The m rows of ``rho`` are the kick labels j = -(m-1), ...,
+    m-1 (step 2) of pp's kick table, as :func:`walk_density_steps` makes
+    them; the result has one row more, j = -m, ..., m.  Weights follow the
+    four-term recursion in the module docstring and the result is
+    renormalized to unit trace.  Each dressed branch reaches the ground
+    outcome with amplitude 1/2, so the trace the recursion produces is 4
+    times the outcome probability.  xi = inf is accepted and kills the cross
+    terms outright.
     ``kicks`` is :func:`_kicks` of pp for some N >= m (built for N = m when
     not given); the step slices its rows and their Gram block from it.
     """
@@ -127,7 +133,8 @@ def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams, kicks=None) -> DyadEnsem
     R = np.pad(rho.weights, 1)
     weights = (R[:-1, :-1] + R[1:, 1:]
                + cross * R[:-1, 1:] + cross.conjugate() * R[1:, :-1])
-    return _normalized(labels[rows], weights, G[rows, rows])
+    rho, tr = _normalized(labels[rows], weights, G[rows, rows])
+    return rho, tr / 4.0
 
 
 def _kicks(pp: ProtocolParams, n: int):
@@ -140,21 +147,24 @@ def _kicks(pp: ProtocolParams, n: int):
 def walk_density(pp: ProtocolParams) -> DyadEnsemble:
     """Density matrix of the conditioned walk after pp.n dephasing steps."""
     rho = None
-    for _, rho in walk_density_steps(pp):
+    for _, rho, _ in walk_density_steps(pp):
         pass
     return rho
 
 
 def walk_density_steps(pp: ProtocolParams):
-    """Yield (step, DyadEnsemble) for step = 0..n, starting from the pure
-    |alpha0><alpha0| projector.  The kick table and the Gram matrix of its
+    """Yield (step, DyadEnsemble, record) for step = 0..n, starting from the
+    pure |alpha0><alpha0| projector.  ``record`` is the probability of the
+    all-ground record so far, the product of the steps' ground
+    probabilities: 1.0 at step 0.  The kick table and the Gram matrix of its
     2n+1 labels are built once; every step's trace slices them."""
     kicks = _kicks(pp, pp.n)
-    rho = DyadEnsemble((CoherentLabel(pp.alpha0),), [[1.0]])
-    yield 0, rho
+    rho, record = DyadEnsemble((CoherentLabel(pp.alpha0),), [[1.0]]), 1.0
+    yield 0, rho, record
     for step in range(1, pp.n + 1):
-        rho = evolve_dyads(rho, pp, kicks)
-        yield step, rho
+        rho, prob = evolve_dyads(rho, pp, kicks)
+        record *= prob
+        yield step, rho, record
 
 
 def projector(state: SuperposedState) -> DyadEnsemble:
@@ -187,7 +197,7 @@ def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> DyadEnsem
     rho = projector(cat_state(pp))
     weights = cross_suppression * rho.weights
     np.fill_diagonal(weights, rho.weights.diagonal())
-    return _normalized(rho.labels, weights)
+    return _normalized(rho.labels, weights)[0]
 
 
 def _weighted_matrix(rho: DyadEnsemble):

@@ -26,8 +26,6 @@ import warnings
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from .algebra import (
     DEGENERACY_CUTOFF,
     CoherentLabel,
@@ -35,7 +33,6 @@ from .algebra import (
     SuperposedState,
     apply_pulse_operator,
     displace,
-    gram_matrix,
     norm_squared,
     normalize,
     rotate,
@@ -201,36 +198,6 @@ def walk_state(pp: ProtocolParams) -> SuperposedState:
     renormalized.  n = 0 returns |alpha0> itself.
     """
     return normalize(SuperposedState(tuple(walk_components(pp))))
-
-
-def walk_record_probabilities(pp: ProtocolParams):
-    """Probability of the all-ground record, in closed form.
-
-    Returns (record probability, per-cycle probabilities).  With
-    N_k = ||sum_m binom(k, m) e^{i(k-2m)phi} |alpha_{k-2m}>||^2 the raw norm
-    after k pulse pairs, the record probability is N_n / 4^n and cycle k
-    yields the ground outcome, given ground outcomes before it, with
-    probability N_k / (4 N_{k-1}).  Every N_k comes from one kick table and
-    one Gram matrix over its 2n+1 labels.  Raises DegenerateState when a
-    per-cycle probability is <= DEGENERACY_CUTOFF.
-    """
-    n = pp.n
-    table = kick_labels(pp.l1, pp.l2, pp.alpha0, n)
-    G = gram_matrix(table[j] for j in range(-n, n + 1))
-    scaled = 1.0  # N_k / 4^k; weights binom(k, m) / 2^k keep it from overflowing
-    per_cycle = []
-    for k in range(1, n + 1):
-        js = list(range(k, -k - 1, -2))
-        c = np.array([comb(k, m) / 2**k * cmath.exp(1j * j * pp.phi)
-                      for m, j in enumerate(js)])
-        rows = np.array(js) + n
-        nxt = np.vdot(c, G[np.ix_(rows, rows)] @ c).real
-        prob = nxt / scaled
-        if prob <= DEGENERACY_CUTOFF:
-            raise DegenerateState(f"cycle {k} ground outcome has probability {prob:.3e}")
-        per_cycle.append(float(prob))
-        scaled = nxt
-    return float(scaled), per_cycle
 
 
 def _cat_kick(label: CoherentLabel, l1: float, l2: float, sign: int) -> CoherentLabel:
@@ -400,7 +367,8 @@ def run_conditioned_walk(pp: ProtocolParams):
     The final state reproduces :func:`walk_state` with its n+1 components;
     the probability of actually observing the all-ground record is the
     product of the per-cycle ground probabilities.  This explicit chain is
-    the reference that :func:`walk_record_probabilities` is checked against.
+    the reference that the record probabilities of
+    :func:`catwalk.dephasing.walk_density_steps` are checked against.
     """
     # the qubit starts in |g>, so this projection is |alpha0> with probability 1
     out = project_qubit(initial_joint(pp.alpha0), "ground")

@@ -295,7 +295,7 @@ def test_criterion_7_decoherence_consistency():
             pp = fig_pp(n)
             assert trace_distance(walk_density(pp), pure_walk_density(pp)) < 1e-9
 
-        for _, rho in walk_density_steps(fig_pp(8, xi=0.25)):
+        for _, rho, _ in walk_density_steps(fig_pp(8, xi=0.25)):
             R = rho.weights
             assert np.linalg.norm(R - R.conj().T, np.inf) < 1e-10
             assert abs(dyad_trace(rho).real - 1.0) < 1e-10

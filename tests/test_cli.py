@@ -235,6 +235,25 @@ class TestWalkRun:
         assert len(files[0]) == 4 and files[0] == files[1]
         assert pp.l1 == pytest.approx(0.015)
 
+    def test_wigner_rows_are_those_of_decohere_at_xi_0(self, tmp_path):
+        # both modes read the same density from the dephasing recursion;
+        # only the header comment names the xi
+        point = "l1 = 0.1\nl2 = 0.01\nphi = 4.5pi\nn = 6\ngrid = -6,6,-6,6,61,41\n"
+        walk = write_config(tmp_path, point + "outputs = wigner\n", "walk.cfg")
+        decohere = write_config(tmp_path, point + "xi = 0\noutputs = wigner\n", "dec.cfg")
+        assert main(["walk", "--config", str(walk), "--out", str(tmp_path / "w")]) == 0
+        assert main(["decohere", "--config", str(decohere), "--out", str(tmp_path / "d")]) == 0
+        walk_lines = (tmp_path / "w" / "wigner.csv").read_bytes().splitlines()
+        xi_lines = (tmp_path / "d" / "wigner_xi_0.csv").read_bytes().splitlines()
+        assert walk_lines[0] != xi_lines[0]
+        assert walk_lines[1:] == xi_lines[1:]
+
+    def test_cancelling_record_exits_3(self, tmp_path):
+        # zero kicks keep every label at alpha0 and phi = pi/2 makes the two
+        # branches cancel in the first cycle
+        cfg = write_config(tmp_path, "l1 = 0\nl2 = 0\nphi = 0.5pi\nn = 2\n")
+        assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+
     def test_json_format(self, tmp_path):
         cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nphi = 4.5pi\nn = 1\n")
         out = tmp_path / "j"
@@ -629,10 +648,10 @@ class TestWriter:
         finally:
             tracemalloc.stop()
 
-    def test_writer_memory_is_one_row_block(self, tmp_path):
-        # the text of one x value's block, not of the whole file (about
-        # 0.2 and 0.4 MB measured); a list of every x value would add
-        # 38 kB from 401 to 1601 values of x
+    def test_writer_memory_is_one_chunk(self, tmp_path):
+        # the text and cells of one 2048-row chunk, not of the whole file
+        # (0.62 MB measured at both 401^2 and 801^2); a list of every x
+        # value would add 38 kB from 401 to 1601 values of x
         for n in (401, 801):
             assert self.write_peak(tmp_path, n, n) < 2**20
         short, tall = (self.write_peak(tmp_path, nx, 51) for nx in (401, 1601))

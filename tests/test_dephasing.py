@@ -55,7 +55,7 @@ def classical_path_mixture(l1, l2, n):
 
 class TestStepInvariants:
     def test_hermiticity_trace_psd_each_step(self):
-        for step, rho in walk_density_steps(fig_pp(6, xi=0.3)):
+        for step, rho, _ in walk_density_steps(fig_pp(6, xi=0.3)):
             R = rho.weights
             assert np.linalg.norm(R - R.conj().T) < 1e-12
             assert abs(dyad_trace(rho).real - 1.0) < 1e-10
@@ -235,7 +235,7 @@ class TestEvolveDyads:
     def test_single_step_from_custom_ensemble(self):
         pp = fig_pp(1, xi=0.7)
         rho0 = pure_walk_density(fig_pp(0))
-        rho1 = evolve_dyads(rho0, pp)
+        rho1, _ = evolve_dyads(rho0, pp)
         assert len(rho1.labels) == 2  # kick indices -1 and 1
         damp = math.exp(-0.7)
         # cross terms carry e^{+-2i phi} e^{-xi} relative to the diagonals
@@ -248,7 +248,7 @@ class TestEvolveDyads:
         pp = fig_pp(6, xi=0.3)
         rho = DyadEnsemble((CoherentLabel(pp.alpha0),), [[1.0]])
         for _ in range(pp.n):
-            rho = evolve_dyads(rho, pp)
+            rho, _ = evolve_dyads(rho, pp)
         calls = {"kick_labels": 0, "gram_matrix": 0}
         for name in calls:
             original = getattr(dephasing, name)
@@ -265,7 +265,7 @@ class TestEvolveDyads:
 
     def test_trace_renormalized_every_step(self):
         pp = fig_pp(4, xi=0.5)
-        for _, rho in walk_density_steps(pp):
+        for _, rho, _ in walk_density_steps(pp):
             assert abs(dyad_trace(rho).real - 1.0) < 1e-12
 
     def test_one_final_normalization_is_the_same_map(self, monkeypatch):
@@ -273,10 +273,11 @@ class TestEvolveDyads:
         pp = fig_pp(12, xi=0.3)
         expected = walk_density(pp)
         monkeypatch.setattr("catwalk.dephasing._normalized",
-                            lambda labels, weights, gram=None: DyadEnsemble(labels, weights))
+                            lambda labels, weights, gram=None:
+                            (DyadEnsemble(labels, weights), 1.0))
         raw = walk_density(pp)
         monkeypatch.undo()
-        rho = _normalized(raw.labels, raw.weights)
+        rho, _ = _normalized(raw.labels, raw.weights)
         assert rho.labels == expected.labels
         scale = np.abs(expected.weights).max()
         assert np.abs(rho.weights - expected.weights).max() <= 1e-9 * scale

@@ -239,11 +239,13 @@ class TestWalkEquivalence:
         assert 0.9999 < fid < 1 - 1e-6
 
     def test_record_probabilities_match_chain(self):
-        from catwalk.protocol import run_conditioned_walk, walk_record_probabilities
+        from catwalk.dephasing import walk_density_steps
+        from catwalk.protocol import run_conditioned_walk
 
         pp = derive_protocol(CHECK_POINT, 3)
         _, _, chain_probs = run_conditioned_walk(pp)
-        _, closed_probs = walk_record_probabilities(pp)
+        records = [record for _, _, record in walk_density_steps(pp)]
+        closed_probs = [b / a for a, b in zip(records, records[1:])]
         oracle_probs, _ = fock.run_walk_record(CHECK_POINT, 3, weak_drive_sign=-1)
         assert np.allclose(chain_probs, oracle_probs, atol=2e-6)
         assert np.allclose(closed_probs, oracle_probs, atol=2e-6)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from catwalk.algebra import SuperposedState, norm_squared, state_overlap
+from catwalk.dephasing import walk_density_steps
 from catwalk.errors import DegenerateState, RegimeViolation
 from catwalk.protocol import (
     PhysicalParams,
@@ -22,7 +23,6 @@ from catwalk.protocol import (
     run_conditioned_walk,
     single_cycle,
     walk_components,
-    walk_record_probabilities,
     walk_state,
 )
 
@@ -31,6 +31,14 @@ FIG_PP = dict(l1=0.1, l2=0.01, phi=4.5 * pi)
 
 def fig_pp(n, xi=0.0, alpha0=0j):
     return ProtocolParams(n=n, xi=xi, alpha0=alpha0, **FIG_PP)
+
+
+def record_probabilities(pp):
+    """(record probability, per-cycle probabilities) as the walk's dephasing
+    recursion gives them: cycle k's ground probability is the ratio of the
+    records after k and k - 1 steps."""
+    records = [record for _, _, record in walk_density_steps(pp)]
+    return records[-1], [b / a for a, b in zip(records, records[1:])]
 
 
 class TestPhysicalParams:
@@ -178,7 +186,7 @@ class TestSingleCycleChain:
         assert fid >= 1 - rel
         assert len(probs) == n
         assert len(chain.components) == n + 1
-        _, closed = walk_record_probabilities(pp)
+        _, closed = record_probabilities(pp)
         assert probs == pytest.approx(closed, rel=rel, abs=0)
 
     def test_chain_with_displaced_start(self):
@@ -204,12 +212,12 @@ class TestSingleCycleChain:
 
 class TestRecordProbabilities:
     def test_no_cycles(self):
-        assert walk_record_probabilities(fig_pp(0)) == (1.0, [])
+        assert record_probabilities(fig_pp(0)) == (1.0, [])
 
     @pytest.mark.parametrize("n", [1, 5, 10])
     def test_record_is_scaled_binomial_norm(self, n):
         pp = fig_pp(n)
-        record, per_cycle = walk_record_probabilities(pp)
+        record, per_cycle = record_probabilities(pp)
         raw = norm_squared(SuperposedState(tuple(walk_components(pp))))
         assert record == pytest.approx(raw / 4**n, rel=1e-10)
         assert record == pytest.approx(math.prod(per_cycle), rel=1e-12)
@@ -217,13 +225,44 @@ class TestRecordProbabilities:
     def test_zero_kick_cycles_follow_drive_phase(self):
         # all labels coincide, so N_k = (2 cos phi)^(2k) and each cycle
         # succeeds with probability cos^2 phi
-        _, per_cycle = walk_record_probabilities(ProtocolParams(0.0, 0.0, 0.4, 6))
+        _, per_cycle = record_probabilities(ProtocolParams(0.0, 0.0, 0.4, 6))
         assert per_cycle == pytest.approx([math.cos(0.4) ** 2] * 6, rel=1e-12)
+
+    # Relative bounds by n: the cancellation factor sum_jk |c_j c_k G_jk| / N
+    # times eps at the reference point (3.4e-12, 1.6e-10, 5.0e-9).  The
+    # recursion's record measured 7.4e-13, 3.7e-11 and 3.0e-10 off there.
+    RECORD_REL = {5: 4e-12, 10: 2e-10, 20: 5e-9}
+
+    @pytest.mark.parametrize("n", sorted(RECORD_REL))
+    def test_record_against_mpmath(self, n):
+        # the kick labels, binomial norm and overlaps at 60 digits, from the
+        # same double l1, l2 and phi
+        pp = fig_pp(n)
+        with mpmath.workdps(60):
+            l1, l2, phi = (mpmath.mpf(v) for v in (pp.l1, pp.l2, pp.phi))
+            labels = {0: (mpmath.mpc(0), mpmath.mpf(0))}  # j -> (amplitude, theta)
+            for s in (1, -1):
+                a, theta = labels[0]
+                for j in range(1, n + 1):
+                    # D(i s l1) R(s l2 pi) D(i s l1); D(b) adds Im(b conj(a))
+                    theta += s * l1 * a.real
+                    a = (a + 1j * s * l1) * mpmath.expj(-s * l2 * mpmath.pi)
+                    theta += s * l1 * a.real
+                    a += 1j * s * l1
+                    labels[s * j] = (a, theta)
+            comps = [(mpmath.binomial(n, m) * mpmath.expj((n - 2 * m) * phi + theta), a)
+                     for m, (a, theta) in enumerate(labels[j] for j in range(n, -n - 1, -2))]
+            norm = sum(mpmath.conj(ca) * cb
+                       * mpmath.exp(-(abs(a) ** 2 + abs(b) ** 2) / 2 + mpmath.conj(a) * b)
+                       for ca, a in comps for cb, b in comps).real
+            want = float(norm / 4**n)
+        record, _ = record_probabilities(pp)
+        assert abs(record - want) <= self.RECORD_REL[n] * want
 
     def test_degenerate_record(self):
         pp = ProtocolParams(0.0, 0.0, pi / 2, 2)
         with pytest.raises(DegenerateState):
-            walk_record_probabilities(pp)
+            record_probabilities(pp)
         with pytest.raises(DegenerateState):
             run_conditioned_walk(pp)
 

@@ -7,9 +7,9 @@ The package is organized in five layers:
 * :mod:`catwalk.protocol`: physical-to-dimensionless parameter mapping and
   the two conditioned protocols (n-pulse walk and two-component cat).
 * :mod:`catwalk.dephasing`: density matrices in the coherent-dyad basis
-  (:class:`DyadEnsemble`: a tuple of labels and one read-only weight
-  matrix; a pure state is its rank-1 :func:`projector`) and the per-pulse
-  dephasing recursion as shifted-slice adds on that matrix.
+  (:class:`DyadEnsemble`: a tuple of labels, one read-only weight matrix
+  and the labels' read-only Gram matrix; a pure state is its rank-1
+  :func:`projector`) and the per-pulse dephasing recursion on the weights.
 * :mod:`catwalk.observables`: position densities, Wigner functions, and
   scalar diagnostics on phase-space grids, each read from a
   :class:`DyadEnsemble`.

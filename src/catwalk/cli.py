@@ -267,8 +267,8 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
     if len(set(tags)) < len(tags):
         raise ConfigError(f"xi values {raw['xi']} share output names "
                           f"({', '.join(tags)}); they must differ in 6 significant digits")
-    if mode == "cat" and cfg.n < 1:
-        raise ConfigError("cat mode needs n >= 1")
+    if mode in ("cat", "oracle-check") and cfg.n < 1:
+        raise ConfigError(f"{mode} mode needs n >= 1")
     if not cfg.decay_exponent >= 0.0:  # also refuses NaN; inf is full suppression
         raise ConfigError("decay_exponent must be non-negative")
     # Build the parameter objects once so that out-of-range or non-finite

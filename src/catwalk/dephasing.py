@@ -23,12 +23,12 @@ paths.  Renormalization is applied after every step.  The step map is
 linear, so normalizing once at the end gives the same density up to
 rounding (a relative 2.4e-11 at n = 12, xi = 0.3).
 
-Each density is one tuple of labels in row order and one (m, m) weight
-matrix.  After s walk steps the rows are the kick indices j = -s, -s+2, ...,
-s in ascending order, so the matrix holds exactly (s+1)^2 weights and one
-step is four shifted-slice adds on the zero-padded matrix.  The kick phases
-theta_j ride on the labels, which is what makes the weight recursion above
-purely index-local.
+Each density is one tuple of labels in row order, one (m, m) weight matrix
+and the labels' Gram matrix.  After s walk steps the rows are the kick
+indices j = -s, -s+2, ..., s in ascending order, so the matrix holds exactly
+(s+1)^2 weights and one step is four shifted-slice adds on the zero-padded
+matrix.  The kick phases theta_j ride on the labels, which is what makes
+the weight recursion above purely index-local.
 """
 
 import cmath
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEGENERACY_CUTOFF, CoherentLabel, SuperposedState, gram_matrix, normalize
+from .algebra import DEGENERACY_CUTOFF, SuperposedState, gram_matrix, normalize
 from .errors import DegenerateState
 from .protocol import ProtocolParams, cat_state, kick_labels, walk_state
 
@@ -65,7 +65,9 @@ class DyadEnsemble:
     ``labels`` is a tuple of CoherentLabels in row order: ascending kick
     index j for the walk densities, component order for a
     :func:`projector`.  ``weights`` is the complex (m, m) matrix rho_jk,
-    kept as a read-only copy.  Physical instances are Hermitian, unit trace
+    kept as a read-only copy, and ``gram`` the labels' read-only Gram matrix
+    G[i, j] = <labels[i]|labels[j]>: gram_matrix(labels) unless the caller
+    passes the one it holds.  Physical instances are Hermitian, unit trace
     under the overlap-weighted sum and positive semidefinite; a pure state
     is the rank-1 case.  Instances compare by identity, since ``==`` on an
     array field has no single truth value.
@@ -73,16 +75,19 @@ class DyadEnsemble:
 
     labels: tuple
     weights: np.ndarray
+    gram: np.ndarray | None = None
 
     def __post_init__(self):
-        labels = tuple(self.labels)
-        weights = np.array(self.weights, dtype=complex)
-        if weights.shape != (len(labels), len(labels)):
-            raise ValueError(f"weights of shape {weights.shape} do not fit "
-                             f"{len(labels)} labels")
-        weights.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if self.gram is None:
+            object.__setattr__(self, "gram", gram_matrix(self.labels))
+        m = len(self.labels)
+        for name in ("weights", "gram"):
+            matrix = np.array(getattr(self, name), dtype=complex)
+            if matrix.shape != (m, m):
+                raise ValueError(f"{name} of shape {matrix.shape} does not fit {m} labels")
+            matrix.flags.writeable = False
+            object.__setattr__(self, name, matrix)
 
     @property
     def entries(self) -> np.ndarray:
@@ -90,38 +95,35 @@ class DyadEnsemble:
         return self.weights.ravel()
 
 
-def dyad_trace(rho: DyadEnsemble, gram: np.ndarray | None = None) -> complex:
+def dyad_trace(rho: DyadEnsemble) -> complex:
     """Tr rho = sum_{jk} rho_{jk} <label_k|label_j>, each part summed by
-    math.fsum, so exactly rounded whatever the order of the terms.  ``gram``
-    is ``gram_matrix(rho.labels)`` when the caller has it already."""
-    G = gram_matrix(rho.labels) if gram is None else gram
-    terms = rho.weights * G.T
+    math.fsum, so exactly rounded whatever the order of the terms."""
+    terms = rho.weights * rho.gram.T
     return complex(math.fsum(terms.real.flat), math.fsum(terms.imag.flat))
 
 
-def _normalized(labels, weights, gram=None) -> tuple:
-    """(the ensemble scaled to unit trace, the trace it had); DegenerateState
-    when the trace is <= DEGENERACY_CUTOFF, as for a superposition whose
+def _normalized(rho: DyadEnsemble) -> tuple:
+    """(rho scaled to unit trace, the trace it had); DegenerateState when
+    the trace is <= DEGENERACY_CUTOFF, as for a superposition whose
     components cancel."""
-    rho = DyadEnsemble(labels, weights)
-    tr = dyad_trace(rho, gram).real
+    tr = dyad_trace(rho).real
     if tr <= DEGENERACY_CUTOFF:
         raise DegenerateState(f"dyads cancel: Tr rho = {tr:.3e}")
-    return DyadEnsemble(labels, rho.weights / tr), tr
+    return DyadEnsemble(rho.labels, rho.weights / tr, rho.gram), tr
 
 
 def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams, kicks=None) -> tuple:
     """One conditioned pulse pair with dephasing exponent pp.xi.
 
     Returns (the conditioned ensemble, the probability of the ground
-    outcome).  The m rows of ``rho`` are the kick labels j = -(m-1), ...,
-    m-1 (step 2) of pp's kick table, as :func:`walk_density_steps` makes
-    them; the result has one row more, j = -m, ..., m.  Weights follow the
-    four-term recursion in the module docstring and the result is
-    renormalized to unit trace.  Each dressed branch reaches the ground
-    outcome with amplitude 1/2, so the trace the recursion produces is 4
-    times the outcome probability.  xi = inf is accepted and kills the cross
-    terms outright.
+    outcome).  The m rows of ``rho`` must be the kick labels j = -(m-1),
+    ..., m-1 (step 2) of pp's kick table, as :func:`walk_density_steps`
+    makes them (ValueError otherwise); the result has one row more, j = -m,
+    ..., m.  Weights follow the four-term recursion in the module docstring
+    and the result is renormalized to unit trace.  Each dressed branch
+    reaches the ground outcome with amplitude 1/2, so the trace the
+    recursion produces is 4 times the outcome probability.  xi = inf is
+    accepted and kills the cross terms outright.
     ``kicks`` is :func:`_kicks` of pp for some N >= m (built for N = m when
     not given); the step slices its rows and their Gram block from it.
     """
@@ -130,10 +132,12 @@ def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams, kicks=None) -> tuple:
     reach = len(rho.labels)
     labels, G = _kicks(pp, reach) if kicks is None else kicks
     rows = slice(len(labels) // 2 - reach, len(labels) // 2 + reach + 1, 2)
+    if rho.labels != labels[rows.start + 1:rows.stop - 1:2]:
+        raise ValueError(f"rho's rows are not pp's kick labels j = {1 - reach}..{reach - 1}")
     R = np.pad(rho.weights, 1)
     weights = (R[:-1, :-1] + R[1:, 1:]
                + cross * R[:-1, 1:] + cross.conjugate() * R[1:, :-1])
-    rho, tr = _normalized(labels[rows], weights, G[rows, rows])
+    rho, tr = _normalized(DyadEnsemble(labels[rows], weights, G[rows, rows]))
     return rho, tr / 4.0
 
 
@@ -157,9 +161,10 @@ def walk_density_steps(pp: ProtocolParams):
     pure |alpha0><alpha0| projector.  ``record`` is the probability of the
     all-ground record so far, the product of the steps' ground
     probabilities: 1.0 at step 0.  The kick table and the Gram matrix of its
-    2n+1 labels are built once; every step's trace slices them."""
-    kicks = _kicks(pp, pp.n)
-    rho, record = DyadEnsemble((CoherentLabel(pp.alpha0),), [[1.0]]), 1.0
+    2n+1 labels are built once; every step's density carries a slice."""
+    labels, G = kicks = _kicks(pp, pp.n)
+    start = slice(pp.n, pp.n + 1)
+    rho, record = DyadEnsemble(labels[start], [[1.0]], G[start, start]), 1.0
     yield 0, rho, record
     for step in range(1, pp.n + 1):
         rho, prob = evolve_dyads(rho, pp, kicks)
@@ -197,21 +202,20 @@ def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> DyadEnsem
     rho = projector(cat_state(pp))
     weights = cross_suppression * rho.weights
     np.fill_diagonal(weights, rho.weights.diagonal())
-    return _normalized(rho.labels, weights)[0]
+    return _normalized(DyadEnsemble(rho.labels, weights, rho.gram))[0]
 
 
 def _weighted_matrix(rho: DyadEnsemble):
     """Hermitian matrix G^(1/2) R G^(1/2) whose spectrum is rho's physical one."""
-    w, V = np.linalg.eigh(gram_matrix(rho.labels))
+    w, V = np.linalg.eigh(rho.gram)
     w = np.clip(w, 0.0, None)
     Gh = (V * np.sqrt(w)) @ V.conj().T
     return Gh @ rho.weights @ Gh
 
 
-def purity(rho: DyadEnsemble, gram: np.ndarray | None = None) -> float:
-    """Tr rho^2 through the Gram-weighted double sum.  ``gram`` is
-    ``gram_matrix(rho.labels)`` when the caller has it already."""
-    RG = rho.weights @ (gram_matrix(rho.labels) if gram is None else gram)
+def purity(rho: DyadEnsemble) -> float:
+    """Tr rho^2 through the Gram-weighted double sum."""
+    RG = rho.weights @ rho.gram
     return np.trace(RG @ RG).real
 
 
@@ -224,13 +228,13 @@ def trace_distance(a: DyadEnsemble, b: DyadEnsemble) -> float:
     """(1/2)||a - b||_1 for ensembles with equal label tuples."""
     if a.labels != b.labels:
         raise ValueError("trace distance needs equal label tuples")
-    M = _weighted_matrix(DyadEnsemble(a.labels, a.weights - b.weights))
+    M = _weighted_matrix(DyadEnsemble(a.labels, a.weights - b.weights, a.gram))
     return 0.5 * float(np.abs(np.linalg.eigvalsh(M)).sum())
 
 
 def cross_term_weight(rho: DyadEnsemble) -> float:
     """Total interference weight sum_{j != k} |rho_{jk} <label_k|label_j>|."""
-    terms = np.abs(rho.weights * gram_matrix(rho.labels).T)
+    terms = np.abs(rho.weights * rho.gram.T)
     np.fill_diagonal(terms, 0.0)
     return float(terms.sum())
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import SuperposedState, gram_matrix
+from .algebra import SuperposedState
 from .dephasing import DyadEnsemble, projector, purity
 from .errors import GridTooCoarse
 
@@ -251,11 +251,10 @@ def wigner_mixed(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> GridField:
     return GridField(grid, W, "wigner", float(W.sum() * grid.dx * grid.dp))
 
 
-def _moments(rho: DyadEnsemble, gram: np.ndarray | None = None):
+def _moments(rho: DyadEnsemble):
     """<a>, <a^2>, <a^dag a> from dyad weights and overlaps (grid-free): the
-    sums of rho_jk <label_k|label_j> times a_j, a_j^2 and conj(a_k) a_j.
-    ``gram`` is ``gram_matrix(rho.labels)`` when the caller has it already."""
-    terms = rho.weights * (gram_matrix(rho.labels) if gram is None else gram).T
+    sums of rho_jk <label_k|label_j> times a_j, a_j^2 and conj(a_k) a_j."""
+    terms = rho.weights * rho.gram.T
     a = np.array([lab.amplitude for lab in rho.labels])
     terms_a = terms * a[:, None]
     return (complex(terms_a.sum()), complex((terms_a * a[:, None]).sum()),
@@ -281,8 +280,7 @@ def diagnostics(rho: DyadEnsemble, wigner: GridField | None = None) -> dict:
     negativity volume is recomputed on the field's grid refined 2x: a
     GridTooCoarse warning is emitted if it moves by more than 5%.
     """
-    gram = gram_matrix(rho.labels)
-    e_a, e_aa, e_ada = _moments(rho, gram)
+    e_a, e_aa, e_ada = _moments(rho)
     mean_x = SQRT2 * e_a.real
     mean_p = SQRT2 * e_a.imag
     ex2 = (e_aa.real + e_ada.real) + 0.5
@@ -292,7 +290,7 @@ def diagnostics(rho: DyadEnsemble, wigner: GridField | None = None) -> dict:
         "mean_p": mean_p,
         "var_x": ex2 - mean_x**2,
         "var_p": ep2 - mean_p**2,
-        "purity": purity(rho, gram),
+        "purity": purity(rho),
     }
     if wigner is not None:
         neg = negativity_volume(wigner)

@@ -408,6 +408,15 @@ class TestOracleCheckRun:
         assert table[1] == "n,fidelity,record_probability"
         assert len(table) == 4
 
+    @pytest.mark.parametrize("n_line", ["n = 0\n", ""], ids=["n-0", "n-omitted"])
+    def test_needs_cycles(self, tmp_path, n_line):
+        # with no cycle there is nothing to check; n defaults to 0
+        text = ORACLE_CFG.format(n=0, cutoff=80, full="false").replace("n = 0\n", n_line)
+        out = tmp_path / "x"
+        assert main(["oracle-check", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_requires_physical_params(self, tmp_path):
         cfg = write_config(tmp_path, "n = 2\n")
         assert main(["oracle-check", "--config", str(cfg),

@@ -18,6 +18,7 @@ from catwalk.dephasing import (
     dyad_trace,
     evolve_dyads,
     min_eigenvalue,
+    projector,
     pure_walk_density,
     purity,
     qubit_coherence_decay,
@@ -26,7 +27,7 @@ from catwalk.dephasing import (
     walk_density_steps,
 )
 from catwalk.errors import DegenerateState
-from catwalk.protocol import ProtocolParams
+from catwalk.protocol import ProtocolParams, walk_state
 
 
 def fig_pp(n, xi=0.0):
@@ -121,6 +122,27 @@ class TestEnsemble:
     def test_shape_must_fit_the_labels(self):
         with pytest.raises(ValueError):
             DyadEnsemble((CoherentLabel(0.5),), np.eye(2))
+
+    def test_gram_shape_must_fit_the_labels(self):
+        with pytest.raises(ValueError, match="gram"):
+            DyadEnsemble((CoherentLabel(0.5),), [[1.0]], np.eye(2))
+
+    def test_gram_is_read_only(self):
+        rho = walk_density(fig_pp(3, xi=0.2))
+        with pytest.raises(ValueError):
+            rho.gram[0, 1] = 2.0
+
+    @pytest.mark.parametrize("xi", [0.0, 0.5])
+    def test_walk_gram_is_that_of_its_labels(self, xi):
+        # every step's Gram is a slice of the walk's kick-table Gram; its
+        # entries come from the same overlap calls as gram_matrix's
+        for _, rho, _ in walk_density_steps(fig_pp(10, xi)):
+            assert rho.gram.tobytes() == gram_matrix(rho.labels).tobytes()
+
+    def test_built_gram_is_that_of_its_labels(self):
+        pp = fig_pp(10)
+        for rho in (projector(walk_state(pp)), cat_density(pp, 0.3), pure_walk_density(pp)):
+            assert rho.gram.tobytes() == gram_matrix(rho.labels).tobytes()
 
     def test_trace_distance_needs_equal_label_tuples(self):
         pp = fig_pp(3)
@@ -263,6 +285,18 @@ class TestEvolveDyads:
         assert walked.labels == rho.labels
         assert np.array_equal(walked.weights, rho.weights)
 
+    def test_rows_must_be_the_kick_labels(self):
+        pp = ProtocolParams(0.1, 0.01, 0.3, 3)
+        # a projector's rows run in component order, kick index n down to -n
+        with pytest.raises(ValueError, match="kick labels"):
+            evolve_dyads(projector(walk_state(ProtocolParams(0.1, 0.01, 0.3, 2))), pp)
+        # labels of another alpha0
+        with pytest.raises(ValueError, match="kick labels"):
+            evolve_dyads(walk_density(ProtocolParams(0.1, 0.01, 0.3, 2, alpha0=0.2)), pp)
+        # rows in ascending kick index are one step short of walk_density
+        rho, _ = evolve_dyads(pure_walk_density(ProtocolParams(0.1, 0.01, 0.3, 2)), pp)
+        assert trace_distance(rho, walk_density(pp)) < 1e-12
+
     def test_trace_renormalized_every_step(self):
         pp = fig_pp(4, xi=0.5)
         for _, rho, _ in walk_density_steps(pp):
@@ -272,12 +306,10 @@ class TestEvolveDyads:
         # the step map is linear, so where the trace is restored cannot matter
         pp = fig_pp(12, xi=0.3)
         expected = walk_density(pp)
-        monkeypatch.setattr("catwalk.dephasing._normalized",
-                            lambda labels, weights, gram=None:
-                            (DyadEnsemble(labels, weights), 1.0))
+        monkeypatch.setattr("catwalk.dephasing._normalized", lambda rho: (rho, 1.0))
         raw = walk_density(pp)
         monkeypatch.undo()
-        rho, _ = _normalized(raw.labels, raw.weights)
+        rho, _ = _normalized(raw)
         assert rho.labels == expected.labels
         scale = np.abs(expected.weights).max()
         assert np.abs(rho.weights - expected.weights).max() <= 1e-9 * scale

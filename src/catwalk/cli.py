@@ -68,7 +68,7 @@ from .protocol import (
     derive_protocol,
     kick_labels,
 )
-from . import efmt, fock
+from . import dephasing, efmt, fock
 from .efmt import FLOAT_FMT
 
 
@@ -213,6 +213,16 @@ def _check_cutoff(cutoff: int):
                           f"over the budget of {fock.PROPAGATOR_BUDGET_BYTES:,}")
 
 
+def _check_kicks(n: int):
+    """Refuse a walk whose kick-table Gram matrix would not fit in
+    ``dephasing.GRAM_BUDGET_BYTES``."""
+    need = dephasing.kick_gram_bytes(n)
+    if need > dephasing.GRAM_BUDGET_BYTES:
+        raise ConfigError(f"n = {n} needs {need:,} bytes for the Gram matrix of its "
+                          f"{2 * n + 1:,} kick labels, over the budget of "
+                          f"{dephasing.GRAM_BUDGET_BYTES:,}")
+
+
 def _check_grid(grid: PhaseSpaceGrid):
     """Refuse a grid whose Wigner evaluation would not fit in
     ``observables.WIGNER_BUDGET_BYTES``."""
@@ -269,6 +279,8 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
                           f"({', '.join(tags)}); they must differ in 6 significant digits")
     if mode in ("cat", "oracle-check") and cfg.n < 1:
         raise ConfigError(f"{mode} mode needs n >= 1")
+    if mode in ("walk", "decohere"):
+        _check_kicks(cfg.n)
     if not cfg.decay_exponent >= 0.0:  # also refuses NaN; inf is full suppression
         raise ConfigError("decay_exponent must be non-negative")
     # Build the parameter objects once so that out-of-range or non-finite

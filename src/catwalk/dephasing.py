@@ -46,6 +46,7 @@ __all__ = [
     "evolve_dyads",
     "walk_density",
     "walk_density_steps",
+    "kick_gram_bytes",
     "pure_walk_density",
     "projector",
     "cat_density",
@@ -56,6 +57,10 @@ __all__ = [
     "cross_term_weight",
     "qubit_coherence_decay",
 ]
+
+# Largest Gram matrix a walk's kick table may take (see kick_gram_bytes):
+# n <= 1023.
+GRAM_BUDGET_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +146,12 @@ def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams, kicks=None) -> tuple:
     return rho, tr / 4.0
 
 
+def kick_gram_bytes(n: int) -> int:
+    """Memory of the complex Gram matrix of the 2n+1 kick labels that an
+    n-step walk builds (see walk_density_steps)."""
+    return (2 * n + 1) ** 2 * np.dtype(complex).itemsize
+
+
 def _kicks(pp: ProtocolParams, n: int):
     """The labels j = -n..n of pp's kick table and their Gram matrix."""
     table = kick_labels(pp.l1, pp.l2, pp.alpha0, n)
@@ -187,7 +198,7 @@ def pure_walk_density(pp: ProtocolParams) -> DyadEnsemble:
     """Projector |psi><psi| of the xi = 0 walk state, rows in ascending kick
     index like :func:`walk_density` (component m has kick index n - 2m)."""
     rho = projector(walk_state(pp))
-    return DyadEnsemble(rho.labels[::-1], rho.weights[::-1, ::-1])
+    return DyadEnsemble(rho.labels[::-1], rho.weights[::-1, ::-1], rho.gram[::-1, ::-1])
 
 
 def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> DyadEnsemble:

@@ -9,17 +9,13 @@ which a leakage gate enforces.
 
 The drive-frame Hamiltonian with both drives on is
 
-    H/hbar = omega a^dag a + Omega1' sx + s * Omega2 * eta * sx * i(a^dag - a)
+    H/hbar = omega a^dag a + Omega1' sx - Omega2 * eta * sx * i(a^dag - a)
              - Omega1 eta^2 sx a^dag a,
-    Omega1' = Omega1 (1 - eta^2/2),  eta = g/omega,  sx = |e><g| + |g><e|,
+    Omega1' = Omega1 (1 - eta^2/2),  eta = g/omega,  sx = |e><g| + |g><e|.
 
-where s = ``weak_drive_sign`` fixes the relative phase (+-pi/2) of the weak
-drive.  Orientation note: with s = +1 the conditional kicks displace the
-dressed branches opposite to the closed-form recursion of
-:mod:`catwalk.protocol`; the recursion corresponds to s = -1 (equivalently,
-to the s = +1 dynamics mirrored through the phase-space origin).  Comparison
-helpers therefore evolve with s = -1 by default so closed form and matrix
-evolution can be compared without any reflection.
+The sign of the weak-drive term is the orientation of the closed-form
+recursion of :mod:`catwalk.protocol` and of the unreduced model below; the
+opposite sign gives the walk mirrored through the phase-space origin.
 
 ``build_full_hamiltonian`` exposes the unreduced drive-frame Hamiltonian
 
@@ -38,7 +34,7 @@ import numpy as np
 
 from .algebra import SuperposedState, normalize
 from .errors import CutoffTooSmall, ZeroProbabilityOutcome
-from .protocol import PhysicalParams, ProtocolParams, derive_protocol, walk_state
+from .protocol import PhysicalParams, derive_protocol, walk_state
 
 DEFAULT_CUTOFF = 80
 LEAKAGE_LEVELS = 5
@@ -195,7 +191,6 @@ def build_heff(
     cutoff: int = DEFAULT_CUTOFF,
     omega1_on: bool = True,
     omega2_on: bool = True,
-    weak_drive_sign: int = 1,
 ) -> np.ndarray:
     """Reduced drive-frame Hamiltonian (divided by hbar*omega) as a dense matrix.
 
@@ -204,8 +199,6 @@ def build_heff(
     dressed qubit basis (|g> +- |e>)/sqrt(2): each block is a displaced,
     frequency-shifted oscillator.
     """
-    if weak_drive_sign not in (1, -1):
-        raise ValueError("weak_drive_sign must be +1 or -1")
     a = destroy(cutoff)
     nop = (a.conj().T @ a).real.astype(complex)
     H = np.kron(_I2, nop)
@@ -216,7 +209,7 @@ def build_heff(
         H = H - o1 * eta**2 * np.kron(_SX, nop)
     if omega2_on:
         o2 = p.Omega2 / p.omega
-        H = H + weak_drive_sign * o2 * eta * np.kron(_SX, 1j * (a.conj().T - a))
+        H = H - o2 * eta * np.kron(_SX, 1j * (a.conj().T - a))
     return H
 
 
@@ -254,7 +247,7 @@ def propagator_bytes(cutoff: int) -> int:
 
 
 def _segment_propagators(
-    segments, p: PhysicalParams, cutoff: int, weak_drive_sign: int, hamiltonian: str
+    segments, p: PhysicalParams, cutoff: int, hamiltonian: str
 ) -> dict:
     """One propagator per distinct (duration, Omega1_on, Omega2_on) segment."""
     if hamiltonian not in ("reduced", "full"):
@@ -264,7 +257,7 @@ def _segment_propagators(
         if key not in props:
             duration, o1, o2 = key
             if hamiltonian == "reduced":
-                H = build_heff(p, cutoff, o1, o2, weak_drive_sign)
+                H = build_heff(p, cutoff, o1, o2)
             else:
                 H = build_full_hamiltonian(p, cutoff, o1, o2)
             props[key] = _propagator(H, duration)
@@ -287,19 +280,18 @@ def evolve(
     state: FockStateVector,
     schedule: PulseSchedule,
     p: PhysicalParams,
-    weak_drive_sign: int = 1,
     hamiltonian: str = "reduced",
 ) -> FockStateVector:
     """Evolve through a schedule, segment by segment.
 
     ``hamiltonian`` selects "reduced" (the dressed-frame model) or "full"
-    (the unreduced drive-frame model; ``weak_drive_sign`` is ignored there).
+    (the unreduced drive-frame model).
     One propagator is built per distinct segment configuration of the
     schedule, so a periodic schedule costs two eigendecompositions per call.
     The leakage gate is checked after every segment.
     """
     props = _segment_propagators(
-        schedule.segments, p, state.cutoff, weak_drive_sign, hamiltonian
+        schedule.segments, p, state.cutoff, hamiltonian
     )
     amp, _ = _apply_segments(props, schedule.segments, state.amplitudes, state.cutoff)
     return FockStateVector(state.cutoff, amp)
@@ -325,19 +317,11 @@ def fidelity(mode_amplitudes: np.ndarray, closed: SuperposedState) -> float:
     return float(abs(np.vdot(w, v)) ** 2)
 
 
-def parity_flip(mode_amplitudes: np.ndarray) -> np.ndarray:
-    """Mirror a mode vector through the phase-space origin: |k> -> (-1)^k |k>."""
-    v = np.asarray(mode_amplitudes, dtype=complex).copy()
-    v[1::2] *= -1.0
-    return v
-
-
 def walk_prefixes(
     p: PhysicalParams,
     n: int,
     alpha0: complex = 0j,
     cutoff: int = DEFAULT_CUTOFF,
-    weak_drive_sign: int = 1,
     hamiltonian: str = "reduced",
 ):
     """Evolve n pulse pairs once, projecting the qubit on the ground state
@@ -353,7 +337,7 @@ def walk_prefixes(
     k = 0..n cycles, largest leakage seen after any segment).
     """
     cycle = walk_schedule(1).segments
-    props = _segment_propagators(cycle, p, cutoff, weak_drive_sign, hamiltonian)
+    props = _segment_propagators(cycle, p, cutoff, hamiltonian)
     amp = FockStateVector.ground_coherent(alpha0, cutoff).amplitudes
     probs, modes, leak_max = [], [amp[:cutoff].copy()], 0.0
     for _ in range(n):
@@ -367,28 +351,10 @@ def walk_prefixes(
     return probs, modes, leak_max
 
 
-def run_walk_record(
-    p: PhysicalParams,
-    n: int,
-    alpha0: complex = 0j,
-    cutoff: int = DEFAULT_CUTOFF,
-    weak_drive_sign: int = 1,
-    hamiltonian: str = "reduced",
-):
-    """Evolve n pulse pairs, projecting the qubit on the ground state each
-    cycle (see ``walk_prefixes``; two eigendecompositions per call).
-
-    Returns (per-cycle ground probabilities, final normalized mode amplitudes).
-    """
-    probs, modes, _ = walk_prefixes(p, n, alpha0, cutoff, weak_drive_sign, hamiltonian)
-    return probs, modes[-1]
-
-
 def run_cat_record(
     p: PhysicalParams,
     n: int,
     cutoff: int = DEFAULT_CUTOFF,
-    weak_drive_sign: int = 1,
 ):
     """Evolve n cat cycles and project once at the end.
 
@@ -396,7 +362,7 @@ def run_cat_record(
     excited probability, excited-conditioned mode amplitudes).
     """
     state = FockStateVector.ground_coherent(0j, cutoff)
-    state = evolve(state, cat_schedule(n), p, weak_drive_sign)
+    state = evolve(state, cat_schedule(n), p)
     pg, vg = project_and_extract(state, "ground")
     pe, ve = project_and_extract(state, "excited")
     return pg, vg, pe, ve
@@ -411,18 +377,13 @@ def closed_form_walk_fidelity(
 ):
     """Fidelity of the closed-form walk state against direct matrix evolution.
 
-    The matrix evolution runs with weak_drive_sign = -1, the orientation
-    that matches the closed-form recursion (see module docstring); protocol
-    knobs are derived from the same physical parameters, so the comparison
-    probes only the second-order reduction error and the cutoff.  Returns
-    (fidelity, per-cycle ground probabilities).  For every k <= n at once,
-    ``closed_form_walk_fidelities`` needs one pass instead of n.
+    Protocol knobs are derived from the same physical parameters, so the
+    comparison probes only the second-order reduction error and the cutoff.
+    Returns (fidelity after n cycles, per-cycle ground probabilities): the
+    last entry of ``closed_form_walk_fidelities``.  ValueError for n < 1.
     """
-    probs, mode = run_walk_record(
-        p, n, alpha0, cutoff, weak_drive_sign=-1, hamiltonian=hamiltonian
-    )
-    pp = derive_protocol(p, n, alpha0)
-    return fidelity(mode, walk_state(pp)), probs
+    fids, probs, _ = closed_form_walk_fidelities(p, n, alpha0, cutoff, hamiltonian)
+    return fids[-1], probs
 
 
 def closed_form_walk_fidelities(
@@ -432,15 +393,15 @@ def closed_form_walk_fidelities(
     cutoff: int = DEFAULT_CUTOFF,
     hamiltonian: str = "reduced",
 ):
-    """``closed_form_walk_fidelity`` for every k = 1..n from one n-cycle pass.
+    """Fidelity of the closed-form walk state against the matrix evolution
+    for every k = 1..n, from one n-cycle ``walk_prefixes`` pass.
 
-    Each fidelity and probability equals, bit for bit, what
-    ``closed_form_walk_fidelity(p, k, ...)`` returns.  Returns (fidelities,
-    per-cycle ground probabilities, largest per-segment leakage).
+    Returns (fidelities, per-cycle ground probabilities, largest per-segment
+    leakage).  ValueError for n < 1, where there is nothing to compare.
     """
-    probs, modes, leak_max = walk_prefixes(
-        p, n, alpha0, cutoff, weak_drive_sign=-1, hamiltonian=hamiltonian
-    )
+    if n < 1:
+        raise ValueError(f"the walk comparison needs n >= 1; got {n}")
+    probs, modes, leak_max = walk_prefixes(p, n, alpha0, cutoff, hamiltonian)
     fids = [fidelity(modes[k], walk_state(derive_protocol(p, k, alpha0)))
             for k in range(1, n + 1)]
     return fids, probs, leak_max

@@ -28,7 +28,8 @@ from catwalk.cli import (
     parse_config_file,
     parse_grid,
 )
-from catwalk import efmt, fock, observables
+from catwalk import cli, efmt, fock, observables
+from catwalk.dephasing import GRAM_BUDGET_BYTES, kick_gram_bytes
 from catwalk.errors import ConfigError
 from catwalk.protocol import PhysicalParams, ProtocolParams, derive_protocol
 
@@ -319,6 +320,9 @@ class TestDecohereRun:
         d = report["diagnostics"]
         assert d["xi_0"]["negativity_volume"] > d["xi_1"]["negativity_volume"]
 
+    # the 11x11 grid is too coarse on purpose, and outside run() nothing
+    # captures the warning that says so
+    @pytest.mark.filterwarnings("ignore::catwalk.errors.GridTooCoarse")
     def test_each_xi_table_is_computed_when_asked_for(self):
         # run() writes each xi's Wigner table before the next xi is computed,
         # so the fields of earlier xi are not held
@@ -534,6 +538,20 @@ class TestExitCodes:
         need = observables.wigner_bytes(parse_grid(spec))
         assert need > observables.WIGNER_BUDGET_BYTES
         assert f"{need:,} bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["walk", "decohere"])
+    def test_oversized_walk_refused_by_estimate(self, tmp_path, monkeypatch, capsys, mode):
+        # 2,000,001 kick labels: a 64 TB Gram matrix.  Never run here, even
+        # if the refusal were missing.
+        monkeypatch.setattr(cli, "run", None)
+        cfg = write_config(tmp_path, f"l1 = 0.1\nl2 = 0.01\nn = {10**6}\n")
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        need = kick_gram_bytes(10**6)
+        assert need > GRAM_BUDGET_BYTES
+        assert f"{need:,} bytes" in capsys.readouterr().err
+
+    def test_walk_budget_admits_n_1023(self):
+        assert kick_gram_bytes(1023) <= GRAM_BUDGET_BYTES < kick_gram_bytes(1024)
 
     def test_skinny_grid_refused_by_estimate(self, tmp_path, monkeypatch, capsys):
         # few points in all, but the dyad profile blocks of its long axis

@@ -60,7 +60,8 @@ class TestBuildHeff:
         # Hadamard on the qubit block-diagonalizes H into two displaced,
         # frequency-shifted oscillators: exactly
         #   w_l A^dag A + Omega1' l - w_l |c|^2,  A = a + c,
-        #   c = i Omega2 eta l / w_l,  w_l = omega - Omega1 eta^2 l
+        #   c = -i Omega2 eta l / w_l,  w_l = omega - Omega1 eta^2 l
+        # the sign of c is the walk's orientation: the opposite one mirrors it
         p = CHECK_POINT
         N = 40
         H = fock.build_heff(p, cutoff=N)
@@ -73,7 +74,7 @@ class TestBuildHeff:
         eta = p.eta
         for lam, block in ((+1, HB[:N, :N]), (-1, HB[N:, N:])):
             w_l = 1.0 - (p.Omega1 / p.omega) * eta**2 * lam
-            c = 1j * (p.Omega2 / p.omega) * eta * lam / w_l
+            c = -1j * (p.Omega2 / p.omega) * eta * lam / w_l
             A = a + c * np.eye(N)
             model = (
                 w_l * (A.conj().T @ A)
@@ -81,9 +82,9 @@ class TestBuildHeff:
                    - w_l * abs(c) ** 2) * np.eye(N)
             )
             assert np.abs(block - model).max() < 1e-12
-            # the commonly quoted displacement i Omega2 eta l / omega is the
+            # the commonly quoted displacement -i Omega2 eta l / omega is the
             # same thing to first order in l2
-            assert abs(c - 1j * (p.Omega2 / p.omega) * eta * lam) < 2e-3 * abs(c)
+            assert abs(c + 1j * (p.Omega2 / p.omega) * eta * lam) < 2e-3 * abs(c)
 
     def test_drives_off_is_free_mode(self):
         H = fock.build_heff(CHECK_POINT, cutoff=10, omega1_on=False, omega2_on=False)
@@ -222,14 +223,26 @@ class TestWalkEquivalence:
         assert fid >= 1 - 1e-6
 
     def test_mirror_orientation_statement(self):
-        # with the weak drive at its nominal sign the evolution produces the
-        # parity mirror of the closed form
-        probs, mode = fock.run_walk_record(CHECK_POINT, 2, weak_drive_sign=+1)
-        pp = derive_protocol(CHECK_POINT, 2)
-        state = walk_state(pp)
-        mirrored = fock.parity_flip(mode)
-        assert fock.fidelity(mirrored, state) >= 1 - 1e-6
-        assert fock.fidelity(mode, state) < fock.fidelity(mirrored, state) + 1e-9
+        # the evolution follows the closed form, and its mirror through the
+        # phase-space origin, |k> -> (-1)^k |k>, does not (0.9858)
+        _, modes, _ = fock.walk_prefixes(CHECK_POINT, 2)
+        state = walk_state(derive_protocol(CHECK_POINT, 2))
+        mirrored = modes[-1] * (-1.0) ** np.arange(len(modes[-1]))
+        assert fock.fidelity(modes[-1], state) >= 1 - 1e-6
+        assert fock.fidelity(mirrored, state) < 0.99
+
+    def test_orientation_follows_the_unreduced_model(self):
+        # At a displaced start the unreduced Hamiltonian tells the reduced
+        # model's orientation from its mirror: squared overlap 0.9889 with
+        # the reduced mode against 0.331 with its (-1)^k mirror.
+        p = PhysicalParams(1.0, 0.02, 41.0, 4.0)
+        _, reduced, _ = fock.walk_prefixes(p, 3, alpha0=0.5)
+        _, full, _ = fock.walk_prefixes(p, 3, alpha0=0.5, hamiltonian="full")
+        mirrored = reduced[-1] * (-1.0) ** np.arange(len(reduced[-1]))
+        same = abs(np.vdot(reduced[-1], full[-1])) ** 2
+        mirror = abs(np.vdot(mirrored, full[-1])) ** 2
+        assert same == pytest.approx(0.9889, abs=1e-3)
+        assert same > mirror
 
     def test_strong_point_documented_gap(self):
         # At l1 = 0.1, l2 ~ 0.01 the reduced model's displacement magnitude
@@ -246,31 +259,28 @@ class TestWalkEquivalence:
         _, _, chain_probs = run_conditioned_walk(pp)
         records = [record for _, _, record in walk_density_steps(pp)]
         closed_probs = [b / a for a, b in zip(records, records[1:])]
-        oracle_probs, _ = fock.run_walk_record(CHECK_POINT, 3, weak_drive_sign=-1)
+        oracle_probs, _, _ = fock.walk_prefixes(CHECK_POINT, 3)
         assert np.allclose(chain_probs, oracle_probs, atol=2e-6)
         assert np.allclose(closed_probs, oracle_probs, atol=2e-6)
 
-    def test_parity_flip_involution(self, rng):
-        v = rng.normal(size=16) + 1j * rng.normal(size=16)
-        assert np.allclose(fock.parity_flip(fock.parity_flip(v)), v)
 
-
-def per_k_reference(p, k, hamiltonian="reduced"):
-    """The k-cycle walk evolved from the vacuum on its own, one ``evolve``
-    call per segment: (fidelity, per-cycle probabilities, largest leakage)."""
-    state = fock.FockStateVector.ground_coherent(0j, 80)
+def per_k_reference(p, k, hamiltonian="reduced", alpha0=0j):
+    """The k-cycle walk evolved from alpha0 on its own, one ``evolve`` call
+    per segment: (per-cycle probabilities, largest leakage, final mode)."""
+    state = fock.FockStateVector.ground_coherent(alpha0, 80)
+    mode = state.amplitudes[:80]
     probs, leak = [], 0.0
     for _ in range(k):
         for segment in fock.walk_schedule(1).segments:
             state = fock.evolve(state, fock.PulseSchedule((segment,)), p,
-                                weak_drive_sign=-1, hamiltonian=hamiltonian)
+                                hamiltonian=hamiltonian)
             leak = max(leak, state.leakage())
         prob, mode = fock.project_and_extract(state, "ground")
         probs.append(prob)
         amp = np.zeros(160, dtype=complex)
         amp[:80] = mode
         state = fock.FockStateVector(80, amp)
-    return fock.fidelity(mode, walk_state(derive_protocol(p, k))), probs, leak
+    return probs, leak, mode
 
 
 class TestOnePass:
@@ -286,7 +296,8 @@ class TestOnePass:
         assert len(fids) == len(probs) == n
         leaks = []
         for k in range(1, n + 1):
-            ref_fid, ref_probs, ref_leak = per_k_reference(p, k, hamiltonian)
+            ref_probs, ref_leak, ref_mode = per_k_reference(p, k, hamiltonian)
+            ref_fid = fock.fidelity(ref_mode, walk_state(derive_protocol(p, k)))
             assert fids[k - 1] == ref_fid
             assert probs[:k] == ref_probs
             fid, record_probs = fock.closed_form_walk_fidelity(
@@ -295,13 +306,19 @@ class TestOnePass:
             leaks.append(ref_leak)
         assert leak_max == max(leaks)
 
-    def test_prefix_modes_match_run_walk_record(self):
+    def test_prefix_modes_match_per_k_runs_from_a_displaced_start(self):
         probs, modes, _ = fock.walk_prefixes(CHECK_POINT, 3, alpha0=0.2)
         assert len(modes) == 4
         for k in range(4):
-            ref_probs, ref_mode = fock.run_walk_record(CHECK_POINT, k, alpha0=0.2)
+            ref_probs, _, ref_mode = per_k_reference(CHECK_POINT, k, alpha0=0.2)
             assert probs[:k] == ref_probs
             assert np.array_equal(modes[k], ref_mode)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_walk_comparison_needs_a_cycle(self, n):
+        for compare in (fock.closed_form_walk_fidelity, fock.closed_form_walk_fidelities):
+            with pytest.raises(ValueError):
+                compare(CHECK_POINT, n)
 
     def test_propagator_bytes(self):
         # two dense complex (2N)^2 matrices
@@ -318,10 +335,22 @@ class TestCatEquivalence:
         from catwalk.protocol import cat_state
 
         target = cat_state(contract)
-        pg, vg, pe, ve = fock.run_cat_record(CHECK_POINT, 5, weak_drive_sign=-1)
+        pg, vg, pe, ve = fock.run_cat_record(CHECK_POINT, 5)
         assert pg + pe == pytest.approx(1.0, abs=1e-10)
         assert fock.fidelity(ve, target) >= 1 - 1e-5
         assert fock.fidelity(vg, target) < 1e-2
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_success_probability_is_the_excited_outcome(self, n):
+        # the closed-form probability of the conditioning measurement is that
+        # of the outcome the Fock model labels excited (gaps 4.7e-9, 4.1e-8
+        # and 1.05e-7 at n = 1, 3, 5)
+        from catwalk.protocol import cat_success_probability
+
+        pp = derive_protocol(CHECK_POINT, n)
+        contract = ProtocolParams(pp.l1, pp.l2, pp.phi, n)
+        _, _, pe, _ = fock.run_cat_record(CHECK_POINT, n)
+        assert cat_success_probability(contract) == pytest.approx(pe, abs=1e-6)
 
 
 class TestFullHamiltonian:

@@ -4,8 +4,9 @@ The package is organized in five layers:
 
 * :mod:`catwalk.algebra`: exact coherent-state algebra (displacements,
   rotations, the composite kick operator, overlaps, normalization).
-* :mod:`catwalk.protocol`: physical-to-dimensionless parameter mapping and
-  the two conditioned protocols (n-pulse walk and two-component cat).
+* :mod:`catwalk.protocol`: physical-to-dimensionless parameter mapping,
+  the two conditioned protocols (n-pulse walk and two-component cat) and
+  :func:`run_conditioned_walk`, the walk measured cycle by cycle.
 * :mod:`catwalk.dephasing`: density matrices in the coherent-dyad basis
   (:class:`DyadEnsemble`: a tuple of labels, one read-only weight matrix
   and the labels' read-only Gram matrix; a pure state is its rank-1
@@ -69,20 +70,14 @@ from .observables import (
     wigner_pure,
 )
 from .protocol import (
-    JointState,
-    MeasurementOutcome,
     PhysicalParams,
     ProtocolParams,
     cat_labels,
     cat_state,
     cat_success_probability,
     derive_protocol,
-    embed_ground,
-    initial_joint,
     kick_labels,
-    project_qubit,
     run_conditioned_walk,
-    single_cycle,
     walk_components,
     walk_state,
 )

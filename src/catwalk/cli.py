@@ -214,13 +214,13 @@ def _check_cutoff(cutoff: int):
 
 
 def _check_kicks(n: int):
-    """Refuse a walk whose kick-table Gram matrix would not fit in
-    ``dephasing.GRAM_BUDGET_BYTES``."""
+    """Refuse an n whose walk would need a kick-table Gram matrix over
+    ``dephasing.GRAM_BUDGET_BYTES``; every mode shares that budget."""
     need = dephasing.kick_gram_bytes(n)
     if need > dephasing.GRAM_BUDGET_BYTES:
-        raise ConfigError(f"n = {n} needs {need:,} bytes for the Gram matrix of its "
-                          f"{2 * n + 1:,} kick labels, over the budget of "
-                          f"{dephasing.GRAM_BUDGET_BYTES:,}")
+        raise ConfigError(f"n = {n} is over the n budget of every mode: a walk that "
+                          f"long needs {need:,} bytes for the Gram matrix of its "
+                          f"{2 * n + 1:,} kick labels, over {dephasing.GRAM_BUDGET_BYTES:,}")
 
 
 def _check_grid(grid: PhaseSpaceGrid):
@@ -279,8 +279,7 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
                           f"({', '.join(tags)}); they must differ in 6 significant digits")
     if mode in ("cat", "oracle-check") and cfg.n < 1:
         raise ConfigError(f"{mode} mode needs n >= 1")
-    if mode in ("walk", "decohere"):
-        _check_kicks(cfg.n)
+    _check_kicks(cfg.n)
     if not cfg.decay_exponent >= 0.0:  # also refuses NaN; inf is full suppression
         raise ConfigError("decay_exponent must be non-negative")
     # Build the parameter objects once so that out-of-range or non-finite

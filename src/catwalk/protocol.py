@@ -134,6 +134,12 @@ class ProtocolParams:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "phi", float(self.phi) % TAU)
         object.__setattr__(self, "alpha0", complex(self.alpha0))
+        # a kick moves the amplitude by at most 2*l1, so every label of either
+        # protocol lies within this radius; its square must be a finite double
+        reach = abs(self.alpha0) + 2.0 * self.l1 * self.n
+        if not math.isfinite(reach * reach):
+            raise ValueError(f"l1 = {self.l1:g} with alpha0 = {self.alpha0} and "
+                             f"n = {self.n}: the labels would leave the double range")
 
 
 def derive_protocol(p: PhysicalParams, n: int, alpha0: complex = 0j) -> ProtocolParams:
@@ -257,123 +263,42 @@ def cat_success_probability(pp: ProtocolParams) -> float:
     return norm_squared(_cat_raw(pp))
 
 
-@dataclass(frozen=True)
-class JointState:
-    """Oscillator branches attached to the two dressed qubit states.
-
-    ``plus``/``minus`` map a kick index j to the amplitude of ``labels[j]``
-    on that branch; the squared norms of the two branches sum to one.  Each
-    index has one canonical label, the first one reached from |alpha0> (by
-    |j| kicks of one sign, as in :func:`kick_labels`), so branches that meet
-    at an index add their amplitudes instead of doubling the component
-    count.  The ground qubit state decomposes as (|+> - |->)/sqrt(2), so a
-    ground start puts +1/sqrt(2) on plus and -1/sqrt(2) on minus.
-    """
-
-    labels: dict
-    plus: dict
-    minus: dict
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Result of projecting the qubit: outcome label, conditioned mode
-    amplitudes (normalized, keyed by kick index into ``labels``), and the
-    outcome probability."""
-
-    qubit_state: str
-    amplitudes: dict
-    labels: dict
-    probability: float
-
-    @property
-    def projected(self) -> SuperposedState:
-        """The conditioned mode state, components in descending kick index."""
-        return SuperposedState(
-            tuple((self.amplitudes[j], self.labels[j])
-                  for j in sorted(self.amplitudes, reverse=True)),
-            normalized=True,
-        )
-
-
-def initial_joint(alpha0: complex = 0j) -> JointState:
-    """Joint state for a ground-state qubit and coherent mode |alpha0>."""
-    amp = 1.0 / math.sqrt(2.0)
-    return JointState({0: CoherentLabel(alpha0, 0.0)}, {0: amp}, {0: -amp})
-
-
-def embed_ground(outcome: MeasurementOutcome) -> JointState:
-    """Re-embed a conditioned mode state with the qubit back in the ground state."""
-    amp = 1.0 / math.sqrt(2.0)
-    return JointState(
-        outcome.labels,
-        {j: amp * c for j, c in outcome.amplitudes.items()},
-        {j: -amp * c for j, c in outcome.amplitudes.items()},
-    )
-
-
-def single_cycle(pp: ProtocolParams, joint: JointState) -> JointState:
-    """Evolve one pulse pair before measurement.
-
-    The upper dressed branch is kicked with O(-l1, -l2) (j -> j-1) and gains
-    e^{-i phi}; the lower branch is kicked with O(l1, l2) (j -> j+1) and
-    gains e^{+i phi}.  Indices reached for the first time get their label by
-    applying the kick to the neighbouring label.
-    """
-    labels = dict(joint.labels)
-
-    def kick(spec, branch, phase):
-        out = {}
-        for j, c in branch.items():
-            k = j + spec.sign
-            if k not in labels:
-                labels[k] = apply_pulse_operator(spec, labels[j])
-            out[k] = c * phase
-        return out
-
-    ph = cmath.exp(1j * pp.phi)
-    plus = kick(PulseOperatorSpec(pp.l1, pp.l2, -1), joint.plus, ph.conjugate())
-    minus = kick(PulseOperatorSpec(pp.l1, pp.l2, +1), joint.minus, ph)
-    return JointState(labels, plus, minus)
-
-
-def project_qubit(joint: JointState, outcome: str = "ground") -> MeasurementOutcome:
-    """Project the qubit onto |g> or |e> and condition the mode.
-
-    Ground combines the branches as (plus - minus)/sqrt(2), excited as
-    (plus + minus)/sqrt(2); together the outcome probabilities sum to one.
-    Raises DegenerateState when the selected combination cancels.
-    """
-    if outcome not in ("ground", "excited"):
-        raise ValueError("outcome must be 'ground' or 'excited'")
-    sign = -1.0 if outcome == "ground" else 1.0
-    amp = 1.0 / math.sqrt(2.0)
-    raw = {j: amp * c for j, c in joint.plus.items()}
-    for j, c in joint.minus.items():
-        raw[j] = raw.get(j, 0j) + sign * amp * c
-    kicks = sorted(raw, reverse=True)
-    prob = norm_squared(SuperposedState(tuple((raw[j], joint.labels[j]) for j in kicks)))
-    if prob <= DEGENERACY_CUTOFF:
-        raise DegenerateState(f"outcome '{outcome}' has probability {prob:.3e}")
-    scale = 1.0 / math.sqrt(prob)
-    return MeasurementOutcome(outcome, {j: raw[j] * scale for j in kicks},
-                              joint.labels, prob)
-
-
 def run_conditioned_walk(pp: ProtocolParams):
     """Run n cycles, conditioning on the ground outcome after each.
 
     Returns (final state, record probability, per-cycle probabilities).
-    The final state reproduces :func:`walk_state` with its n+1 components;
-    the probability of actually observing the all-ground record is the
-    product of the per-cycle ground probabilities.  This explicit chain is
-    the reference that the record probabilities of
-    :func:`catwalk.dephasing.walk_density_steps` are checked against.
+    Each cycle re-embeds the mode in |g> = (|+> - |->)/sqrt(2), kicks the
+    |+> branch with O(-l1, -l2) (j -> j-1) and the |-> branch with O(l1, l2)
+    (j -> j+1), and projects back onto |g>: a factor e^{-i phi}/2 on the
+    first branch and e^{+i phi}/2 on the second.  An index reached for the
+    first time gets its label by kicking its neighbour's, and branches that
+    meet add their amplitudes, so the state keeps n+1 components in
+    descending kick index.  A cycle's ground probability is the squared norm
+    of its raw superposition, and the record probability their product.  The
+    final state reproduces :func:`walk_state`; this explicit chain is the
+    reference that :func:`catwalk.dephasing.walk_density_steps` is checked
+    against.  Raises DegenerateState when a cycle's ground outcome cancels.
     """
-    # the qubit starts in |g>, so this projection is |alpha0> with probability 1
-    out = project_qubit(initial_joint(pp.alpha0), "ground")
+    half = 0.5 * cmath.exp(1j * pp.phi)
+    branches = ((PulseOperatorSpec(pp.l1, pp.l2, -1), half.conjugate()),
+                (PulseOperatorSpec(pp.l1, pp.l2, +1), half))
+    labels = {0: CoherentLabel(pp.alpha0, 0.0)}
+    amps = {0: 1.0 + 0j}
     probs = []
-    for _ in range(pp.n):
-        out = project_qubit(single_cycle(pp, embed_ground(out)), "ground")
-        probs.append(out.probability)
-    return out.projected, math.prod(probs, start=1.0), probs
+    for cycle in range(1, pp.n + 1):
+        raw = {}
+        for spec, factor in branches:
+            for j, c in amps.items():
+                k = j + spec.sign
+                if k not in labels:
+                    labels[k] = apply_pulse_operator(spec, labels[j])
+                raw[k] = raw.get(k, 0j) + factor * c
+        kicks = sorted(raw, reverse=True)
+        prob = norm_squared(SuperposedState(tuple((raw[j], labels[j]) for j in kicks)))
+        if prob <= DEGENERACY_CUTOFF:
+            raise DegenerateState(f"cycle {cycle}: ground outcome has probability {prob:.3e}")
+        probs.append(prob)
+        norm = math.sqrt(prob)
+        amps = {j: raw[j] / norm for j in kicks}
+    state = SuperposedState(tuple((c, labels[j]) for j, c in amps.items()), normalized=True)
+    return state, math.prod(probs, start=1.0), probs

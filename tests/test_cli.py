@@ -508,8 +508,14 @@ class TestExitCodes:
         ("cat", "l1 = 0.1\nl2 = 0.01\nphi = 4.5pi\nn = 2\ndecay_exponent = -3\n"),
         ("walk", "l1 = 0.1\nl2 = 0.01\nn = 1\ngrid = -inf,inf,-6,6,11,11\n"),
         ("walk", "l1 = 0.1\nl2 = 0.01\nn = 1\ngrid = -1e308,1e308,-6,6,11,11\n"),
-    ], ids=["l1", "phi", "alpha0", "xi", "omega2", "decay_exponent_nan",
-            "decay_exponent_negative", "grid_infinite", "grid_span_overflow"])
+    ] + [
+        # finite, but the kick labels' squared amplitudes overflow a double
+        (mode, "l1 = 1e200\nl2 = 0.01\nphi = 4.5pi\nn = 2\n")
+        for mode in ("walk", "decohere", "cat")
+    ] + [("alpha-table", "l1 = 1e200\nl2 = 0.01\nn = 2\n")],
+        ids=["l1", "phi", "alpha0", "xi", "omega2", "decay_exponent_nan",
+             "decay_exponent_negative", "grid_infinite", "grid_span_overflow",
+             "l1_huge_walk", "l1_huge_decohere", "l1_huge_cat", "l1_huge_alpha_table"])
     def test_non_finite_parameter(self, tmp_path, mode, text):
         cfg = write_config(tmp_path, text)
         assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
@@ -539,12 +545,15 @@ class TestExitCodes:
         assert need > observables.WIGNER_BUDGET_BYTES
         assert f"{need:,} bytes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", ["walk", "decohere"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_oversized_walk_refused_by_estimate(self, tmp_path, monkeypatch, capsys, mode):
-        # 2,000,001 kick labels: a 64 TB Gram matrix.  Never run here, even
-        # if the refusal were missing.
+        # 2,000,001 kick labels: a 64 TB walk Gram matrix, and every mode
+        # shares the walk's n budget.  Never run here, even if the refusal
+        # were missing.
         monkeypatch.setattr(cli, "run", None)
-        cfg = write_config(tmp_path, f"l1 = 0.1\nl2 = 0.01\nn = {10**6}\n")
+        protocol = ("omega = 1.0\ng = 0.01\nomega1 = 16.25\nomega2 = 1.5\n"
+                    if mode == "oracle-check" else "l1 = 0.1\nl2 = 0.01\n")
+        cfg = write_config(tmp_path, f"{protocol}n = {10**6}\n")
         assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         need = kick_gram_bytes(10**6)
         assert need > GRAM_BUDGET_BYTES

@@ -16,12 +16,8 @@ from catwalk.protocol import (
     cat_state,
     cat_success_probability,
     derive_protocol,
-    embed_ground,
-    initial_joint,
     kick_labels,
-    project_qubit,
     run_conditioned_walk,
-    single_cycle,
     walk_components,
     walk_state,
 )
@@ -148,34 +144,12 @@ class TestWalkState:
 
 
 class TestSingleCycleChain:
-    def test_zero_kick_branches_differ_by_drive_phase(self):
-        pp = ProtocolParams(0.0, 0.0, 1.1, 1)
-        joint = single_cycle(pp, initial_joint(0j))
-        cp = joint.plus[-1]
-        cm = joint.minus[1]
-        # started as (+1, -1)/sqrt(2); the cycle applies e^{-+ i phi}
-        assert cp / abs(cp) == pytest.approx(cmath.exp(-1j * 1.1))
-        assert cm / abs(cm) == pytest.approx(-cmath.exp(1j * 1.1))
-
-    def test_outcome_probabilities_sum_to_one(self):
-        pp = fig_pp(1)
-        joint = single_cycle(pp, initial_joint(0j))
-        pg = project_qubit(joint, "ground").probability
-        pe = project_qubit(joint, "excited").probability
-        assert pg + pe == pytest.approx(1.0, abs=1e-12)
-
-    def test_one_cycle_matches_walk(self):
-        pp = fig_pp(1)
-        joint = single_cycle(pp, initial_joint(0j))
-        out = project_qubit(joint, "ground")
-        fid = abs(state_overlap(out.projected, walk_state(pp))) ** 2
-        assert fid == pytest.approx(1.0, abs=1e-12)
-
-    # Relative tolerance by n.  At n = 20 the all-ground record has
-    # probability 2.7e-8 and the norm's quadratic form cancels by a factor
-    # ~2e7, so both paths sit ~4e-10 from a 50-digit evaluation; 5e-9 is
-    # that factor times the double-precision epsilon.
-    CHAIN_REL = {2: 1e-10, 4: 1e-10, 6: 1e-10, 10: 1e-10, 20: 5e-9}
+    # Relative tolerance by n.  At n = 1 the two labels barely overlap and
+    # nothing cancels.  At n = 20 the all-ground record has probability
+    # 2.7e-8 and the norm's quadratic form cancels by a factor ~2e7, so both
+    # paths sit ~4e-10 from a 50-digit evaluation; 5e-9 is that factor times
+    # the double-precision epsilon.
+    CHAIN_REL = {1: 1e-12, 2: 1e-10, 4: 1e-10, 6: 1e-10, 10: 1e-10, 20: 5e-9}
 
     @pytest.mark.parametrize("n", sorted(CHAIN_REL))
     def test_chain_equals_closed_form(self, n):
@@ -195,20 +169,6 @@ class TestSingleCycleChain:
         fid = abs(state_overlap(chain, walk_state(pp))) ** 2
         assert fid >= 1 - 1e-10
 
-    def test_degenerate_projection(self):
-        # zero kicks at phi = 0: the excited branch combination cancels
-        pp = ProtocolParams(0.0, 0.0, 0.0, 1)
-        joint = single_cycle(pp, initial_joint(0j))
-        with pytest.raises(DegenerateState):
-            project_qubit(joint, "excited")
-
-    def test_embed_round_trip(self):
-        pp = fig_pp(2)
-        out = project_qubit(single_cycle(pp, initial_joint(0j)), "ground")
-        out = project_qubit(single_cycle(pp, embed_ground(out)), "ground")
-        again = project_qubit(embed_ground(out), "ground")
-        assert again.probability == pytest.approx(1.0, abs=1e-12)
-
 
 class TestRecordProbabilities:
     def test_no_cycles(self):
@@ -224,9 +184,13 @@ class TestRecordProbabilities:
 
     def test_zero_kick_cycles_follow_drive_phase(self):
         # all labels coincide, so N_k = (2 cos phi)^(2k) and each cycle
-        # succeeds with probability cos^2 phi
-        _, per_cycle = record_probabilities(ProtocolParams(0.0, 0.0, 0.4, 6))
-        assert per_cycle == pytest.approx([math.cos(0.4) ** 2] * 6, rel=1e-12)
+        # succeeds with probability cos^2 phi, in the dephasing recursion
+        # and in the measurement chain alike
+        pp = ProtocolParams(0.0, 0.0, 0.4, 6)
+        _, per_cycle = record_probabilities(pp)
+        _, _, chain = run_conditioned_walk(pp)
+        for probs in (per_cycle, chain):
+            assert probs == pytest.approx([math.cos(0.4) ** 2] * 6, rel=1e-12)
 
     # Relative bounds by n: the cancellation factor sum_jk |c_j c_k G_jk| / N
     # times eps at the reference point (3.4e-12, 1.6e-10, 5.0e-9).  The

@@ -8,9 +8,9 @@ The package is organized in five layers:
   the two conditioned protocols (n-pulse walk and two-component cat) and
   :func:`run_conditioned_walk`, the walk measured cycle by cycle.
 * :mod:`catwalk.dephasing`: density matrices in the coherent-dyad basis
-  (:class:`DyadEnsemble`: a tuple of labels, one read-only weight matrix
-  and the labels' read-only Gram matrix; a pure state is its rank-1
-  :func:`projector`) and the per-pulse dephasing recursion on the weights.
+  (:class:`DyadEnsemble`: the labels' amplitude and phase arrays, one
+  weight matrix and the labels' Gram matrix, all read-only; a pure state is
+  its rank-1 :func:`projector`) and the per-pulse dephasing recursion.
 * :mod:`catwalk.observables`: position densities, Wigner functions, and
   scalar diagnostics on phase-space grids, each read from a
   :class:`DyadEnsemble`.

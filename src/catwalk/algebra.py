@@ -33,6 +33,9 @@ TAU = 2.0 * math.pi
 
 #: below this squared norm a superposition counts as destructively cancelled
 DEGENERACY_CUTOFF = 1e-14
+# Gram rows per numpy block: for the 2047 labels of n = 1023, 64 took 0.13 s
+# and peaked 5 MiB above the matrix.
+GRAM_ROWS = 64
 
 
 def reduce_phase(theta: float) -> float:
@@ -162,16 +165,32 @@ class SuperposedState:
         return tuple(lab for _, lab in self.components)
 
 
-def gram_matrix(labels) -> np.ndarray:
-    """Hermitian Gram matrix G[i, j] = <label_i|label_j>."""
-    labels = list(labels)
-    n = len(labels)
-    G = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        G[i, i] = 1.0
-        for j in range(i + 1, n):
-            G[i, j] = overlap(labels[i], labels[j])
-            G[j, i] = G[i, j].conjugate()
+def gram_matrix(amplitudes, phases) -> np.ndarray:
+    """Hermitian Gram matrix G[i, j] = <label_i|label_j>: bit for bit the
+    :func:`overlap` calls above the diagonal, their conjugates below it and
+    1.0 on it.  The exponent is formed in real arithmetic in overlap's
+    order, with |a|^2 by Python's abs (np.abs differs in the last bit) and
+    the 0.0 that 1j * (phase_b - phase_a) adds, so np.exp gives cmath.exp's
+    bits.  Each block of GRAM_ROWS rows is taken from its diagonal
+    rightwards and mirrored below, so the temporaries are O(GRAM_ROWS * m).
+    """
+    a = np.asarray(amplitudes, dtype=complex)
+    ar, ai, nai, theta = a.real, a.imag, -a.imag, np.asarray(phases, dtype=float)
+    sq = np.array([abs(v) ** 2 for v in a.tolist()])
+    m = len(a)
+    G = np.empty((m, m), dtype=complex)
+    for r in range(0, m, GRAM_ROWS):
+        b, i, c = min(GRAM_ROWS, m - r), slice(r, r + GRAM_ROWS), slice(r, m)
+        z = np.empty((b, m - r), dtype=complex)
+        z.real = -0.5 * (sq[i, None] + sq[c]) + (ar[i, None] * ar[c] - nai[i, None] * ai[c])
+        z.imag = (theta[c] - theta[i, None] + 0.0) + (ar[i, None] * ai[c] + nai[i, None] * ar[c])
+        np.fill_diagonal(z, 0.0)  # exp gives 1.0 where rounding might overflow
+        block = G[i, c]
+        with np.errstate(over="raise"):  # where cmath.exp raises OverflowError
+            np.exp(z, out=block)
+        lower = np.tril_indices(b, -1)
+        block[lower] = block[lower[::-1]].conj()
+        G[r + b:, i] = block[:, b:].T.conj()
     return G
 
 

@@ -190,7 +190,8 @@ KEYS = {
     "l2": ("l2", float),
     "phi": ("phi", parse_angle),
     "alpha0": ("alpha0", lambda text: complex(text.replace(" ", ""))),
-    "xi": ("xi_values", lambda text: tuple(float(v) for v in text.split(","))),
+    # + 0.0 reads -0 as 0, so that it shares 0's file names
+    "xi": ("xi_values", lambda text: tuple(float(v) + 0.0 for v in text.split(","))),
     "decay_exponent": ("decay_exponent", float),
     "omega": ("omega", float),
     "g": ("g", float),
@@ -249,7 +250,8 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
     missing = [key for key in spec.requires if key not in raw]
     if missing:
         raise ConfigError(f"{mode} needs {', '.join(missing)}")
-    if set(raw) & {"omega", "g", "omega1", "omega2"} and set(raw) & {"l1", "l2", "phi"}:
+    rates = set(raw) & {"omega", "g", "omega1", "omega2"}
+    if rates and set(raw) & {"l1", "l2", "phi"}:
         raise ConfigError("give the protocol either as the rates omega, g, omega1, "
                           "omega2 or as l1, l2, phi, not both")
 
@@ -287,10 +289,11 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for xi in cfg.xi_values:
-                cfg.protocol(xi=xi)
+            pp = [cfg.protocol(xi=xi) for xi in cfg.xi_values][0]
     except ValueError as exc:
         raise ConfigError(f"bad parameter: {exc}") from None
+    if rates:  # keep the knobs the rates give, so that the report echoes them
+        cfg.l1, cfg.l2, cfg.phi = pp.l1, pp.l2, pp.phi
     return cfg
 
 
@@ -442,14 +445,13 @@ def _write_table(path: Path, table: Table, fmt: str) -> dict:
 
 def alpha_table(pp: ProtocolParams) -> Table:
     """Kick-recursion labels (j, Re alpha_j, Im alpha_j, theta_j), j = -n..n."""
-    labels = kick_labels(pp.l1, pp.l2, pp.alpha0, pp.n)
-    js = range(-pp.n, pp.n + 1)
+    amplitudes, phases = kick_labels(pp.l1, pp.l2, pp.alpha0, pp.n)
     return Table("alpha_table", "alpha-table",
                  "kick-recursion labels; columns: j, re_alpha, im_alpha, theta", {
-                     "j": list(js),
-                     "re_alpha": [labels[j].amplitude.real for j in js],
-                     "im_alpha": [labels[j].amplitude.imag for j in js],
-                     "theta": [labels[j].phase for j in js],
+                     "j": np.arange(-pp.n, pp.n + 1),
+                     "re_alpha": amplitudes.real,
+                     "im_alpha": amplitudes.imag,
+                     "theta": phases,
                  })
 
 

@@ -23,8 +23,9 @@ paths.  Renormalization is applied after every step.  The step map is
 linear, so normalizing once at the end gives the same density up to
 rounding (a relative 2.4e-11 at n = 12, xi = 0.3).
 
-Each density is one tuple of labels in row order, one (m, m) weight matrix
-and the labels' Gram matrix.  After s walk steps the rows are the kick
+Each density is two label arrays in row order, the amplitudes alpha_j and
+the phases theta_j, one (m, m) weight matrix and the labels' Gram matrix;
+a pure state is the rank-1 case.  After s walk steps the rows are the kick
 indices j = -s, -s+2, ..., s in ascending order, so the matrix holds exactly
 (s+1)^2 weights and one step is four shifted-slice adds on the zero-padded
 matrix.  The kick phases theta_j ride on the labels, which is what makes
@@ -41,58 +42,43 @@ from .algebra import DEGENERACY_CUTOFF, SuperposedState, gram_matrix, normalize
 from .errors import DegenerateState
 from .protocol import ProtocolParams, cat_state, kick_labels, walk_state
 
-__all__ = [
-    "DyadEnsemble",
-    "evolve_dyads",
-    "walk_density",
-    "walk_density_steps",
-    "kick_gram_bytes",
-    "pure_walk_density",
-    "projector",
-    "cat_density",
-    "purity",
-    "dyad_trace",
-    "trace_distance",
-    "min_eigenvalue",
-    "cross_term_weight",
-    "qubit_coherence_decay",
-]
-
-# Largest Gram matrix a walk's kick table may take (see kick_gram_bytes):
-# n <= 1023.
+# Largest kick-table Gram matrix a walk may build (kick_gram_bytes): n <= 1023.
 GRAM_BUDGET_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
 class DyadEnsemble:
-    """rho = sum_{jk} weights[j, k] |labels[j]><labels[k]|.
+    """rho = sum_{jk} weights[j, k] |label_j><label_k| with
+    |label_j> = e^{i phases[j]} |amplitudes[j]>.
 
-    ``labels`` is a tuple of CoherentLabels in row order: ascending kick
-    index j for the walk densities, component order for a
-    :func:`projector`.  ``weights`` is the complex (m, m) matrix rho_jk,
-    kept as a read-only copy, and ``gram`` the labels' read-only Gram matrix
-    G[i, j] = <labels[i]|labels[j]>: gram_matrix(labels) unless the caller
-    passes the one it holds.  Physical instances are Hermitian, unit trace
-    under the overlap-weighted sum and positive semidefinite; a pure state
-    is the rank-1 case.  Instances compare by identity, since ``==`` on an
-    array field has no single truth value.
+    ``amplitudes`` (complex) and ``phases`` (float) hold the labels in row
+    order: ascending kick index j for the walk densities, component order
+    for a :func:`projector`.  ``weights`` is the complex (m, m) matrix
+    rho_jk and ``gram`` the labels' Gram matrix G[i, j] = <label_i|label_j>:
+    gram_matrix(amplitudes, phases) unless the caller passes the one it
+    holds.  All four are kept as read-only copies.  Physical instances are
+    Hermitian, unit trace under the overlap-weighted sum and positive
+    semidefinite; a pure state is the rank-1 case.  Instances compare by
+    identity, since ``==`` on an array field has no single truth value.
     """
 
-    labels: tuple
+    amplitudes: np.ndarray
+    phases: np.ndarray
     weights: np.ndarray
     gram: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if self.gram is None:
-            object.__setattr__(self, "gram", gram_matrix(self.labels))
-        m = len(self.labels)
-        for name in ("weights", "gram"):
-            matrix = np.array(getattr(self, name), dtype=complex)
-            if matrix.shape != (m, m):
-                raise ValueError(f"{name} of shape {matrix.shape} does not fit {m} labels")
-            matrix.flags.writeable = False
-            object.__setattr__(self, name, matrix)
+        m = len(self.amplitudes)
+        for name, dtype, shape in (("amplitudes", complex, (m,)), ("phases", float, (m,)),
+                                   ("weights", complex, (m, m)), ("gram", complex, (m, m))):
+            value = getattr(self, name)
+            if value is None:  # the Gram, once the labels it reads are checked
+                value = gram_matrix(self.amplitudes, self.phases)
+            array = np.array(value, dtype=dtype)
+            if array.shape != shape:
+                raise ValueError(f"{name} of shape {array.shape} does not fit {m} labels")
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def entries(self) -> np.ndarray:
@@ -114,7 +100,7 @@ def _normalized(rho: DyadEnsemble) -> tuple:
     tr = dyad_trace(rho).real
     if tr <= DEGENERACY_CUTOFF:
         raise DegenerateState(f"dyads cancel: Tr rho = {tr:.3e}")
-    return DyadEnsemble(rho.labels, rho.weights / tr, rho.gram), tr
+    return DyadEnsemble(rho.amplitudes, rho.phases, rho.weights / tr, rho.gram), tr
 
 
 def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams, kicks=None) -> tuple:
@@ -129,20 +115,24 @@ def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams, kicks=None) -> tuple:
     reaches the ground outcome with amplitude 1/2, so the trace the
     recursion produces is 4 times the outcome probability.  xi = inf is
     accepted and kills the cross terms outright.
-    ``kicks`` is :func:`_kicks` of pp for some N >= m (built for N = m when
-    not given); the step slices its rows and their Gram block from it.
+    ``kicks`` is (amplitudes, phases, Gram) of pp's kick table j = -N..N,
+    N >= m, as :func:`walk_density_steps` holds it; without it the step
+    builds the table for N = m and the Gram of the rows it keeps.
     """
     damp = math.exp(-pp.xi) if math.isfinite(pp.xi) else 0.0
     cross = cmath.exp(2j * pp.phi) * damp
-    reach = len(rho.labels)
-    labels, G = _kicks(pp, reach) if kicks is None else kicks
-    rows = slice(len(labels) // 2 - reach, len(labels) // 2 + reach + 1, 2)
-    if rho.labels != labels[rows.start + 1:rows.stop - 1:2]:
+    reach = len(rho.weights)
+    amplitudes, phases, G = kicks or (*kick_labels(pp.l1, pp.l2, pp.alpha0, reach), None)
+    rows = slice(len(phases) // 2 - reach, len(phases) // 2 + reach + 1, 2)
+    inner = slice(rows.start + 1, rows.stop - 1, 2)
+    if not (np.array_equal(rho.amplitudes, amplitudes[inner])
+            and np.array_equal(rho.phases, phases[inner])):
         raise ValueError(f"rho's rows are not pp's kick labels j = {1 - reach}..{reach - 1}")
     R = np.pad(rho.weights, 1)
     weights = (R[:-1, :-1] + R[1:, 1:]
                + cross * R[:-1, 1:] + cross.conjugate() * R[1:, :-1])
-    rho, tr = _normalized(DyadEnsemble(labels[rows], weights, G[rows, rows]))
+    rho, tr = _normalized(DyadEnsemble(amplitudes[rows], phases[rows], weights,
+                                       None if G is None else G[rows, rows]))
     return rho, tr / 4.0
 
 
@@ -150,13 +140,6 @@ def kick_gram_bytes(n: int) -> int:
     """Memory of the complex Gram matrix of the 2n+1 kick labels that an
     n-step walk builds (see walk_density_steps)."""
     return (2 * n + 1) ** 2 * np.dtype(complex).itemsize
-
-
-def _kicks(pp: ProtocolParams, n: int):
-    """The labels j = -n..n of pp's kick table and their Gram matrix."""
-    table = kick_labels(pp.l1, pp.l2, pp.alpha0, n)
-    labels = tuple(table[j] for j in range(-n, n + 1))
-    return labels, gram_matrix(labels)
 
 
 def walk_density(pp: ProtocolParams) -> DyadEnsemble:
@@ -173,12 +156,13 @@ def walk_density_steps(pp: ProtocolParams):
     all-ground record so far, the product of the steps' ground
     probabilities: 1.0 at step 0.  The kick table and the Gram matrix of its
     2n+1 labels are built once; every step's density carries a slice."""
-    labels, G = kicks = _kicks(pp, pp.n)
+    amplitudes, phases = kick_labels(pp.l1, pp.l2, pp.alpha0, pp.n)
+    G = gram_matrix(amplitudes, phases)
     start = slice(pp.n, pp.n + 1)
-    rho, record = DyadEnsemble(labels[start], [[1.0]], G[start, start]), 1.0
+    rho, record = DyadEnsemble(amplitudes[start], phases[start], [[1.0]], G[start, start]), 1.0
     yield 0, rho, record
     for step in range(1, pp.n + 1):
-        rho, prob = evolve_dyads(rho, pp, kicks)
+        rho, prob = evolve_dyads(rho, pp, (amplitudes, phases, G))
         record *= prob
         yield step, rho, record
 
@@ -191,14 +175,16 @@ def projector(state: SuperposedState) -> DyadEnsemble:
     if not state.normalized:
         state = normalize(state)
     c = state.coefficients
-    return DyadEnsemble(state.labels, np.outer(c, c.conj()))
+    return DyadEnsemble([lab.amplitude for lab in state.labels],
+                        [lab.phase for lab in state.labels], np.outer(c, c.conj()))
 
 
 def pure_walk_density(pp: ProtocolParams) -> DyadEnsemble:
     """Projector |psi><psi| of the xi = 0 walk state, rows in ascending kick
     index like :func:`walk_density` (component m has kick index n - 2m)."""
     rho = projector(walk_state(pp))
-    return DyadEnsemble(rho.labels[::-1], rho.weights[::-1, ::-1], rho.gram[::-1, ::-1])
+    return DyadEnsemble(rho.amplitudes[::-1], rho.phases[::-1], rho.weights[::-1, ::-1],
+                        rho.gram[::-1, ::-1])
 
 
 def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> DyadEnsemble:
@@ -213,7 +199,7 @@ def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> DyadEnsem
     rho = projector(cat_state(pp))
     weights = cross_suppression * rho.weights
     np.fill_diagonal(weights, rho.weights.diagonal())
-    return _normalized(DyadEnsemble(rho.labels, weights, rho.gram))[0]
+    return _normalized(DyadEnsemble(rho.amplitudes, rho.phases, weights, rho.gram))[0]
 
 
 def _weighted_matrix(rho: DyadEnsemble):
@@ -236,10 +222,10 @@ def min_eigenvalue(rho: DyadEnsemble) -> float:
 
 
 def trace_distance(a: DyadEnsemble, b: DyadEnsemble) -> float:
-    """(1/2)||a - b||_1 for ensembles with equal label tuples."""
-    if a.labels != b.labels:
-        raise ValueError("trace distance needs equal label tuples")
-    M = _weighted_matrix(DyadEnsemble(a.labels, a.weights - b.weights, a.gram))
+    """(1/2)||a - b||_1 for ensembles with equal labels in equal rows."""
+    if not (np.array_equal(a.amplitudes, b.amplitudes) and np.array_equal(a.phases, b.phases)):
+        raise ValueError("trace distance needs equal labels in equal rows")
+    M = _weighted_matrix(DyadEnsemble(a.amplitudes, a.phases, a.weights - b.weights, a.gram))
     return 0.5 * float(np.abs(np.linalg.eigvalsh(M)).sum())
 
 

@@ -128,13 +128,13 @@ def grid_for(rho: DyadEnsemble, base: PhaseSpaceGrid | None = None) -> PhaseSpac
 
     The box half-width is raised to sqrt(2)|alpha| + 3 over all labels; the
     point count is kept, so expansion trades resolution for coverage.
+    |alpha| is Python's abs: np.abs differs from it in the last bit, which
+    would move the expanded bounds.
     """
     if base is None:
         base = default_grid()
-    need = max(
-        (SQRT2 * abs(lab.amplitude) + GAUSSIAN_MARGIN for lab in rho.labels),
-        default=0.0,
-    )
+    need = max((SQRT2 * abs(a) + GAUSSIAN_MARGIN for a in rho.amplitudes.tolist()),
+               default=0.0)
     half = max(base.x_max, -base.x_min, base.p_max, -base.p_min)
     if need <= half:
         return base
@@ -157,12 +157,9 @@ class GridField:
     norm: float = field(default=float("nan"))
 
 
-def _folded(rho: DyadEnsemble):
-    """Label amplitudes a_j and the weights with the label phases folded in,
-    w_jk = rho_jk e^{i(theta_j - theta_k)}."""
-    amp = np.array([lab.amplitude for lab in rho.labels])
-    phase = np.array([lab.phase for lab in rho.labels])
-    return amp, rho.weights * np.exp(1j * (phase[:, None] - phase))
+def _folded(rho: DyadEnsemble) -> np.ndarray:
+    """The weights with the label phases folded in, w_jk = rho_jk e^{i(theta_j - theta_k)}."""
+    return rho.weights * np.exp(1j * (rho.phases[:, None] - rho.phases))
 
 
 def position_density(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> GridField:
@@ -173,8 +170,8 @@ def position_density(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> GridField:
     weights.  The nx x m matrix of the psi_j is summed by np.einsum, without
     BLAS, so the bits do not depend on the BLAS thread count.
     """
-    amp, w = _folded(rho)
-    ar, ai = amp.real, amp.imag
+    w = _folded(rho)
+    ar, ai = rho.amplitudes.real, rho.amplitudes.imag
     x = grid.x_axis()[:, None]
     psi = math.pi**-0.25 * np.exp(
         -((x - SQRT2 * ar) ** 2) / 2 + 1j * SQRT2 * ai * x - 1j * ar * ai)
@@ -223,11 +220,11 @@ def _accumulate_wigner(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> np.ndarray:
     the sum.  np.einsum sums without BLAS, so the bits do not depend on the
     BLAS thread count.
     """
-    amp, w = _folded(rho)
+    w = _folded(rho)
     j, k = np.triu_indices(len(w))
     z = (np.triu(w) + np.triu(w.T.conj(), 1))[j, k]
     keep = z != 0
-    z, kets, bras = z[keep], amp[j[keep]], amp[k[keep]]
+    z, kets, bras = z[keep], rho.amplitudes[j[keep]], rho.amplitudes[k[keep]]
     x = grid.x_axis()[:, None]
     p = grid.p_axis()[:, None]
     W = np.zeros((grid.nx, grid.np))
@@ -255,7 +252,7 @@ def _moments(rho: DyadEnsemble):
     """<a>, <a^2>, <a^dag a> from dyad weights and overlaps (grid-free): the
     sums of rho_jk <label_k|label_j> times a_j, a_j^2 and conj(a_k) a_j."""
     terms = rho.weights * rho.gram.T
-    a = np.array([lab.amplitude for lab in rho.labels])
+    a = rho.amplitudes
     terms_a = terms * a[:, None]
     return (complex(terms_a.sum()), complex((terms_a * a[:, None]).sum()),
             complex((terms_a * a.conj()).sum()))

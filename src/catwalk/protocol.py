@@ -26,6 +26,8 @@ import warnings
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .algebra import (
     DEGENERACY_CUTOFF,
     CoherentLabel,
@@ -160,25 +162,23 @@ def derive_protocol(p: PhysicalParams, n: int, alpha0: complex = 0j) -> Protocol
     )
 
 
-def kick_labels(l1: float, l2: float, alpha0: complex, n: int) -> dict:
-    """Labels reached by j composite kicks, j = -n..n.
+def kick_labels(l1: float, l2: float, alpha0: complex, n: int) -> tuple:
+    """(amplitudes, phases) of the labels reached by j composite kicks,
+    j = -n..n, as two arrays indexed by j + n.
 
-    Positive j applies O(l1, l2) j times, negative j its inverse; the
-    accumulated phases ride on the labels.  For real alpha0 the table is
-    conjugate-symmetric: amplitude(-j) = conj(amplitude(j)).
+    Positive j applies O(l1, l2) j times, negative j its inverse, through
+    the scalar :func:`apply_pulse_operator`; the accumulated phases ride on
+    the labels.  For real alpha0 the table is conjugate-symmetric:
+    amplitude(-j) = conj(amplitude(j)).
     """
-    fwd = PulseOperatorSpec(l1, l2, +1)
-    bwd = PulseOperatorSpec(l1, l2, -1)
-    table = {0: CoherentLabel(alpha0, 0.0)}
-    lab = table[0]
-    for j in range(1, n + 1):
-        lab = apply_pulse_operator(fwd, lab)
-        table[j] = lab
-    lab = table[0]
-    for j in range(1, n + 1):
-        lab = apply_pulse_operator(bwd, lab)
-        table[-j] = lab
-    return table
+    amplitudes = np.full(2 * n + 1, complex(alpha0))
+    phases = np.zeros(2 * n + 1)
+    for sign in (1, -1):
+        spec, lab = PulseOperatorSpec(l1, l2, sign), CoherentLabel(alpha0, 0.0)
+        for j in range(1, n + 1):
+            lab = apply_pulse_operator(spec, lab)
+            amplitudes[n + sign * j], phases[n + sign * j] = lab.amplitude, lab.phase
+    return amplitudes, phases
 
 
 def walk_components(pp: ProtocolParams) -> list:
@@ -187,13 +187,10 @@ def walk_components(pp: ProtocolParams) -> list:
     Component m carries coefficient binomial(n, m) * e^{i (n-2m) phi} on the
     label alpha_{n-2m}; the theta phases are tracked on the labels.
     """
-    table = kick_labels(pp.l1, pp.l2, pp.alpha0, pp.n)
-    out = []
-    for m in range(pp.n + 1):
-        j = pp.n - 2 * m
-        coeff = comb(pp.n, m) * cmath.exp(1j * j * pp.phi)
-        out.append((coeff, table[j]))
-    return out
+    amplitudes, phases = kick_labels(pp.l1, pp.l2, pp.alpha0, pp.n)
+    return [(comb(pp.n, m) * cmath.exp(1j * (pp.n - 2 * m) * pp.phi),
+             CoherentLabel(amplitudes[2 * (pp.n - m)], phases[2 * (pp.n - m)]))
+            for m in range(pp.n + 1)]
 
 
 def walk_state(pp: ProtocolParams) -> SuperposedState:
@@ -270,29 +267,25 @@ def run_conditioned_walk(pp: ProtocolParams):
     Each cycle re-embeds the mode in |g> = (|+> - |->)/sqrt(2), kicks the
     |+> branch with O(-l1, -l2) (j -> j-1) and the |-> branch with O(l1, l2)
     (j -> j+1), and projects back onto |g>: a factor e^{-i phi}/2 on the
-    first branch and e^{+i phi}/2 on the second.  An index reached for the
-    first time gets its label by kicking its neighbour's, and branches that
-    meet add their amplitudes, so the state keeps n+1 components in
-    descending kick index.  A cycle's ground probability is the squared norm
-    of its raw superposition, and the record probability their product.  The
-    final state reproduces :func:`walk_state`; this explicit chain is the
-    reference that :func:`catwalk.dephasing.walk_density_steps` is checked
-    against.  Raises DegenerateState when a cycle's ground outcome cancels.
+    first branch and e^{+i phi}/2 on the second.  Index j carries label j
+    of pp's kick table, and branches that meet add their amplitudes, so the
+    state keeps n+1 components in descending kick index.  A cycle's ground
+    probability is the squared norm of its raw superposition, and the record
+    probability their product.  The final state reproduces
+    :func:`walk_state`; this explicit chain is the reference that
+    :func:`catwalk.dephasing.walk_density_steps` is checked against.
+    Raises DegenerateState when a cycle's ground outcome cancels.
     """
     half = 0.5 * cmath.exp(1j * pp.phi)
-    branches = ((PulseOperatorSpec(pp.l1, pp.l2, -1), half.conjugate()),
-                (PulseOperatorSpec(pp.l1, pp.l2, +1), half))
-    labels = {0: CoherentLabel(pp.alpha0, 0.0)}
+    table = kick_labels(pp.l1, pp.l2, pp.alpha0, pp.n)
+    labels = dict(zip(range(-pp.n, pp.n + 1), map(CoherentLabel, *table)))
     amps = {0: 1.0 + 0j}
     probs = []
     for cycle in range(1, pp.n + 1):
         raw = {}
-        for spec, factor in branches:
+        for sign, factor in ((-1, half.conjugate()), (1, half)):
             for j, c in amps.items():
-                k = j + spec.sign
-                if k not in labels:
-                    labels[k] = apply_pulse_operator(spec, labels[j])
-                raw[k] = raw.get(k, 0j) + factor * c
+                raw[j + sign] = raw.get(j + sign, 0j) + factor * c
         kicks = sorted(raw, reverse=True)
         prob = norm_squared(SuperposedState(tuple((raw[j], labels[j]) for j in kicks)))
         if prob <= DEGENERACY_CUTOFF:

@@ -2,6 +2,8 @@
 
 Everything here is deliberately written from scratch (dense matrices,
 explicit quadrature) so tests never validate the package against itself.
+The one exception is overlap_matrix: it holds the vectorised Gram to the
+package's scalar overlap, call by call.
 """
 
 import math
@@ -9,6 +11,8 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+
+from catwalk.algebra import CoherentLabel, overlap
 
 
 def destroy_matrix(n: int) -> np.ndarray:
@@ -72,6 +76,19 @@ def wigner_dyad_closed(alpha, beta, xs, ps):
     const = np.exp((br - ar) ** 2 / 2 - 1j * (br - ar) * (ai + bi)
                    - 1j * (ar * ai - br * bi)) / math.pi
     return const * np.outer(fx, gp)
+
+
+def overlap_matrix(amplitudes, phases) -> np.ndarray:
+    """The Gram matrix of scalar overlap calls: <label_i|label_j> above the
+    diagonal, its conjugate below and 1.0 on it."""
+    labels = [CoherentLabel(a, t) for a, t in zip(np.asarray(amplitudes).tolist(),
+                                                   np.asarray(phases).tolist())]
+    G = np.ones((len(labels), len(labels)), dtype=complex)
+    for i, a in enumerate(labels):
+        for j in range(i + 1, len(labels)):
+            G[i, j] = overlap(a, labels[j])
+            G[j, i] = G[i, j].conjugate()
+    return G
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import cmath
 import math
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ from catwalk.algebra import (
     reduce_phase,
     rotate,
 )
+from catwalk.dephasing import GRAM_BUDGET_BYTES, kick_gram_bytes
 from catwalk.errors import DegenerateState
+from catwalk.protocol import cat_labels, kick_labels
 
-from conftest import coherent_column, displacement_matrix, rotation_matrix
+from conftest import coherent_column, displacement_matrix, overlap_matrix, rotation_matrix
 
 amplitudes = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
 angles = st.floats(-50.0, 50.0)
@@ -138,13 +142,60 @@ class TestOverlap:
         assert abs(overlap(la, lb) - overlap(lb, la).conjugate()) < 1e-12
 
     def test_gram_positive_definite(self, rng):
-        labels = [
-            CoherentLabel(complex(*rng.uniform(-2, 2, 2)), rng.uniform(-3, 3))
-            for _ in range(8)
-        ]
-        G = gram_matrix(labels)
+        G = gram_matrix(rng.uniform(-2, 2, 8) + 1j * rng.uniform(-2, 2, 8), rng.uniform(-3, 3, 8))
         assert np.linalg.norm(G - G.conj().T) < 1e-14
         assert np.linalg.eigvalsh(G).min() > 0
+
+
+def label_tables():
+    """(amplitudes, phases) of kick tables over n, alpha0 and l2, then of
+    cat label pairs."""
+    for n, alpha0, l2 in product((0, 1, 5, 20, 160), (0j, 0.7 + 0.3j), (0.0, 0.01, 2.0)):
+        yield pytest.param(*kick_labels(0.1, l2, alpha0, n),
+                           id=f"kicks-n{n}-alpha0={alpha0:g}-l2={l2:g}")
+    for n, l2 in product((1, 10, 40), (0.01, 0.7)):
+        labels = cat_labels(0.1, l2, n)
+        yield pytest.param([lab.amplitude for lab in labels], [lab.phase for lab in labels],
+                           id=f"cat-n{n}-l2={l2:g}")
+    # overlap's imaginary exponent is (0.0 + (-0.0)) + (-0.0) = +0.0 here
+    yield pytest.param([1 + 0j, complex(1, -0.0)], [0.0, -0.0], id="signed-zeros")
+
+
+class TestGramMatrix:
+    @pytest.mark.parametrize("amplitudes, phases", list(label_tables()))
+    def test_bits_of_the_overlap_calls(self, amplitudes, phases):
+        G = gram_matrix(amplitudes, phases)
+        assert G.tobytes() == overlap_matrix(amplitudes, phases).tobytes()
+        assert np.array_equal(G, G.conj().T)
+        assert np.all(G.diagonal() == 1.0)
+
+    @pytest.mark.parametrize("l1", [1e10, 1e20, 1e100])
+    def test_overflows_where_overlap_overflows(self, l1):
+        # at huge amplitudes rounding can make an exponent large and
+        # positive; the Gram fails where an overlap call fails, and nowhere
+        # else (no warning either, not even from its skipped diagonal)
+        for n, l2 in product((1, 2, 10), (0.01, 0.5)):
+            table = kick_labels(l1, l2, 0j, n)
+            try:
+                expected = overlap_matrix(*table)
+            except OverflowError:
+                with pytest.raises(FloatingPointError):
+                    gram_matrix(*table)
+            else:
+                assert gram_matrix(*table).tobytes() == expected.tobytes()
+
+    def test_peak_within_the_n_budget(self):
+        # the largest kick table an accepted n builds: its Gram and the
+        # block temporaries stay within a quarter of the matrix on top
+        amplitudes, phases = kick_labels(0.1, 0.01, 0j, 1023)
+        tracemalloc.start()
+        try:
+            G = gram_matrix(amplitudes, phases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.nbytes == kick_gram_bytes(1023) <= GRAM_BUDGET_BYTES
+        assert peak <= 1.25 * kick_gram_bytes(1023)
 
 
 class TestPulseOperator:

@@ -236,6 +236,27 @@ class TestWalkRun:
         assert len(files[0]) == 4 and files[0] == files[1]
         assert pp.l1 == pytest.approx(0.015)
 
+    @pytest.mark.parametrize("mode", ["walk", "cat", "decohere", "alpha-table"])
+    def test_report_echoes_the_knobs_the_rates_give(self, tmp_path, mode):
+        # the report's l1, l2 and phi are those the run used, not the
+        # defaults of the knobs the config did not give
+        pp = derive_protocol(PhysicalParams(1.0, 0.01, 16.25, 1.5), 3)
+        rates = ("omega = 1\ng = 0.01\nomega1 = 16.25\nomega2 = 1.5\nn = 3\n"
+                 + ("grid = -6,6,-6,6,41,41\n" if "grid" in MODES[mode].keys else ""))
+        out = tmp_path / "o"
+        assert main([mode, "--config", str(write_config(tmp_path, rates)),
+                     "--out", str(out)]) == 0
+        echoed = json.loads((out / "report.json").read_text())["config"]
+        knobs = [k for k in ("l1", "l2", "phi") if k in MODES[mode].keys]
+        assert knobs and {k: echoed[k] for k in knobs} == {k: getattr(pp, k) for k in knobs}
+        assert pp.l1 == pytest.approx(0.015) and pp.phi != 0.0
+
+    def test_report_echoes_the_knobs_as_given(self, tmp_path):
+        cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nphi = 4.5pi\nn = 1\n")
+        assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        echoed = json.loads((tmp_path / "o" / "report.json").read_text())["config"]
+        assert (echoed["l1"], echoed["l2"], echoed["phi"]) == (0.1, 0.01, 4.5 * pi)
+
     def test_wigner_rows_are_those_of_decohere_at_xi_0(self, tmp_path):
         # both modes read the same density from the dephasing recursion;
         # only the header comment names the xi
@@ -319,6 +340,16 @@ class TestDecohereRun:
                                 "wigner_xi_1"]
         d = report["diagnostics"]
         assert d["xi_0"]["negativity_volume"] > d["xi_1"]["negativity_volume"]
+
+    def test_minus_zero_xi_reads_as_zero(self, tmp_path):
+        cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nn = 1\nxi = -0\n"
+                                     "grid = -6,6,-6,6,21,21\n")
+        out = tmp_path / "dec"
+        assert main(["decohere", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(o["name"] for o in report["outputs"]) == ["diagnostics_xi_0",
+                                                                "wigner_xi_0"]
+        assert math.copysign(1.0, report["config"]["xi"][0]) == 1.0
 
     # the 11x11 grid is too coarse on purpose, and outside run() nothing
     # captures the warning that says so
@@ -520,7 +551,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text)
         assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
-    @pytest.mark.parametrize("xi", ["0.2,0.2000001", "0.2,0.2"])
+    @pytest.mark.parametrize("xi", ["0.2,0.2000001", "0.2,0.2", "0,-0"])
     def test_xi_values_with_one_file_name_refused(self, tmp_path, xi):
         # each xi names its wigner_xi_<tag> file and diagnostics block
         cfg = write_config(tmp_path, f"l1 = 0.1\nl2 = 0.01\nn = 1\nxi = {xi}\n")

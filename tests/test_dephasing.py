@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catwalk import dephasing
-from catwalk.algebra import CoherentLabel, gram_matrix
 from catwalk.dephasing import (
     DyadEnsemble,
     _normalized,
@@ -28,6 +27,8 @@ from catwalk.dephasing import (
 )
 from catwalk.errors import DegenerateState
 from catwalk.protocol import ProtocolParams, walk_state
+
+from conftest import overlap_matrix
 
 
 def fig_pp(n, xi=0.0):
@@ -67,7 +68,7 @@ class TestStepInvariants:
         for n in (3, 6, 8):
             rho = walk_density(fig_pp(n, xi=0.4))
             assert len(rho.entries) <= (n + 1) ** 2
-            assert len(rho.labels) == n + 1
+            assert len(rho.amplitudes) == len(rho.phases) == n + 1
 
     def test_xi_zero_single_step_is_pure(self):
         pp = fig_pp(1, xi=0.0)
@@ -92,7 +93,7 @@ class TestStepInvariants:
         # sum |rho_jk <label_k|label_j>|: how far rounding is amplified.
         # Beyond 1e4 (small l1 with phi near pi/2) the invariants below are
         # lost to cancellation in any summation order.
-        cancellation = np.abs(rho.weights * gram_matrix(rho.labels).T).sum()
+        cancellation = np.abs(rho.weights * rho.gram.T).sum()
         assume(cancellation <= 1e4)
         R = rho.weights
         assert np.abs(R - R.conj().T).max() <= 1e-12 * np.abs(R).max()
@@ -115,17 +116,25 @@ class TestEnsemble:
 
     def test_weights_are_copied_in(self):
         weights = np.eye(2, dtype=complex) / 2
-        rho = DyadEnsemble((CoherentLabel(0.5), CoherentLabel(-0.5)), weights)
+        amplitudes = np.array([0.5, -0.5], dtype=complex)
+        rho = DyadEnsemble(amplitudes, [0.0, 0.0], weights)
         weights[0, 0] = 7.0
-        assert rho.weights[0, 0] == 0.5
+        amplitudes[0] = 7.0
+        assert rho.weights[0, 0] == 0.5 and rho.amplitudes[0] == 0.5
+        with pytest.raises(ValueError):
+            rho.amplitudes[0] = 2.0
+        with pytest.raises(ValueError):
+            rho.phases[0] = 2.0
 
     def test_shape_must_fit_the_labels(self):
-        with pytest.raises(ValueError):
-            DyadEnsemble((CoherentLabel(0.5),), np.eye(2))
+        with pytest.raises(ValueError, match="weights"):
+            DyadEnsemble([0.5], [0.0], np.eye(2))
+        with pytest.raises(ValueError, match="phases"):
+            DyadEnsemble([0.5], [0.0, 1.0], [[1.0]])
 
     def test_gram_shape_must_fit_the_labels(self):
         with pytest.raises(ValueError, match="gram"):
-            DyadEnsemble((CoherentLabel(0.5),), [[1.0]], np.eye(2))
+            DyadEnsemble([0.5], [0.0], [[1.0]], np.eye(2))
 
     def test_gram_is_read_only(self):
         rho = walk_density(fig_pp(3, xi=0.2))
@@ -134,15 +143,16 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("xi", [0.0, 0.5])
     def test_walk_gram_is_that_of_its_labels(self, xi):
-        # every step's Gram is a slice of the walk's kick-table Gram; its
-        # entries come from the same overlap calls as gram_matrix's
-        for _, rho, _ in walk_density_steps(fig_pp(10, xi)):
-            assert rho.gram.tobytes() == gram_matrix(rho.labels).tobytes()
+        # every step's Gram is a slice of the walk's kick-table Gram, bit
+        # for bit the scalar overlaps of its rows
+        pp = ProtocolParams(0.1, 0.01, 4.5 * pi, 10, xi, alpha0=0.7 + 0.3j)
+        for _, rho, _ in walk_density_steps(pp):
+            assert rho.gram.tobytes() == overlap_matrix(rho.amplitudes, rho.phases).tobytes()
 
     def test_built_gram_is_that_of_its_labels(self):
         pp = fig_pp(10)
         for rho in (projector(walk_state(pp)), cat_density(pp, 0.3), pure_walk_density(pp)):
-            assert rho.gram.tobytes() == gram_matrix(rho.labels).tobytes()
+            assert rho.gram.tobytes() == overlap_matrix(rho.amplitudes, rho.phases).tobytes()
 
     def test_trace_distance_needs_equal_label_tuples(self):
         pp = fig_pp(3)
@@ -179,7 +189,7 @@ class TestClassicalLimit:
             else:
                 assert abs(w) < 1e-14
         for row, j in enumerate(kicks):
-            assert abs(rho.labels[row].amplitude - endpoints[j]) < 1e-12
+            assert abs(rho.amplitudes[row] - endpoints[j]) < 1e-12
 
 
 class TestMonotones:
@@ -258,7 +268,7 @@ class TestEvolveDyads:
         pp = fig_pp(1, xi=0.7)
         rho0 = pure_walk_density(fig_pp(0))
         rho1, _ = evolve_dyads(rho0, pp)
-        assert len(rho1.labels) == 2  # kick indices -1 and 1
+        assert len(rho1.amplitudes) == 2  # kick indices -1 and 1
         damp = math.exp(-0.7)
         # cross terms carry e^{+-2i phi} e^{-xi} relative to the diagonals
         c = rho1.weights[1, 0] / rho1.weights[1, 1]
@@ -268,7 +278,7 @@ class TestEvolveDyads:
         # every step slices the walk's one Gram; the bits equal steps that
         # build their own labels and Gram
         pp = fig_pp(6, xi=0.3)
-        rho = DyadEnsemble((CoherentLabel(pp.alpha0),), [[1.0]])
+        rho = DyadEnsemble([pp.alpha0], [0.0], [[1.0]])
         for _ in range(pp.n):
             rho, _ = evolve_dyads(rho, pp)
         calls = {"kick_labels": 0, "gram_matrix": 0}
@@ -282,8 +292,10 @@ class TestEvolveDyads:
             monkeypatch.setattr(dephasing, name, counted)
         walked = walk_density(pp)
         assert calls == {"kick_labels": 1, "gram_matrix": 1}
-        assert walked.labels == rho.labels
+        assert np.array_equal(walked.amplitudes, rho.amplitudes)
+        assert np.array_equal(walked.phases, rho.phases)
         assert np.array_equal(walked.weights, rho.weights)
+        assert walked.gram.tobytes() == rho.gram.tobytes()
 
     def test_rows_must_be_the_kick_labels(self):
         pp = ProtocolParams(0.1, 0.01, 0.3, 3)
@@ -310,6 +322,7 @@ class TestEvolveDyads:
         raw = walk_density(pp)
         monkeypatch.undo()
         rho, _ = _normalized(raw)
-        assert rho.labels == expected.labels
+        assert np.array_equal(rho.amplitudes, expected.amplitudes)
+        assert np.array_equal(rho.phases, expected.phases)
         scale = np.abs(expected.weights).max()
         assert np.abs(rho.weights - expected.weights).max() <= 1e-9 * scale

@@ -55,17 +55,17 @@ MOMENT_ROUNDING = 4
 
 def moment_scale(rho):
     """eps sum_jk |rho_jk <label_k|label_j>| (1 + |a_j|^2)."""
-    a = np.array([lab.amplitude for lab in rho.labels])
-    terms = np.abs(rho.weights * gram_matrix(rho.labels).T)
+    a = rho.amplitudes
+    terms = np.abs(rho.weights * rho.gram.T)
     return np.finfo(float).eps * float((terms * (1 + np.abs(a[:, None]) ** 2)).sum())
 
 
 def dyad_triples(rho):
     """The dyads of ``rho`` as (weight, ket amplitude, bra amplitude), row by
     row, with the label phases folded into the weights."""
-    return [(rho.weights[j, k] * np.exp(1j * (lj.phase - lk.phase)),
-             lj.amplitude, lk.amplitude)
-            for j, lj in enumerate(rho.labels) for k, lk in enumerate(rho.labels)]
+    labels = list(zip(rho.amplitudes.tolist(), rho.phases.tolist()))
+    return [(rho.weights[j, k] * np.exp(1j * (tj - tk)), aj, ak)
+            for j, (aj, tj) in enumerate(labels) for k, (ak, tk) in enumerate(labels)]
 
 
 class TestGrid:
@@ -148,8 +148,8 @@ class TestPositionDensity:
         np.testing.assert_array_equal(rho.weights, np.diag(np.diagonal(rho.weights)))
         g = default_grid()
         x = g.x_axis()
-        expected = sum(rho.weights[j, j].real * np.abs(coherent_psi_x(lab.amplitude, x)) ** 2
-                       for j, lab in enumerate(rho.labels))
+        expected = sum(rho.weights[j, j].real * np.abs(coherent_psi_x(a, x)) ** 2
+                       for j, a in enumerate(rho.amplitudes))
         assert np.abs(position_density(rho, g).values - expected).max() < 1e-14
 
     def test_dephased_walk_is_the_wigner_marginal(self):
@@ -303,12 +303,12 @@ class TestWignerMixed:
         # six dyads |ket_i><bra_i| of a non-Hermitian ensemble with 12 rows
         R = np.zeros((12, 12), dtype=complex)
         R[range(6), range(6, 12)] = [w for w, _, _ in random_dyads]
-        labels = ([CoherentLabel(a) for _, a, _ in random_dyads]
-                  + [CoherentLabel(b) for _, _, b in random_dyads])
+        amplitudes = [a for _, a, _ in random_dyads] + [b for _, _, b in random_dyads]
         walk = projector(walk_state(fig_pp(10)))
         dephased = walk_density(fig_pp(20, xi=0.2))
         cases = [
-            (DyadEnsemble(labels, R), random_dyads, PhaseSpaceGrid(-4, 4, -3, 3, 41, 31)),
+            (DyadEnsemble(amplitudes, np.zeros(12), R), random_dyads,
+             PhaseSpaceGrid(-4, 4, -3, 3, 41, 31)),
             (walk, dyad_triples(walk), default_grid()),
             (dephased, dyad_triples(dephased), default_grid()),
         ]
@@ -466,13 +466,13 @@ class TestDiagnostics:
         # moments and purity read the Gram the walk density carries, a slice
         # of the recursion's; the values are the bits of a freshly built one
         rho = walk_density(fig_pp(6, xi=0.3))
-        fresh = DyadEnsemble(rho.labels, rho.weights)
+        fresh = DyadEnsemble(rho.amplitudes, rho.phases, rho.weights)
         own = {"moments": _moments(fresh), "purity": dephasing.purity(fresh)}
         calls = []
 
-        def counted(labels):
-            calls.append(len(labels))
-            return gram_matrix(labels)
+        def counted(amplitudes, phases):
+            calls.append(len(amplitudes))
+            return gram_matrix(amplitudes, phases)
 
         for module in (dephasing, observables):
             monkeypatch.setattr(module, "gram_matrix", counted, raising=False)
@@ -483,12 +483,12 @@ class TestDiagnostics:
         assert d["purity"] == own["purity"]
 
     @staticmethod
-    def moments_mp(labels, R):
-        """<a>, <a^2>, <a^dag a> at 40 digits, labels and weights taken as
-        exact, divided by the trace."""
+    def moments_mp(rho, R):
+        """<a>, <a^2>, <a^dag a> at 40 digits, rho's labels and the weights R
+        taken as exact, divided by the trace."""
         with mpmath.workdps(40):
-            amp = [mpmath.mpc(lab.amplitude) for lab in labels]
-            ph = [mpmath.mpf(lab.phase) for lab in labels]
+            amp = [mpmath.mpc(a) for a in rho.amplitudes.tolist()]
+            ph = [mpmath.mpf(t) for t in rho.phases.tolist()]
             tr = e_a = e_aa = e_ada = 0
             for j, aj in enumerate(amp):
                 for k, ak in enumerate(amp):
@@ -525,7 +525,7 @@ class TestDiagnostics:
             kicks = range(-n, n + 1, 2)
             R = [[weights[j, k] for k in kicks] for j in kicks]
         bound = MOMENT_ROUNDING * moment_scale(rho)
-        for got, want in zip(_moments(rho), self.moments_mp(rho.labels, R)):
+        for got, want in zip(_moments(rho), self.moments_mp(rho, R)):
             assert abs(got - want) <= bound
 
     @pytest.mark.filterwarnings("ignore::catwalk.errors.GridTooCoarse")

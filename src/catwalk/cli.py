@@ -230,7 +230,7 @@ def _check_grid(grid: PhaseSpaceGrid):
     need = wigner_bytes(grid)
     if need > WIGNER_BUDGET_BYTES:
         raise ConfigError(f"grid {grid.nx}x{grid.np} needs {need:,} bytes for its "
-                          "Wigner function and the 2x refinement, over the budget "
+                          "Wigner function on the 2x refined grid, over the budget "
                           f"of {WIGNER_BUDGET_BYTES:,}")
 
 
@@ -493,10 +493,13 @@ def _diagnostics_table(diag: dict, key: str | None = None) -> Table:
 
 def _read(rho: DyadEnsemble, base: PhaseSpaceGrid):
     """(grid, Wigner field, diagnostics as floats) of one density, on the
-    grid ``grid_for`` fits around it."""
+    grid ``grid_for`` fits around it.  The Wigner function is evaluated once,
+    on that grid's 2x refinement: the field returned is its even-index
+    subgrid, and the diagnostics' refinement check reads the whole."""
     grid = grid_for(rho, base)
-    W = wigner_mixed(rho, grid)
-    return grid, W, {k: float(v) for k, v in diagnostics(rho, W).items()}
+    fine = wigner_mixed(rho, grid.refined())
+    diag = {k: float(v) for k, v in diagnostics(rho, fine).items()}
+    return grid, fine.coarsened(), diag
 
 
 def _walk(cfg: ExperimentConfig):

@@ -56,10 +56,11 @@ class DyadEnsemble:
     for a :func:`projector`.  ``weights`` is the complex (m, m) matrix
     rho_jk and ``gram`` the labels' Gram matrix G[i, j] = <label_i|label_j>:
     gram_matrix(amplitudes, phases) unless the caller passes the one it
-    holds.  All four are kept as read-only copies.  Physical instances are
-    Hermitian, unit trace under the overlap-weighted sum and positive
-    semidefinite; a pure state is the rank-1 case.  Instances compare by
-    identity, since ``==`` on an array field has no single truth value.
+    holds; no other field may be None.  All four are kept as read-only
+    copies.  Physical instances are Hermitian, unit trace under the
+    overlap-weighted sum and positive semidefinite; a pure state is the
+    rank-1 case.  Instances compare by identity, since ``==`` on an array
+    field has no single truth value.
     """
 
     amplitudes: np.ndarray
@@ -68,6 +69,9 @@ class DyadEnsemble:
     gram: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("amplitudes", "phases", "weights"):
+            if getattr(self, name) is None:
+                raise ValueError(f"{name} is None; only the gram may be left out")
         m = len(self.amplitudes)
         for name, dtype, shape in (("amplitudes", complex, (m,)), ("phases", float, (m,)),
                                    ("weights", complex, (m, m)), ("gram", complex, (m, m))):

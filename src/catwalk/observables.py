@@ -13,11 +13,14 @@ no x-p cross term, so each dyad contributes an outer product of an x-profile
 and a p-profile:
 
     W_ab(x, p) = (1/pi) C_ab f_ab(x) g_ab(p)
-    f_ab(x) = exp[-(x - sqrt2 ar)^2/2 - (x - sqrt2 br)^2/2 + i sqrt2 (ai - bi) x]
+    f_ab(x) = exp[-(x - (ar + br)/sqrt2)^2 + i sqrt2 (ai - bi) x]
     g_ab(p) = exp[-(p - (ai + bi)/sqrt2)^2 + i sqrt2 (br - ar) p]
-    C_ab   = exp[(br - ar)^2/2 - i (br - ar)(ai + bi) - i (ar ai - br bi)]
+    C_ab   = exp[-i (br - ar)(ai + bi) - i (ar ai - br bi)]
 
 with alpha = ar + i ai the ket label, beta = br + i bi the bra label.  The
+real exponent of f_ab is that of the two wavefunctions and of the overlap
+folded into one square, so |C_ab| = 1 and every kernel is bounded by 1/pi:
+labels far apart in Re alpha do not overflow C_ab while f_ab underflows.  The
 dyads are paired with their Hermitian partners, so the result is exactly
 real, and the paired kernels are summed as one contraction of an x-profile
 matrix with a p-profile matrix, in fixed-size dyad blocks: memory beyond
@@ -27,7 +30,10 @@ thread count.  Every observable reads a DyadEnsemble and a pure state
 enters as its rank-1 projector, so the position density is the p-marginal
 of the Wigner function for pure and mixed states alike.  Moments are always
 computed from dyad weights and overlaps, never from grid sums, so
-diagnostics accuracy does not depend on grid resolution.
+diagnostics accuracy does not depend on grid resolution.  The field on a
+grid is, bit for bit, the even-index subgrid of the field on its 2x
+refinement (:meth:`GridField.coarsened`), so a reader that needs both, as
+the negativity check under refinement does, evaluates the refined one only.
 """
 
 import math
@@ -47,9 +53,9 @@ DEFAULT_POINTS = 201
 GAUSSIAN_MARGIN = 3.0  # half-width must exceed sqrt(2)|alpha| by this much
 # Largest wigner_bytes a run may need (square grids up to 1060^2); that
 # estimate bounds the Wigner evaluation's peak from above.  The tables are
-# written in fixed-size chunks on top of it: a walk run on a 1001^2 grid is
-# allowed 115 MiB here and peaked at 111.5 MiB resident, a decohere run on
-# an 801^2 grid at 84-86 MiB for 1 to 4 xi values (Linux, numpy 2.4).
+# written in fixed-size chunks on top of it: a walk run (n = 10) on a 1001^2
+# grid is allowed 115 MiB here and peaked at 103 MiB resident, a decohere
+# run on an 801^2 grid at 79-86 MiB for 1 to 4 xi values (Linux, numpy 2.4).
 WIGNER_BUDGET_BYTES = 128 * 2**20
 # Dyads per Wigner contraction block: the profile matrices then take
 # O((nx + np) * block) bytes whatever the number of dyads.  Blocks of 32 to
@@ -96,20 +102,23 @@ class PhaseSpaceGrid:
     def dp(self) -> float:
         return (self.p_max - self.p_min) / (self.np - 1)
 
-    def refined(self, factor: int = 2) -> "PhaseSpaceGrid":
+    def refined(self) -> "PhaseSpaceGrid":
+        """The grid with its steps halved.  Its even-index points are this
+        grid's points bit for bit: halving a float step is exact, so
+        ``refined().x_axis()[::2]`` equals ``x_axis()`` (and likewise p)."""
         return PhaseSpaceGrid(
             self.x_min, self.x_max, self.p_min, self.p_max,
-            (self.nx - 1) * factor + 1, (self.np - 1) * factor + 1,
+            2 * self.nx - 1, 2 * self.np - 1,
         )
 
 
 def wigner_bytes(grid: PhaseSpaceGrid) -> int:
-    """Upper bound on the peak bytes of a Wigner evaluation on ``grid`` and
-    its 2x refinement in :func:`diagnostics`: 8 per point of the kept field,
-    24 per refined point (the refined field and one block's contribution,
-    or its clipped negative part) and the refined grid's profile blocks,
-    PROFILE_BYTES per axis point and dyad of a block.  The last term
-    dominates on grids with one short axis."""
+    """Upper bound on the peak bytes of one Wigner evaluation on
+    ``grid.refined()`` and the :func:`diagnostics` that read it: 8 per point
+    of ``grid`` (the even-index copy), 24 per refined point (the field and
+    one block's contribution or a clipped negative part; 16 are needed) and
+    the refined grid's profile blocks, PROFILE_BYTES per axis point and dyad
+    of a block.  The last term dominates on grids with one short axis."""
     fine = grid.refined()
     return (8 * grid.nx * grid.np + 24 * fine.nx * fine.np
             + PROFILE_BYTES * DYAD_BLOCK * (fine.nx + fine.np))
@@ -156,6 +165,22 @@ class GridField:
     kind: str
     norm: float = field(default=float("nan"))
 
+    def coarsened(self) -> "GridField":
+        """This Wigner field at the even-index points of its grid: the field
+        on the grid whose :meth:`PhaseSpaceGrid.refined` this grid is, bit
+        for bit.  The values are a contiguous copy, so the Riemann sum adds
+        them in the order of a field evaluated on that grid."""
+        g = self.grid
+        if self.kind != "wigner" or g.nx % 2 == 0 or g.np % 2 == 0:
+            raise ValueError("only a Wigner field on a refined grid coarsens")
+        coarse = PhaseSpaceGrid(g.x_min, g.x_max, g.p_min, g.p_max,
+                                (g.nx + 1) // 2, (g.np + 1) // 2)
+        return _wigner_field(coarse, np.ascontiguousarray(self.values[::2, ::2]))
+
+
+def _wigner_field(grid: PhaseSpaceGrid, W: np.ndarray) -> GridField:
+    return GridField(grid, W, "wigner", float(W.sum() * grid.dx * grid.dp))
+
 
 def _folded(rho: DyadEnsemble) -> np.ndarray:
     """The weights with the label phases folded in, w_jk = rho_jk e^{i(theta_j - theta_k)}."""
@@ -187,21 +212,9 @@ def _dyad_profiles(weight, alpha, beta, x, p):
     """
     ar, ai = alpha.real, alpha.imag
     br, bi = beta.real, beta.imag
-    fx = np.exp(
-        -((x - SQRT2 * ar) ** 2) / 2
-        - ((x - SQRT2 * br) ** 2) / 2
-        + 1j * SQRT2 * (ai - bi) * x
-    )
+    fx = np.exp(-((x - (ar + br) / SQRT2) ** 2) + 1j * SQRT2 * (ai - bi) * x)
     gp = np.exp(-((p - (ai + bi) / SQRT2) ** 2) + 1j * SQRT2 * (br - ar) * p)
-    const = (
-        weight
-        / math.pi
-        * np.exp(
-            (br - ar) ** 2 / 2
-            - 1j * (br - ar) * (ai + bi)
-            - 1j * (ar * ai - br * bi)
-        )
-    )
+    const = weight / math.pi * np.exp(-1j * (br - ar) * (ai + bi) - 1j * (ar * ai - br * bi))
     return const, fx, gp
 
 
@@ -244,8 +257,7 @@ def wigner_pure(state: SuperposedState, grid: PhaseSpaceGrid) -> GridField:
 
 def wigner_mixed(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> GridField:
     """Wigner function of a dyad ensemble, exactly real."""
-    W = _accumulate_wigner(rho, grid)
-    return GridField(grid, W, "wigner", float(W.sum() * grid.dx * grid.dp))
+    return _wigner_field(grid, _accumulate_wigner(rho, grid))
 
 
 def _moments(rho: DyadEnsemble):
@@ -268,14 +280,16 @@ def negativity_volume(field: GridField) -> float:
     return float(clipped.sum() * field.grid.dx * field.grid.dp)
 
 
-def diagnostics(rho: DyadEnsemble, wigner: GridField | None = None) -> dict:
+def diagnostics(rho: DyadEnsemble, refined: GridField | None = None) -> dict:
     """Scalar summary of a density (use :func:`projector` for a pure state).
 
     Moments (mean_x, mean_p, var_x, var_p) and purity come from the dyad
-    weights and label overlaps.  When the Wigner field of ``rho`` is given,
-    min_W, negativity_volume and wigner_norm are read from it, and the
-    negativity volume is recomputed on the field's grid refined 2x: a
-    GridTooCoarse warning is emitted if it moves by more than 5%.
+    weights and label overlaps.  ``refined`` is the Wigner field of ``rho``
+    on a grid's :meth:`PhaseSpaceGrid.refined`.  When it is given, min_W,
+    negativity_volume and wigner_norm are read from its even-index subgrid,
+    the field on that grid (:meth:`GridField.coarsened`), and the negativity
+    volume of the whole refined field is compared with it: a GridTooCoarse
+    warning is emitted if it moves by more than 5%.
     """
     e_a, e_aa, e_ada = _moments(rho)
     mean_x = SQRT2 * e_a.real
@@ -289,12 +303,13 @@ def diagnostics(rho: DyadEnsemble, wigner: GridField | None = None) -> dict:
         "var_p": ep2 - mean_p**2,
         "purity": purity(rho),
     }
-    if wigner is not None:
+    if refined is not None:
+        wigner = refined.coarsened()
         neg = negativity_volume(wigner)
         out["min_W"] = float(wigner.values.min())
         out["negativity_volume"] = neg
         out["wigner_norm"] = wigner.norm
-        neg2 = negativity_volume(wigner_mixed(rho, wigner.grid.refined()))
+        neg2 = negativity_volume(refined)
         if max(neg, neg2) > 1e-12 and abs(neg2 - neg) > 0.05 * max(neg, neg2):
             warnings.warn(
                 f"negativity volume moved {neg:.3e} -> {neg2:.3e} under 2x "

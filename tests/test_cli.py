@@ -191,6 +191,24 @@ class TestWalkRun:
         assert timings["compute_s"] > 0 and all(t > 0 for t in timings["write_s"].values())
         assert timings["compute_s"] + sum(timings["write_s"].values()) <= report["wall_time_s"]
 
+    def test_labels_far_apart_give_finite_numbers(self, tmp_path):
+        # at l1 = 20 the kick labels lie up to 40 apart in Re alpha: a Wigner
+        # kernel constant that carried exp((br - ar)^2 / 2) overflowed while
+        # its x-profile underflowed, and the field and its diagnostics were nan
+        cfg = write_config(tmp_path, "l1 = 20\nl2 = 0.5\nphi = 0.3\nn = 2\n"
+                                     "outputs = pdist,wigner,diagnostics\n")
+        out = tmp_path / "far"
+        assert main(["walk", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        d = report["diagnostics"]
+        assert all(math.isfinite(v) for v in d.values())
+        assert d["min_W"] < 0 < d["negativity_volume"]
+        assert d["wigner_norm"] == pytest.approx(1.0, abs=5e-3)
+        assert not [w for w in report["warnings"] if "encountered" in w]
+        rows = (out / "wigner.csv").read_text().splitlines()[2:]
+        assert len(rows) == 201 * 201
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
     def test_pdist_reparses_and_normalizes(self, tmp_path):
         cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nphi = 4.5pi\nn = 1\n")
         out = tmp_path / "o"
@@ -365,6 +383,38 @@ class TestDecohereRun:
         assert next(tables).name == "wigner_xi_0" and list(diag) == ["xi_0"]
         assert [t.name for t in tables] == ["wigner_xi_0.5", "diagnostics_xi_0",
                                             "diagnostics_xi_0.5"]
+
+
+class TestWignerEvaluations:
+    """Each density's Wigner function is evaluated once, on the 2x refined
+    grid: the written field is its even-index subgrid, and the diagnostics'
+    refinement check reads the whole."""
+
+    @pytest.mark.parametrize("mode, text, densities", [
+        ("walk", "n = 5\noutputs = alpha-table,pdist,wigner,diagnostics\n", 1),
+        ("cat", "n = 5\ndecay_exponent = 1\n", 1),
+        ("decohere", "n = 5\nxi = 0,0.2,0.5,1\n", 4),
+    ], ids=["walk", "cat", "decohere-4xi"])
+    def test_one_evaluation_per_density(self, tmp_path, monkeypatch, mode, text, densities):
+        # the 2-unit box is expanded around the labels, so the grid checked
+        # is the fitted one, not the one configured
+        raw = dict(parse_config_file(write_config(
+            tmp_path, f"l1 = 0.1\nl2 = 0.01\nphi = 4.5pi\n{text}")),
+            grid="-1,1,-1,1,41,31", out=str(tmp_path / "x"))
+        cfg = build_config(mode, raw)
+        calls = []
+        real = observables.wigner_mixed
+
+        def counted(rho, grid):
+            calls.append(grid == observables.grid_for(rho, cfg.grid).refined())
+            return real(rho, grid)
+
+        monkeypatch.setattr(cli, "wigner_mixed", counted)
+        monkeypatch.setattr(observables, "wigner_mixed", counted)
+        report = cli.run(cfg)
+        assert calls == [True] * densities
+        assert report.warnings == []
+        assert any(o["name"].startswith("wigner") for o in report.outputs)
 
 
 ORACLE_CFG = (f"omega = 1.0\ng = 0.01\nomega1 = {16.25 / (1 - 1e-4 / 2)}\n"

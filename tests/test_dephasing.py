@@ -132,6 +132,14 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="phases"):
             DyadEnsemble([0.5], [0.0, 1.0], [[1.0]])
 
+    @pytest.mark.parametrize("name", ["amplitudes", "phases", "weights"])
+    def test_only_the_gram_may_be_none(self, name):
+        # a missing weight matrix once became the labels' Gram, silently
+        fields = {"amplitudes": [0.5, -0.5], "phases": [0.0, 0.2],
+                  "weights": np.eye(2) / 2, name: None}
+        with pytest.raises(ValueError, match=name):
+            DyadEnsemble(**fields)
+
     def test_gram_shape_must_fit_the_labels(self):
         with pytest.raises(ValueError, match="gram"):
             DyadEnsemble([0.5], [0.0], [[1.0]], np.eye(2))

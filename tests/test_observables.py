@@ -11,10 +11,12 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catwalk import dephasing, observables
+from catwalk import cli, dephasing, observables
 from catwalk.algebra import CoherentLabel, SuperposedState, gram_matrix, normalize, overlap
-from catwalk.dephasing import DyadEnsemble, projector, walk_density
+from catwalk.dephasing import DyadEnsemble, cat_density, projector, walk_density
 from catwalk.errors import GridTooCoarse
 from catwalk.observables import (
     PhaseSpaceGrid,
@@ -35,8 +37,8 @@ from catwalk.protocol import ProtocolParams, walk_components, walk_state
 from conftest import coherent_psi_x, wigner_dyad_closed, wigner_dyad_quadrature
 
 
-def fig_pp(n, xi=0.0):
-    return ProtocolParams(0.1, 0.01, 4.5 * pi, n, xi)
+def fig_pp(n, xi=0.0, alpha0=0j, l1=0.1):
+    return ProtocolParams(l1, 0.01, 4.5 * pi, n, xi, alpha0)
 
 
 def pure_state(*pairs):
@@ -94,6 +96,66 @@ class TestGrid:
 
     def test_no_expansion_when_contained(self):
         assert grid_for(projector(VACUUM)) == default_grid()
+
+
+# Bounds (lower, upper) of one axis: off-centre, tiny and huge spans.  The
+# span stays above 1e-290, so the refined step is a normal float and halving
+# it is exact.
+AXIS_BOUNDS = st.tuples(st.floats(-1e300, 1e300), st.floats(1e-290, 1e300)).map(
+    lambda cs: (cs[0], cs[0] + max(cs[1], 1e-9 * abs(cs[0]))))
+
+ALPHA0 = 0.7 + 0.3j
+
+
+class TestRefinedSubgrid:
+    """A CLI run evaluates each density's Wigner function once, on the 2x
+    refined grid, and reads the field on the grid itself from its even-index
+    points.  That rests on two identities, held here bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(AXIS_BOUNDS, AXIS_BOUNDS, st.integers(2, 2001), st.integers(2, 2001))
+    def test_axes_are_the_even_refined_points(self, xb, pb, nx, np_):
+        g = PhaseSpaceGrid(*xb, *pb, nx, np_)
+        fine = g.refined()
+        assert fine.x_axis()[::2].tobytes() == g.x_axis().tobytes()
+        assert fine.p_axis()[::2].tobytes() == g.p_axis().tobytes()
+
+    @pytest.mark.parametrize("base", [
+        pytest.param(default_grid(), id="default"),
+        pytest.param(PhaseSpaceGrid(-3, 9, -5, 4, 37, 53), id="off-centre-37x53"),
+        pytest.param(PhaseSpaceGrid(-6, 6, -6, 6, 401, 401), id="401"),
+        pytest.param(PhaseSpaceGrid(-6, 6, -6, 6, 2, 1001), id="2x1001"),
+    ])
+    @pytest.mark.parametrize("rho", [
+        pytest.param(lambda: walk_density(fig_pp(1)), id="walk-1"),
+        pytest.param(lambda: walk_density(fig_pp(10)), id="walk-10"),
+        pytest.param(lambda: walk_density(fig_pp(20)), id="walk-20"),
+        pytest.param(lambda: projector(walk_state(fig_pp(5))), id="pure-walk-5"),
+        pytest.param(lambda: walk_density(fig_pp(20, xi=0.2)), id="decohere-20-xi0.2"),
+        pytest.param(lambda: walk_density(fig_pp(5, xi=1.0)), id="decohere-5-xi1"),
+        pytest.param(lambda: walk_density(fig_pp(10, alpha0=ALPHA0)), id="walk-10-alpha0"),
+        pytest.param(lambda: walk_density(fig_pp(10, 0.2, ALPHA0)), id="decohere-10-alpha0"),
+        pytest.param(lambda: walk_density(fig_pp(5, l1=2.0)), id="walk-5-l1-2"),
+        pytest.param(lambda: cat_density(fig_pp(10)), id="cat"),
+        pytest.param(lambda: cat_density(fig_pp(10), math.exp(-2.0)), id="cat-damped"),
+    ])
+    def test_subgrid_is_the_field_on_the_grid(self, rho, base):
+        rho = rho()
+        g = grid_for(rho, base)
+        field = wigner_mixed(rho, g.refined()).coarsened()
+        reference = wigner_mixed(rho, g)
+        assert field.grid == g
+        assert field.values.flags.c_contiguous
+        assert field.values.tobytes() == reference.values.tobytes()
+        assert field.norm == reference.norm
+
+    def test_only_a_refined_wigner_field_coarsens(self):
+        W = wigner_mixed(projector(VACUUM), PhaseSpaceGrid(-6, 6, -6, 6, 41, 40))
+        with pytest.raises(ValueError, match="refined"):
+            W.coarsened()
+        dens = position_density(projector(VACUUM), default_grid())
+        with pytest.raises(ValueError, match="refined"):
+            dens.coarsened()
 
 
 class TestPositionDensity:
@@ -431,7 +493,7 @@ class TestProjector:
 
 class TestDiagnostics:
     def test_vacuum(self):
-        d = diagnostics(projector(VACUUM), wigner_pure(VACUUM, default_grid()))
+        d = diagnostics(projector(VACUUM), wigner_pure(VACUUM, default_grid().refined()))
         assert d["mean_x"] == pytest.approx(0.0, abs=1e-14)
         assert d["var_x"] == pytest.approx(0.5, abs=1e-12)
         assert d["var_p"] == pytest.approx(0.5, abs=1e-12)
@@ -532,13 +594,15 @@ class TestDiagnostics:
     @pytest.mark.parametrize("nx, np_", [(201, 201), (401, 401), (2001, 5), (5, 2001)],
                              ids=["201", "401", "2001x5", "5x2001"])
     def test_peak_memory_within_wigner_bytes(self, nx, np_):
-        # the field, its 2x refinement and the negativity volumes of both;
-        # on a skinny grid the dyad profile blocks outweigh the field
+        # the path a CLI run takes: the field on the 2x refined grid, its
+        # even-index subgrid and the negativity volumes of both; on a skinny
+        # grid the dyad profile blocks outweigh the field
         rho = walk_density(fig_pp(20, xi=0.2))
-        g = grid_for(rho, PhaseSpaceGrid(-6, 6, -6, 6, nx, np_))
+        base = PhaseSpaceGrid(-6, 6, -6, 6, nx, np_)
+        g = grid_for(rho, base)
         tracemalloc.start()
         try:
-            diagnostics(rho, wigner_mixed(rho, g))
+            cli._read(rho, base)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -548,10 +612,10 @@ class TestDiagnostics:
         state = walk_state(fig_pp(5))
         coarse = PhaseSpaceGrid(-6, 6, -6, 6, 21, 21)
         with pytest.warns(GridTooCoarse):
-            diagnostics(projector(state), wigner_pure(state, coarse))
+            diagnostics(projector(state), wigner_pure(state, coarse.refined()))
 
     def test_fine_grid_no_warning(self, recwarn):
         state = walk_state(fig_pp(5))
-        diagnostics(projector(state), wigner_pure(state, default_grid()))
+        diagnostics(projector(state), wigner_pure(state, default_grid().refined()))
         assert not [w for w in recwarn.list if issubclass(w.category, GridTooCoarse)]
 

@@ -526,12 +526,14 @@ def _cat(cfg: ExperimentConfig):
 
 def _decohere(cfg: ExperimentConfig):
     """One Wigner table per xi, each computed only when asked for, so that
-    run() writes it and lets it go before the next xi."""
+    run() writes it and lets it go before the next xi.  The protocol is
+    resolved once, so that the rates' warnings are recorded once."""
     diag = {}
+    pp = cfg.protocol()
 
     def tables():
         for xi in cfg.xi_values:
-            rho = walk_density(cfg.protocol(xi=xi))
+            rho = walk_density(replace(pp, xi=xi))
             _, W, diag[f"xi_{_xi_tag(xi)}"] = _read(rho, cfg.grid)
             yield _wigner_table(W, xi)
         yield from (_diagnostics_table(diag[key], key) for key in sorted(diag))

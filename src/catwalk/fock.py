@@ -25,16 +25,21 @@ for a looser end-to-end check.  That comparison is only meaningful when
 Omega1/omega is an integer, so that the strong drive completes whole
 rotations between measurements and the bare qubit basis coincides with the
 measurement basis at projection times.
+
+The closed forms enter as a ``DyadEnsemble`` (a pure state as its
+``projector``): ``fidelity`` reads <v|rho|v> in the Fock basis, and the walk
+comparison reads the densities ``walk`` writes, one ``walk_density_steps`` pass.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import SuperposedState, normalize
+from .algebra import SuperposedState
+from .dephasing import DyadEnsemble, projector, walk_density_steps
 from .errors import CutoffTooSmall, ZeroProbabilityOutcome
-from .protocol import PhysicalParams, derive_protocol, walk_state
+from .protocol import PhysicalParams, derive_protocol
 
 DEFAULT_CUTOFF = 80
 LEAKAGE_LEVELS = 5
@@ -93,29 +98,32 @@ def poisson_tail(mean: float, cutoff: int) -> float:
     return total if upward else 1.0 - total
 
 
-def superposed_fock_vector(state: SuperposedState, cutoff: int) -> np.ndarray:
-    """Expand a coherent superposition in the Fock basis (unit norm).
+def _fock_columns(rho: DyadEnsemble, cutoff: int) -> np.ndarray:
+    """The Fock columns e^{i theta_j}|alpha_j> of rho's labels, (cutoff, m).
 
-    The truncation error is bounded rigorously per component by the Poisson
-    tail sum_{k >= cutoff} e^{-|a|^2} |a|^{2k} / k!; CutoffTooSmall is raised
-    when the bound exceeds 1e-8.  The bound is used (rather than the norm
-    deficit of the expansion itself) because strongly post-selected states
-    have large cancelling coefficients whose float noise would otherwise
-    masquerade as leakage; the returned vector is renormalized for the same
-    reason.
+    CutoffTooSmall when the rigorous truncation bound sum_jk |w_jk| t_j t_k,
+    t_j^2 = poisson_tail(|alpha_j|^2, cutoff), exceeds EXPANSION_LEAKAGE_MAX;
+    for a rank-1 rho it is (sum_j |c_j| t_j)^2.  The bound is used, not the
+    expansion's trace deficit, because the large cancelling weights of
+    strongly post-selected states would make float noise look like leakage.
     """
-    if not state.normalized:
-        state = normalize(state)
-    v = np.zeros(cutoff, dtype=complex)
-    tail_amp = 0.0
-    for c, lab in state.components:
-        v += c * coherent_fock_vector(lab.amplitude, cutoff, lab.phase)
-        tail_amp += abs(c) * math.sqrt(poisson_tail(abs(lab.amplitude) ** 2, cutoff))
-    if tail_amp**2 > EXPANSION_LEAKAGE_MAX:
+    columns = np.empty((cutoff, len(rho.amplitudes)), dtype=complex)
+    tails = np.empty(len(rho.amplitudes))
+    for j, (alpha, theta) in enumerate(zip(rho.amplitudes.tolist(), rho.phases.tolist())):
+        columns[:, j] = coherent_fock_vector(alpha, cutoff, theta)
+        tails[j] = math.sqrt(poisson_tail(abs(alpha) ** 2, cutoff))
+    leak = float(tails @ np.abs(rho.weights) @ tails)
+    if leak > EXPANSION_LEAKAGE_MAX:
         raise CutoffTooSmall(
-            f"closed-form expansion leaks up to {tail_amp**2:.3e} past cutoff "
-            f"{cutoff}"
+            f"closed-form expansion leaks up to {leak:.3e} past cutoff {cutoff}"
         )
+    return columns
+
+
+def superposed_fock_vector(state: SuperposedState, cutoff: int) -> np.ndarray:
+    """Expand a coherent superposition in the Fock basis (unit norm),
+    through the columns and the leakage gate of its ``projector``."""
+    v = _fock_columns(projector(state), cutoff) @ state.coefficients
     return v / np.linalg.norm(v)
 
 
@@ -310,11 +318,16 @@ def project_and_extract(state: FockStateVector, outcome: str = "ground"):
     return prob, block / math.sqrt(prob)
 
 
-def fidelity(mode_amplitudes: np.ndarray, closed: SuperposedState) -> float:
-    """|<closed|mode>|^2 between a Fock-basis vector and a coherent superposition."""
+def fidelity(mode_amplitudes: np.ndarray, rho: DyadEnsemble) -> float:
+    """<v|rho|v> for a Fock-basis vector v, with rho expanded in the Fock
+    basis of len(v) levels, C W C^dag (``_fock_columns``), and renormalized
+    there by its truncated trace Tr(W C^dag C).  For a ``projector`` this is
+    |<psi|v>|^2 against ``superposed_fock_vector``."""
     v = np.asarray(mode_amplitudes, dtype=complex)
-    w = superposed_fock_vector(closed, len(v))
-    return float(abs(np.vdot(w, v)) ** 2)
+    C = _fock_columns(rho, len(v))
+    u = C.conj().T @ v  # <label_j|v> in the truncated space
+    truncated_trace = np.sum(rho.weights * (C.conj().T @ C).T).real
+    return float((u.conj() @ rho.weights @ u).real / truncated_trace)
 
 
 def walk_prefixes(
@@ -394,7 +407,10 @@ def closed_form_walk_fidelities(
     hamiltonian: str = "reduced",
 ):
     """Fidelity of the closed-form walk state against the matrix evolution
-    for every k = 1..n, from one n-cycle ``walk_prefixes`` pass.
+    for every k = 1..n: the modes of one n-cycle ``walk_prefixes`` pass
+    against the densities of one ``walk_density_steps`` pass, step k being
+    what a k-cycle ``walk`` run writes.  The matrix evolution has no decay,
+    so the densities are those of xi = 0 whatever p.Gamma is.
 
     Returns (fidelities, per-cycle ground probabilities, largest per-segment
     leakage).  ValueError for n < 1, where there is nothing to compare.
@@ -402,6 +418,7 @@ def closed_form_walk_fidelities(
     if n < 1:
         raise ValueError(f"the walk comparison needs n >= 1; got {n}")
     probs, modes, leak_max = walk_prefixes(p, n, alpha0, cutoff, hamiltonian)
-    fids = [fidelity(modes[k], walk_state(derive_protocol(p, k, alpha0)))
-            for k in range(1, n + 1)]
+    steps = walk_density_steps(replace(derive_protocol(p, n, alpha0), xi=0.0))
+    next(steps)  # step 0, the initial |alpha0><alpha0|
+    fids = [fidelity(modes[k], rho) for k, rho, _ in steps]
     return fids, probs, leak_max

@@ -109,7 +109,7 @@ class ProtocolParams:
     """Dimensionless protocol knobs.
 
     l1, l2  kick strength and rotation fraction (non-negative)
-    phi     per-cycle drive phase, stored reduced mod 2 pi
+    phi     per-cycle drive phase, stored reduced to [0, 2 pi)
     n       number of pulse pairs
     xi      per-pulse dephasing exponent (3*Gamma*T/8)
     alpha0  initial coherent amplitude of the mode
@@ -134,7 +134,8 @@ class ProtocolParams:
         if self.n < 0 or int(self.n) != self.n:
             raise ValueError("n must be a non-negative integer")
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "phi", float(self.phi) % TAU)
+        # a tiny negative x % TAU rounds to TAU; the second % maps it to 0
+        object.__setattr__(self, "phi", float(self.phi) % TAU % TAU)
         object.__setattr__(self, "alpha0", complex(self.alpha0))
         # a kick moves the amplitude by at most 2*l1, so every label of either
         # protocol lies within this radius; its square must be a finite double

@@ -369,6 +369,17 @@ class TestDecohereRun:
                                                                 "wigner_xi_0"]
         assert math.copysign(1.0, report["config"]["xi"][0]) == 1.0
 
+    def test_rates_warn_once_whatever_the_xi_count(self, tmp_path):
+        # Omega1/Omega2 = 10.8 is below the soft hierarchy ratio: one run,
+        # one warning, not one per xi
+        cfg = write_config(tmp_path, "omega = 1\ng = 0.01\nomega1 = 16.2508\n"
+                                     "omega2 = 1.5\nn = 2\nxi = 0,0.2,0.5\n"
+                                     "grid = -6,6,-6,6,41,41\n")
+        out = tmp_path / "dec"
+        assert main(["decohere", "--config", str(cfg), "--out", str(out)]) == 0
+        warned = json.loads((out / "report.json").read_text())["warnings"]
+        assert sum(w.startswith("Omega1/max(Omega2, g) = 10.8") for w in warned) == 1
+
     # the 11x11 grid is too coarse on purpose, and outside run() nothing
     # captures the warning that says so
     @pytest.mark.filterwarnings("ignore::catwalk.errors.GridTooCoarse")
@@ -533,6 +544,36 @@ class TestOracleCheckRun:
         assert main(["oracle-check", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 0
         assert len(calls) == expected
+
+    # fidelity_min and the lowest fidelity_full before the oracle read the
+    # walk's densities (the per-k binomial state, normalized), to 17 digits
+    @pytest.mark.parametrize("text, passes, fid_min, full_min", [
+        (ORACLE_CFG.format(n=10, cutoff=160, full="false") + "alpha0 = 0.5\n", 1,
+         0.9999997576453339, None),
+        ("omega = 1.0\ng = 0.01\nomega1 = 21.0\nomega2 = 2.0\nn = 4\ncutoff = 80\n"
+         "full_hamiltonian = true\n", 2, 0.9999998885506329, 0.9984516970595537),
+    ], ids=["alpha0-0.5", "full-hamiltonian"])
+    def test_one_density_pass_per_hamiltonian(self, tmp_path, monkeypatch, text, passes,
+                                              fid_min, full_min):
+        # the oracle compares the Fock prefixes with the densities walk
+        # writes: one walk_density_steps pass per Hamiltonian, no walk_state
+        from catwalk import dephasing, protocol
+
+        calls = []
+        real = dephasing.walk_density_steps
+        monkeypatch.setattr(fock, "walk_density_steps",
+                            lambda pp: calls.append("steps") or real(pp))
+        for module in (protocol, dephasing, fock):
+            monkeypatch.setattr(module, "walk_state", lambda pp: calls.append("state"),
+                                raising=False)
+        cfg = build_config("oracle-check", dict(
+            parse_config_file(write_config(tmp_path, text)), out=str(tmp_path / "x")))
+        tables, diag = MODES["oracle-check"].compute(cfg)
+        assert calls == ["steps"] * passes
+        assert diag["fidelity_min"] == pytest.approx(fid_min, abs=1e-12)
+        if full_min is not None:
+            assert min(tables[0].columns["fidelity_full"]) == pytest.approx(
+                full_min, abs=1e-12)
 
     def test_small_cutoff_trips_segment_gate(self, tmp_path, capsys):
         # cutoff 8 is a valid config but too small for this walk: the

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 from math import pi
 
 import numpy as np
 import pytest
 
 from catwalk.algebra import CoherentLabel, SuperposedState, normalize
+from catwalk.dephasing import projector, walk_density
 from catwalk.errors import CutoffTooSmall, ZeroProbabilityOutcome
 from catwalk.protocol import PhysicalParams, ProtocolParams, derive_protocol, walk_state
 from catwalk import fock
@@ -142,23 +144,53 @@ class TestFidelity:
     def test_identical_states(self):
         state = normalize(SuperposedState(((1.0, CoherentLabel(0.4 + 0.3j, 0.7)),)))
         vec = fock.superposed_fock_vector(state, 60)
-        assert fock.fidelity(vec, state) == pytest.approx(1.0, abs=1e-10)
+        assert fock.fidelity(vec, projector(state)) == pytest.approx(1.0, abs=1e-10)
 
     def test_vacuum_vs_displaced(self):
         vac = normalize(SuperposedState(((1.0, CoherentLabel.vacuum()),)))
         vec = fock.coherent_fock_vector(2.0 + 0j, 80)
-        assert fock.fidelity(vec, vac) == pytest.approx(math.exp(-4.0), rel=1e-10)
+        assert fock.fidelity(vec, projector(vac)) == pytest.approx(math.exp(-4.0), rel=1e-10)
 
     def test_orthogonal_fock_state(self):
         vac = normalize(SuperposedState(((1.0, CoherentLabel.vacuum()),)))
         vec = np.zeros(40, dtype=complex)
         vec[3] = 1.0
-        assert fock.fidelity(vec, vac) == pytest.approx(0.0, abs=1e-30)
+        assert fock.fidelity(vec, projector(vac)) == pytest.approx(0.0, abs=1e-30)
 
     def test_expansion_cutoff_gate(self):
+        # the density fidelity shares the vector's gate: same state, same cutoff
         big = normalize(SuperposedState(((1.0, CoherentLabel(3.0 + 0j)),)))
-        with pytest.raises(CutoffTooSmall):
-            fock.superposed_fock_vector(big, 6)
+        for expand in (lambda: fock.superposed_fock_vector(big, 6),
+                       lambda: fock.fidelity(np.eye(6)[0], projector(big))):
+            with pytest.raises(CutoffTooSmall, match="past cutoff 6"):
+                expand()
+
+    @pytest.mark.parametrize("state, tol", [
+        *((walk_state(derive_protocol(CHECK_POINT, k)), 1e-13) for k in (1, 4, 10)),
+        (walk_state(ProtocolParams(0.1, 0.01, 0.3, 6, alpha0=0.7 + 0.3j)), 1e-13),
+        (normalize(SuperposedState(((1.0, CoherentLabel(0.4 + 0.3j, 0.7)),))), 1e-13),
+        # sum_j |c_j| = 975 against a unit norm: both sides sit at the
+        # cancellation floor, 3.2e-11 apart
+        (walk_state(ProtocolParams(0.1, 0.01, 4.5 * pi, 10)), 1e-10),
+    ], ids=["check-point-n1", "check-point-n4", "check-point-n10", "displaced-n6",
+            "coherent", "fig2-n10"])
+    def test_rank_one_density_is_the_vector_fidelity(self, state, tol, rng):
+        # <v|psi><psi|v> read through the dyads equals |<psi|v>|^2 of the
+        # renormalized expansion, for the oracle's modes and random vectors
+        _, modes, _ = fock.walk_prefixes(CHECK_POINT, 10, cutoff=160)
+        random = rng.normal(size=(3, 160)) + 1j * rng.normal(size=(3, 160))
+        w = fock.superposed_fock_vector(state, 160)
+        rho = projector(state)
+        for v in [*modes, *(r / np.linalg.norm(r) for r in random), w]:
+            assert fock.fidelity(v, rho) == pytest.approx(abs(np.vdot(w, v)) ** 2, abs=tol)
+
+    @pytest.mark.parametrize("xi", [0.2, 1.0, math.inf])
+    def test_dephased_density_fidelity_in_unit_interval(self, xi):
+        _, modes, _ = fock.walk_prefixes(CHECK_POINT, 6)
+        for k in range(1, 7):
+            rho = walk_density(replace(derive_protocol(CHECK_POINT, k), xi=xi))
+            for v in (modes[k], modes[k] * (-1.0) ** np.arange(80), np.eye(80)[1]):
+                assert 0.0 <= fock.fidelity(v, rho) <= 1.0
 
     def test_poisson_tail_matches_incomplete_gamma(self):
         from scipy.special import gammainc
@@ -226,10 +258,10 @@ class TestWalkEquivalence:
         # the evolution follows the closed form, and its mirror through the
         # phase-space origin, |k> -> (-1)^k |k>, does not (0.9858)
         _, modes, _ = fock.walk_prefixes(CHECK_POINT, 2)
-        state = walk_state(derive_protocol(CHECK_POINT, 2))
+        rho = projector(walk_state(derive_protocol(CHECK_POINT, 2)))
         mirrored = modes[-1] * (-1.0) ** np.arange(len(modes[-1]))
-        assert fock.fidelity(modes[-1], state) >= 1 - 1e-6
-        assert fock.fidelity(mirrored, state) < 0.99
+        assert fock.fidelity(modes[-1], rho) >= 1 - 1e-6
+        assert fock.fidelity(mirrored, rho) < 0.99
 
     def test_orientation_follows_the_unreduced_model(self):
         # At a displaced start the unreduced Hamiltonian tells the reduced
@@ -297,7 +329,7 @@ class TestOnePass:
         leaks = []
         for k in range(1, n + 1):
             ref_probs, ref_leak, ref_mode = per_k_reference(p, k, hamiltonian)
-            ref_fid = fock.fidelity(ref_mode, walk_state(derive_protocol(p, k)))
+            ref_fid = fock.fidelity(ref_mode, walk_density(derive_protocol(p, k)))
             assert fids[k - 1] == ref_fid
             assert probs[:k] == ref_probs
             fid, record_probs = fock.closed_form_walk_fidelity(
@@ -337,8 +369,8 @@ class TestCatEquivalence:
         target = cat_state(contract)
         pg, vg, pe, ve = fock.run_cat_record(CHECK_POINT, 5)
         assert pg + pe == pytest.approx(1.0, abs=1e-10)
-        assert fock.fidelity(ve, target) >= 1 - 1e-5
-        assert fock.fidelity(vg, target) < 1e-2
+        assert fock.fidelity(ve, projector(target)) >= 1 - 1e-5
+        assert fock.fidelity(vg, projector(target)) < 1e-2
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_success_probability_is_the_excited_outcome(self, n):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 from math import comb, pi
 
 import mpmath
@@ -86,6 +87,13 @@ class TestDeriveProtocol:
     def test_phi_reduced(self):
         pp = fig_pp(1)
         assert pp.phi == pytest.approx(pi / 2)
+
+    @pytest.mark.parametrize("phi", [-1e-20, -0.0, 2 * pi, -2 * pi, 4.5 * pi])
+    def test_phi_reduction_is_idempotent(self, phi):
+        # -1e-20 % 2pi rounds to 2pi itself; replace() must not move phi
+        pp = ProtocolParams(0.1, 0.01, phi, 2)
+        assert 0.0 <= pp.phi < 2 * pi
+        assert replace(pp, xi=0.5).phi == pp.phi
 
 
 class TestWalkState:

@@ -5,7 +5,9 @@ index q*N + k holds qubit level q (0 = ground, 1 = excited) and Fock level k.
 Piecewise-constant drive segments are evolved by the exact matrix exponential
 of the segment Hamiltonian (via eigendecomposition), so there is no
 integrator tolerance to tune; accuracy is limited only by the Fock cutoff,
-which a leakage gate enforces.
+which a leakage gate enforces.  A reduced Hamiltonian is block diagonal in
+the dressed qubit basis (|g> +- |e>)/sqrt(2), so its exponential is taken
+from N x N blocks; the unreduced one is a single 2N x 2N block.
 
 The drive-frame Hamiltonian with both drives on is
 
@@ -241,11 +243,31 @@ def build_full_hamiltonian(
     return H
 
 
-def _propagator(H: np.ndarray, duration: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H via eigendecomposition (t in 1/omega units,
-    H in omega units)."""
+def _exp_hermitian(H: np.ndarray, duration: float) -> np.ndarray:
+    """exp(-i H t) for Hermitian H via one eigendecomposition."""
     w, V = np.linalg.eigh(H)
     return (V * np.exp(-1j * w * duration)) @ V.conj().T
+
+
+def _propagator(H: np.ndarray, duration: float) -> np.ndarray:
+    """exp(-i H t) for a Hermitian 2N x 2N H, block by block (t in 1/omega
+    units, H in omega units).
+
+    When H = [[A, B], [B, A]] exactly, as every reduced Hamiltonian is, H is
+    block diagonal in the dressed qubit basis (|g> +- |e>)/sqrt(2) and
+    exp(-i H t) = 1/2 [[P+ + P-, P+ - P-], [P+ - P-, P+ + P-]] with
+    P+- = exp(-i (A +- B) t): two N x N eigendecompositions, one when B = 0.
+    Any other H, the unreduced one, is a single block and takes one 2N x 2N
+    eigendecomposition.
+    """
+    n = len(H) // 2
+    A, B = H[:n, :n], H[:n, n:]
+    if not (np.array_equal(A, H[n:, n:]) and np.array_equal(B, H[n:, :n])):
+        return _exp_hermitian(H, duration)
+    plus = _exp_hermitian(A + B, duration)
+    minus = _exp_hermitian(A - B, duration) if B.any() else plus
+    even, odd = (plus + minus) / 2, (plus - minus) / 2
+    return np.block([[even, odd], [odd, even]])
 
 
 def propagator_bytes(cutoff: int) -> int:
@@ -295,7 +317,9 @@ def evolve(
     ``hamiltonian`` selects "reduced" (the dressed-frame model) or "full"
     (the unreduced drive-frame model).
     One propagator is built per distinct segment configuration of the
-    schedule, so a periodic schedule costs two eigendecompositions per call.
+    schedule, so a periodic schedule builds two per call: for the reduced
+    walk that is three N x N eigendecompositions, for the unreduced one two
+    of 2N x 2N.
     The leakage gate is checked after every segment.
     """
     props = _segment_propagators(
@@ -341,10 +365,11 @@ def walk_prefixes(
     each cycle, and keep the state after every cycle.
 
     The drive-on and drive-off propagators are built once and applied cycle
-    after cycle, so the whole walk costs two eigendecompositions whatever n
-    is.  The leakage gate is checked after every segment.  The state after
-    k cycles comes from exactly the operations of a k-cycle walk, so every
-    prefix is bit for bit what a separate k-cycle run returns.
+    after cycle, so the whole walk costs three N x N eigendecompositions
+    (two 2N x 2N for the unreduced model) whatever n is.  The leakage gate
+    is checked after every segment.  The state after k cycles comes from
+    exactly the operations of a k-cycle walk, so every prefix is bit for bit
+    what a separate k-cycle run returns.
 
     Returns (per-cycle ground probabilities, normalized mode amplitudes after
     k = 0..n cycles, largest leakage seen after any segment).

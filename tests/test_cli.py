@@ -519,7 +519,9 @@ class TestOracleCheckRun:
                      "--out", str(tmp_path / "x")]) == 2
 
     def test_reports_leakage_beside_gate(self, tmp_path):
-        cfg = write_config(tmp_path, ORACLE_CFG.format(n=2, cutoff=80, full="false")
+        # n = 10 at cutoff 40 puts a representable tail, about 4e-80, in the
+        # top levels; at n = 2, cutoff 80 it is below 1e-290 and reads 0
+        cfg = write_config(tmp_path, ORACLE_CFG.format(n=10, cutoff=40, full="false")
                            + "outputs = oracle-table,diagnostics\n")
         out = tmp_path / "oc"
         assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 0
@@ -544,6 +546,23 @@ class TestOracleCheckRun:
         assert main(["oracle-check", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 0
         assert len(calls) == expected
+
+    @pytest.mark.parametrize("full, shapes", [
+        ("false", [(40, 40)] * 3),
+        ("true", [(40, 40)] * 3 + [(80, 80)] * 2),
+    ], ids=["reduced", "full"])
+    def test_eigendecompositions_per_run(self, tmp_path, monkeypatch, full, shapes):
+        # a count, not a timing: the reduced drive-on propagator takes two
+        # N x N eigendecompositions and the drive-off one a single N x N;
+        # the unreduced pass adds one 2N x 2N per propagator
+        seen = []
+        real = fock.np.linalg.eigh
+        monkeypatch.setattr(fock.np.linalg, "eigh",
+                            lambda H: seen.append(H.shape) or real(H))
+        cfg = write_config(tmp_path, ORACLE_CFG.format(n=8, cutoff=40, full=full))
+        assert main(["oracle-check", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 0
+        assert seen == shapes
 
     # fidelity_min and the lowest fidelity_full before the oracle read the
     # walk's densities (the per-k binomial state, normalized), to 17 digits

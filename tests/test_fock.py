@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from catwalk.algebra import CoherentLabel, SuperposedState, normalize
-from catwalk.dephasing import projector, walk_density
+from catwalk.dephasing import projector, walk_density, walk_density_steps
 from catwalk.errors import CutoffTooSmall, ZeroProbabilityOutcome
 from catwalk.protocol import PhysicalParams, ProtocolParams, derive_protocol, walk_state
 from catwalk import fock
@@ -115,6 +115,39 @@ class TestEvolve:
         state = fock.FockStateVector.ground_coherent(1.5 + 0j, 8)
         with pytest.raises(CutoffTooSmall):
             fock.evolve(state, fock.walk_schedule(1), STRONG_POINT)
+
+
+def dense_propagator(H, t):
+    """exp(-i H t) from one eigendecomposition of the whole 2N x 2N matrix."""
+    w, V = np.linalg.eigh(H)
+    return (V * np.exp(-1j * w * t)) @ V.conj().T
+
+
+SEGMENTS = pytest.mark.parametrize("o1, o2", [
+    (True, True), (False, False), (True, False),
+], ids=["drive-on", "drive-off", "cat-omega1-only"])
+
+
+class TestPropagator:
+    @pytest.mark.parametrize("cutoff", [40, 160])
+    @pytest.mark.parametrize("p", [CHECK_POINT, STRONG_POINT], ids=["check", "strong"])
+    @SEGMENTS
+    def test_dressed_blocks_match_dense(self, p, cutoff, o1, o2):
+        # every reduced Hamiltonian is [[A, B], [B, A]]: its exponential from
+        # the N x N blocks A +- B is the dense one to rounding (2.6e-13 at
+        # cutoff 80), and unitary
+        H = fock.build_heff(p, cutoff, o1, o2)
+        U = fock._propagator(H, pi)
+        assert np.abs(U - dense_propagator(H, pi)).max() <= 1e-12
+        assert np.linalg.norm(U.conj().T @ U - np.eye(2 * cutoff), 2) <= 1e-12
+
+    @pytest.mark.parametrize("p", [FULL_POINT, CHECK_POINT], ids=["full", "check"])
+    @SEGMENTS
+    def test_unreduced_is_one_dense_block(self, p, o1, o2):
+        # the g |e><e| coupling breaks the qubit symmetry: one 2N x 2N block,
+        # bit for bit the dense exponential
+        H = fock.build_full_hamiltonian(p, 40, o1, o2)
+        assert np.array_equal(fock._propagator(H, pi), dense_propagator(H, pi))
 
 
 class TestProjection:
@@ -284,7 +317,6 @@ class TestWalkEquivalence:
         assert 0.9999 < fid < 1 - 1e-6
 
     def test_record_probabilities_match_chain(self):
-        from catwalk.dephasing import walk_density_steps
         from catwalk.protocol import run_conditioned_walk
 
         pp = derive_protocol(CHECK_POINT, 3)
@@ -351,6 +383,20 @@ class TestOnePass:
         for compare in (fock.closed_form_walk_fidelity, fock.closed_form_walk_fidelities):
             with pytest.raises(ValueError):
                 compare(CHECK_POINT, n)
+
+    @pytest.mark.parametrize("cutoff", [40, 80])
+    def test_leakage_reads_the_truncation(self, cutoff):
+        # the largest top-5 population the Fock walk sees is within 10x of
+        # the closed-form densities' (3.8e-80 against 2.9e-80 at cutoff 40,
+        # 1.8e-191 against 5.1e-192 at cutoff 80), not eigh rounding noise,
+        # which one 2N x 2N eigendecomposition puts at 4.5e-65 and 8.5e-94
+        n = 10
+        _, _, leak_max = fock.closed_form_walk_fidelities(CHECK_POINT, n, cutoff=cutoff)
+        top = 0.0
+        for _, rho, _ in walk_density_steps(derive_protocol(CHECK_POINT, n)):
+            C = fock._fock_columns(rho, cutoff)[-fock.LEAKAGE_LEVELS:]
+            top = max(top, np.einsum("mj,jk,mk->", C, rho.weights, C.conj()).real)
+        assert top / 10 <= leak_max <= 10 * top
 
     def test_propagator_bytes(self):
         # two dense complex (2N)^2 matrices

@@ -21,8 +21,9 @@ and its SHA-256, so it holds under 1 MB of text whatever the table's size;
 its %.12e cells come from the vectorised, byte-exact ``efmt.cells``.
 A report.json accompanies every run with the resolved value of each key the
 mode reads, diagnostics, file checksums, warnings, and wall times: the
-whole run and, under ``timings``, the computation and each table's write
-(the wall times are the one non-reproducible output).
+whole run and, under ``timings``, the computation, the Wigner evaluations
+within it and each table's write (the wall times, and the Wigner row band
+count, which follows the usable CPUs, are the one non-reproducible output).
 
 Exit codes: 0 success, 2 configuration error (rates outside the model's
 validity gates included), 3 numerical-gate failure (Fock leakage,
@@ -58,6 +59,7 @@ from .observables import (
     diagnostics,
     grid_for,
     position_density,
+    wigner_bands,
     wigner_bytes,
     wigner_mixed,
 )
@@ -301,7 +303,10 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
 class RunReport:
     """Summary of one run: echoed config, diagnostics, emitted files and
     wall times (``timings``: ``compute_s`` for the mode's tables and
-    diagnostics, ``write_s`` per written table)."""
+    diagnostics, ``wigner_s`` for the Wigner evaluations within it,
+    ``wigner_bands`` for the row bands, hence threads, each evaluation ran
+    on (0 when the mode evaluates none), and ``write_s`` per written
+    table)."""
 
     mode: str
     config: dict
@@ -491,40 +496,46 @@ def _diagnostics_table(diag: dict, key: str | None = None) -> Table:
 # that cfg.outputs selects.
 
 
-def _read(rho: DyadEnsemble, base: PhaseSpaceGrid):
+def _read(rho: DyadEnsemble, base: PhaseSpaceGrid, timings: dict):
     """(grid, Wigner field, diagnostics as floats) of one density, on the
     grid ``grid_for`` fits around it.  The Wigner function is evaluated once,
     on that grid's 2x refinement: the field returned is its even-index
-    subgrid, and the diagnostics' refinement check reads the whole."""
+    subgrid, and the diagnostics' refinement check reads the whole.  The
+    evaluation's wall time is added to ``timings["wigner_s"]`` and its row
+    band count stored as ``timings["wigner_bands"]``."""
     grid = grid_for(rho, base)
-    fine = wigner_mixed(rho, grid.refined())
+    fine_grid = grid.refined()
+    t0 = time.perf_counter()
+    fine = wigner_mixed(rho, fine_grid)
+    timings["wigner_s"] += time.perf_counter() - t0
+    timings["wigner_bands"] = wigner_bands(fine_grid)
     diag = {k: float(v) for k, v in diagnostics(rho, fine).items()}
     return grid, fine.coarsened(), diag
 
 
-def _walk(cfg: ExperimentConfig):
+def _walk(cfg: ExperimentConfig, timings: dict):
     """The xi = 0 walk density and its record probability, both from the
     dephasing recursion that ``decohere`` runs."""
     pp = cfg.protocol()
     for _, rho, record in walk_density_steps(pp):
         pass
-    grid, W, diag = _read(rho, cfg.grid)
+    grid, W, diag = _read(rho, cfg.grid, timings)
     diag["success_probability"] = record
     tables = [alpha_table(pp), _pdist_table(rho, grid), _wigner_table(W),
               _diagnostics_table(diag)]
     return tables, diag
 
 
-def _cat(cfg: ExperimentConfig):
+def _cat(cfg: ExperimentConfig, timings: dict):
     pp = cfg.protocol()
     rho = cat_density(pp, math.exp(-cfg.decay_exponent))
-    grid, W, diag = _read(rho, cfg.grid)
+    grid, W, diag = _read(rho, cfg.grid, timings)
     diag["success_probability"] = cat_success_probability(pp)
     return [_pdist_table(rho, grid), _wigner_table(W),
             _diagnostics_table(diag)], diag
 
 
-def _decohere(cfg: ExperimentConfig):
+def _decohere(cfg: ExperimentConfig, timings: dict):
     """One Wigner table per xi, each computed only when asked for, so that
     run() writes it and lets it go before the next xi.  The protocol is
     resolved once, so that the rates' warnings are recorded once."""
@@ -534,14 +545,14 @@ def _decohere(cfg: ExperimentConfig):
     def tables():
         for xi in cfg.xi_values:
             rho = walk_density(replace(pp, xi=xi))
-            _, W, diag[f"xi_{_xi_tag(xi)}"] = _read(rho, cfg.grid)
+            _, W, diag[f"xi_{_xi_tag(xi)}"] = _read(rho, cfg.grid, timings)
             yield _wigner_table(W, xi)
         yield from (_diagnostics_table(diag[key], key) for key in sorted(diag))
 
     return tables(), diag
 
 
-def _oracle_check(cfg: ExperimentConfig):
+def _oracle_check(cfg: ExperimentConfig, timings: dict):
     phys = cfg.physical()
     ns = list(range(1, cfg.n + 1))
     fids, probs, leak_max = fock.closed_form_walk_fidelities(
@@ -563,7 +574,7 @@ def _oracle_check(cfg: ExperimentConfig):
     return [table, _diagnostics_table(diag)], diag
 
 
-def _alpha_table(cfg: ExperimentConfig):
+def _alpha_table(cfg: ExperimentConfig, timings: dict):
     return [alpha_table(cfg.protocol())], {}
 
 
@@ -573,8 +584,9 @@ class Mode:
     it reads besides those every mode reads, and the keys it cannot run
     without."""
 
-    # ExperimentConfig -> (iterable of Table, diagnostics dict); the dict is
-    # complete once the tables are exhausted
+    # (ExperimentConfig, timings dict) -> (iterable of Table, diagnostics
+    # dict); the diagnostics and the Wigner timings are complete once the
+    # tables are exhausted
     compute: Callable
     defaults: tuple
     writable: tuple
@@ -611,17 +623,18 @@ def run(cfg: ExperimentConfig) -> RunReport:
     t0 = time.perf_counter()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     artifacts, write_s = [], {}
+    timings = {"wigner_s": 0.0, "wigner_bands": 0}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        tables, diag = MODES[cfg.mode].compute(cfg)
+        tables, diag = MODES[cfg.mode].compute(cfg, timings)
         for t in tables:
             if t.output in cfg.outputs:
                 t_write = time.perf_counter()
                 artifacts.append(_write_table(cfg.output_dir / f"{t.name}.{cfg.fmt}",
                                               t, cfg.fmt))
                 write_s[t.name] = time.perf_counter() - t_write
-    timings = {"compute_s": time.perf_counter() - t0 - sum(write_s.values()),
-               "write_s": write_s}
+    timings.update(compute_s=time.perf_counter() - t0 - sum(write_s.values()),
+                   write_s=write_s)
     report = RunReport(
         mode=cfg.mode,
         config={key: getattr(cfg, KEYS[key][0]) for key in MODES[cfg.mode].keys},

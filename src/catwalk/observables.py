@@ -25,10 +25,13 @@ dyads are paired with their Hermitian partners, so the result is exactly
 real, and the paired kernels are summed as one contraction of an x-profile
 matrix with a p-profile matrix, in fixed-size dyad blocks: memory beyond
 the field grows with the grid's axes and the block, not with the number of
-dyads.  The contraction uses no BLAS, so its bits do not depend on the BLAS
-thread count.  Every observable reads a DyadEnsemble and a pure state
-enters as its rank-1 projector, so the position density is the p-marginal
-of the Wigner function for pure and mixed states alike.  Moments are always
+dyads.  The contraction runs on one thread per band of the grid's x rows, a
+band per usable CPU but at least BAND_ROWS = 64 rows each (a grid of fewer
+than 128 x rows: the caller's thread alone), and uses no BLAS: its bits
+depend neither on the BLAS thread count nor on the band count.  Every
+observable reads a DyadEnsemble and a pure state enters as its rank-1
+projector, so the position density is the p-marginal of the Wigner
+function for pure and mixed states alike.  Moments are always
 computed from dyad weights and overlaps, never from grid sums, so
 diagnostics accuracy does not depend on grid resolution.  The field on a
 grid is, bit for bit, the even-index subgrid of the field on its 2x
@@ -37,6 +40,8 @@ the negativity check under refinement does, evaluates the refined one only.
 """
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -65,6 +70,14 @@ DYAD_BLOCK = 64
 # the kept x- or p-profile and the temporaries that evaluate it, measured
 # at 48 (numpy 2.4) on grids with one long axis.
 PROFILE_BYTES = 64
+# Fewest x rows per thread of a Wigner evaluation; a grid with fewer than
+# twice as many rows is evaluated in the caller's thread alone.  The bands
+# interleave, row i in band i % count: rows whose profiles underflow to
+# subnormals contract several times slower, and they lie together in x.
+# For the n = 160 walk's 401^2 field, the two contiguous halves contracted
+# in 3.7 s and 1.5 s; in alternating runs with two bands, contiguous halves
+# took a median 5.5 s and interleaved bands 4.2 s (2-CPU x86).
+BAND_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -218,6 +231,20 @@ def _dyad_profiles(weight, alpha, beta, x, p):
     return const, fx, gp
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def wigner_bands(grid: PhaseSpaceGrid) -> int:
+    """Row bands, hence threads, of a Wigner evaluation on ``grid``: one per
+    usable CPU, but only as many as leave BAND_ROWS x rows to each, and at
+    least one."""
+    return max(1, min(_usable_cpus(), grid.nx // BAND_ROWS))
+
+
 def _accumulate_wigner(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> np.ndarray:
     """Sum dyad kernels pairing Hermitian partners, so the result is exactly real.
 
@@ -230,8 +257,20 @@ def _accumulate_wigner(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> np.ndarray:
     over blocks of DYAD_BLOCK dyads.  Read as float64, a complex row holds
     (Re, Im) pairs, so Re(F G^T) is the real contraction of F's rows with
     those of conj(G): each dyad's two products sit next to each other in
-    the sum.  np.einsum sums without BLAS, so the bits do not depend on the
-    BLAS thread count.
+    the sum.  np.einsum sums without BLAS.
+
+    The work is dealt into :func:`wigner_bands` interleaved bands, each run
+    by its own thread (the caller's is one): band b of c holds the x rows
+    and the p rows b, b + c, b + 2c, ...  Per block, each band builds its
+    rows of F and its rows of the one shared G, waits for the others, adds
+    the contraction of its rows of F with the whole G to its rows of W,
+    and waits again before G is overwritten.
+    Every element comes from the same elementwise ops and the same K-long
+    einsum reduction as in one band, so the bits depend neither on the BLAS
+    thread count nor on the band count; and the bands' profiles add up to
+    those of one band, so wigner_bytes bounds the peak whatever the band
+    count.  A band that raises breaks the barrier, so that the others
+    stop; every thread is joined, and the first exception is raised.
     """
     w = _folded(rho)
     j, k = np.triu_indices(len(w))
@@ -241,12 +280,46 @@ def _accumulate_wigner(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> np.ndarray:
     x = grid.x_axis()[:, None]
     p = grid.p_axis()[:, None]
     W = np.zeros((grid.nx, grid.np))
-    for start in range(0, len(z), DYAD_BLOCK):
-        block = slice(start, start + DYAD_BLOCK)
-        const, fx, gp = _dyad_profiles(z[block], kets[block], bras[block], x, p)
-        np.multiply(const, fx, out=fx)
-        np.conjugate(gp, out=gp)
-        W += np.einsum("ik,jk->ij", fx.view(float), gp.view(float))
+    shared_g = np.empty(grid.np * DYAD_BLOCK, complex)
+    count = wigner_bands(grid)
+    barrier = threading.Barrier(count)
+    errors = []
+
+    def band(rows):
+        try:
+            for start in range(0, len(z), DYAD_BLOCK):
+                block = slice(start, start + DYAD_BLOCK)
+                const, fx, gp = _dyad_profiles(z[block], kets[block], bras[block],
+                                               x[rows], p[rows])
+                np.multiply(const, fx, out=fx)
+                G = shared_g[:grid.np * len(const)].reshape(grid.np, len(const))
+                np.conjugate(gp, out=G[rows])
+                # a p-profile kept while the next block's are built would
+                # take a grid with a long p axis past wigner_bytes
+                del gp
+                barrier.wait()
+                W[rows] += np.einsum("ik,jk->ij", fx.view(float), G.view(float))
+                barrier.wait()
+        except BaseException as exc:  # re-raised by the caller
+            errors.append(exc)  # before the abort, so errors[0] is the cause
+            barrier.abort()
+
+    bands = [slice(b, None, count) for b in range(count)]
+    started = []
+    try:
+        for rows in bands[1:]:
+            thread = threading.Thread(target=band, args=(rows,))
+            thread.start()
+            started.append(thread)
+        band(bands[0])
+    except BaseException:  # a thread could not start
+        barrier.abort()
+        raise
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
     return W
 
 

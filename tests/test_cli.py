@@ -190,6 +190,9 @@ class TestWalkRun:
         assert set(timings["write_s"]) == names
         assert timings["compute_s"] > 0 and all(t > 0 for t in timings["write_s"].values())
         assert timings["compute_s"] + sum(timings["write_s"].values()) <= report["wall_time_s"]
+        assert 0 < timings["wigner_s"] <= timings["compute_s"]
+        assert timings["wigner_bands"] == observables.wigner_bands(
+            observables.default_grid().refined())
 
     def test_labels_far_apart_give_finite_numbers(self, tmp_path):
         # at l1 = 20 the kick labels lie up to 40 apart in Re alpha: a Wigner
@@ -389,7 +392,7 @@ class TestDecohereRun:
         cfg = build_config("decohere", {"l1": "0.1", "l2": "0.01", "phi": "4.5pi",
                                         "n": "2", "xi": "0,0.5",
                                         "grid": "-6,6,-6,6,11,11"})
-        tables, diag = MODES["decohere"].compute(cfg)
+        tables, diag = MODES["decohere"].compute(cfg, {"wigner_s": 0.0})
         assert diag == {}
         assert next(tables).name == "wigner_xi_0" and list(diag) == ["xi_0"]
         assert [t.name for t in tables] == ["wigner_xi_0.5", "diagnostics_xi_0",
@@ -587,7 +590,7 @@ class TestOracleCheckRun:
                                 raising=False)
         cfg = build_config("oracle-check", dict(
             parse_config_file(write_config(tmp_path, text)), out=str(tmp_path / "x")))
-        tables, diag = MODES["oracle-check"].compute(cfg)
+        tables, diag = MODES["oracle-check"].compute(cfg, {})
         assert calls == ["steps"] * passes
         assert diag["fidelity_min"] == pytest.approx(fid_min, abs=1e-12)
         if full_min is not None:
@@ -857,7 +860,7 @@ class TestShippedTables:
         mode = path.stem.replace("_", "-")
         raw = dict(parse_config_file(path), format=fmt, out=str(tmp_path),
                    outputs=",".join(MODES[mode].writable))
-        tables, _ = MODES[mode].compute(build_config(mode, raw))
+        tables, _ = MODES[mode].compute(build_config(mode, raw), {"wigner_s": 0.0})
         names = []
         for table in tables:
             columns, rows = self.flat(table)
@@ -926,12 +929,14 @@ class TestFloatCells:
 
 def test_cli_import_leaves_scipy_out():
     # scipy is for the tests; fractions and decimal would add to the cold
-    # start, and the float formatter's tables are built by catwalk.cli alone
+    # start, and the float formatter's tables are built by catwalk.cli alone;
+    # the Wigner bands run on plain threads, as concurrent.futures (9 ms to
+    # import) and the logging it pulls in would too
     import catwalk
 
     code = ("import sys, catwalk; print('catwalk.efmt' in sys.modules); import catwalk.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'fractions', 'decimal', 'concurrent', 'logging')))")
     env = dict(os.environ, PYTHONPATH=str(Path(catwalk.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout

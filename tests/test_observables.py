@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from math import pi
@@ -411,30 +412,176 @@ class TestWignerMixed:
         assert np.all(np.abs(W[rows, cols] - ref) <= bound)
 
     def test_bits_do_not_depend_on_blas_threads(self):
+        # the third child is pinned to one CPU, so it evaluates every field
+        # in one band, where the others use up to one band per CPU
         import catwalk
 
         code = """
-import hashlib, math
+import hashlib, math, os, sys
+if sys.argv[1:] == ["pin"] and hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from catwalk.dephasing import projector, walk_density
-from catwalk.observables import PhaseSpaceGrid, grid_for, position_density, wigner_mixed
+from catwalk.observables import (PhaseSpaceGrid, grid_for, position_density, wigner_bands,
+                                 wigner_mixed)
 from catwalk.protocol import ProtocolParams, walk_state
 def pp(n, xi):
     return ProtocolParams(0.1, 0.01, 4.5 * math.pi, n, xi)
+print(wigner_bands(PhaseSpaceGrid(-6, 6, -6, 6, 401, 401)))
 for rho in (projector(walk_state(pp(10, 0.0))), walk_density(pp(20, 0.2))):
     g = grid_for(rho)
     print(hashlib.sha256(position_density(rho, g).values.tobytes()).hexdigest())
     for grid in (g, g.refined(), PhaseSpaceGrid(g.x_min, g.x_max, g.p_min, g.p_max, 41, 31)):
         print(hashlib.sha256(wigner_mixed(rho, grid).values.tobytes()).hexdigest())
 """
-        hashes = []
-        for threads in ("1", "2"):
+        bands, hashes = [], []
+        for threads, pin in (("1", []), ("2", []), ("2", ["pin"])):
             env = dict(os.environ, PYTHONPATH=str(Path(catwalk.__file__).parents[1]),
                        OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                 text=True, env=env, check=True).stdout
-            hashes.append(out.split())
+            out = subprocess.run([sys.executable, "-c", code, *pin], capture_output=True,
+                                 text=True, env=env, check=True).stdout.split()
+            bands.append(int(out[0]))
+            hashes.append(out[1:])
         assert len(hashes[0]) == 8
-        assert hashes[0] == hashes[1]
+        assert hashes[0] == hashes[1] == hashes[2]
+        assert bands[:2] == [observables.wigner_bands(PhaseSpaceGrid(-6, 6, -6, 6, 401, 401))] * 2
+        if hasattr(os, "sched_setaffinity"):
+            assert bands[2] == 1
+
+
+class TestBands:
+    """The Wigner field is evaluated in row bands on parallel threads.  Its
+    bytes must equal those of the serial loop that preceded the bands,
+    copied here as the reference, for every band count."""
+
+    @staticmethod
+    def serial(rho, grid):
+        w = observables._folded(rho)
+        j, k = np.triu_indices(len(w))
+        z = (np.triu(w) + np.triu(w.T.conj(), 1))[j, k]
+        keep = z != 0
+        z, kets, bras = z[keep], rho.amplitudes[j[keep]], rho.amplitudes[k[keep]]
+        x = grid.x_axis()[:, None]
+        p = grid.p_axis()[:, None]
+        W = np.zeros((grid.nx, grid.np))
+        for start in range(0, len(z), observables.DYAD_BLOCK):
+            block = slice(start, start + observables.DYAD_BLOCK)
+            const, fx, gp = _dyad_profiles(z[block], kets[block], bras[block], x, p)
+            np.multiply(const, fx, out=fx)
+            np.conjugate(gp, out=gp)
+            W += np.einsum("ik,jk->ij", fx.view(float), gp.view(float))
+        return W
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 7), (41, 31), (401, 401), (4001, 9),
+                                       (9, 4001), (700, 130)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("rho", [
+        pytest.param(lambda: projector(walk_state(fig_pp(1))), id="walk-1"),
+        pytest.param(lambda: projector(walk_state(fig_pp(10))), id="walk-10"),
+        pytest.param(lambda: projector(walk_state(fig_pp(40))), id="walk-40"),
+        pytest.param(lambda: walk_density(fig_pp(20, xi=0.2)), id="decohere-20"),
+        pytest.param(lambda: cat_density(fig_pp(5), 0.7), id="cat-5"),
+    ])
+    def test_bytes_equal_serial_loop(self, monkeypatch, rho, shape):
+        # bands of one row and up, so that every count runs on every grid
+        # that has the rows; a short switch interval interleaves the threads
+        rho = rho()
+        base = grid_for(rho)
+        g = PhaseSpaceGrid(base.x_min, base.x_max, base.p_min, base.p_max, *shape)
+        want = self.serial(rho, g).tobytes()
+        monkeypatch.setattr(observables, "BAND_ROWS", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (1, 2, 3, 4, 7):
+                monkeypatch.setattr(observables, "_usable_cpus", lambda: cpus)
+                assert observables.wigner_bands(g) == min(cpus, g.nx)
+                assert _accumulate_wigner(rho, g).tobytes() == want, cpus
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus, nx, bands", [(4, 2, 1), (4, 127, 1), (4, 128, 2),
+                                                 (4, 401, 4), (7, 401, 6), (2, 4001, 2),
+                                                 (1, 4001, 1)])
+    def test_every_band_has_band_rows(self, monkeypatch, cpus, nx, bands):
+        monkeypatch.setattr(observables, "_usable_cpus", lambda: cpus)
+        assert observables.wigner_bands(PhaseSpaceGrid(-6, 6, -6, 6, nx, 9)) == bands
+
+    def test_usable_cpus(self):
+        cpus = observables._usable_cpus()
+        if hasattr(os, "sched_getaffinity"):
+            assert cpus == len(os.sched_getaffinity(0))
+        assert 1 <= cpus <= (os.cpu_count() or 1)
+
+    class Failed(Exception):
+        pass
+
+    @pytest.mark.parametrize("failing, at_call", [("worker", 0), ("worker", 2),
+                                                  ("caller", 1)])
+    def test_failing_band_stops_every_band(self, monkeypatch, failing, at_call):
+        # one band, the caller's (x row 0) or a worker's (x row 1), raises
+        # in its first or a later dyad block; the others must leave
+        # the barrier, the exception must reach the caller and no thread may
+        # outlive the call
+        rho = walk_density(fig_pp(20, xi=0.2))  # 231 dyads: four blocks
+        g = PhaseSpaceGrid(-6, 6, -6, 6, 401, 401)
+        edge = g.x_axis()[0 if failing == "caller" else 1]
+        real = observables._dyad_profiles
+        threads, failing_calls, caught = set(), [], []
+
+        def profiles(weight, alpha, beta, x, p):
+            threads.add(threading.current_thread())
+            if edge in x:
+                if (threading.current_thread() is caller) != (failing == "caller"):
+                    raise AssertionError("the band ran in the wrong thread")
+                failing_calls.append(None)
+                if len(failing_calls) > at_call:
+                    raise self.Failed
+            return real(weight, alpha, beta, x, p)
+
+        def call():
+            try:
+                _accumulate_wigner(rho, g)
+            except BaseException as exc:
+                caught.append(exc)
+
+        monkeypatch.setattr(observables, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(observables, "_dyad_profiles", profiles)
+        before = threading.active_count()
+        caller = threading.Thread(target=call)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert [type(exc) for exc in caught] == [self.Failed]
+        assert threading.active_count() == before
+        assert len(threads) == 4 and caller in threads
+
+    def test_thread_that_cannot_start(self, monkeypatch):
+        # the bands already started leave the barrier and are joined
+        started, caught = [], []
+
+        class Limited(threading.Thread):
+            def start(self):
+                if len(started) == 2:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        def call():
+            try:
+                _accumulate_wigner(walk_density(fig_pp(5)), PhaseSpaceGrid(-6, 6, -6, 6, 401, 41))
+            except BaseException as exc:
+                caught.append(exc)
+
+        caller = threading.Thread(target=call)
+        monkeypatch.setattr(observables, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(observables.threading, "Thread", Limited)
+        before = threading.active_count()
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert [str(exc) for exc in caught] == ["can't start new thread"]
+        assert threading.active_count() == before
+        assert not any(t.is_alive() for t in started)
 
 
 class TestProjector:
@@ -591,18 +738,24 @@ class TestDiagnostics:
             assert abs(got - want) <= bound
 
     @pytest.mark.filterwarnings("ignore::catwalk.errors.GridTooCoarse")
-    @pytest.mark.parametrize("nx, np_", [(201, 201), (401, 401), (2001, 5), (5, 2001)],
-                             ids=["201", "401", "2001x5", "5x2001"])
-    def test_peak_memory_within_wigner_bytes(self, nx, np_):
+    @pytest.mark.parametrize("nx, np_, cpus", [
+        pytest.param(nx, np_, cpus, id=name + ("" if cpus == 1 else f"-{cpus}cpus"))
+        for nx, np_, name in [(201, 201, "201"), (401, 401, "401"), (2001, 5, "2001x5"),
+                              (5, 2001, "5x2001")]
+        for cpus in (1, 2, 4)])
+    def test_peak_memory_within_wigner_bytes(self, monkeypatch, nx, np_, cpus):
         # the path a CLI run takes: the field on the 2x refined grid, its
         # even-index subgrid and the negativity volumes of both; on a skinny
-        # grid the dyad profile blocks outweigh the field
+        # grid the dyad profile blocks outweigh the field.  The bound holds
+        # for any number of row bands, so the grid refusals do not depend
+        # on the machine.
+        monkeypatch.setattr(observables, "_usable_cpus", lambda: cpus)
         rho = walk_density(fig_pp(20, xi=0.2))
         base = PhaseSpaceGrid(-6, 6, -6, 6, nx, np_)
         g = grid_for(rho, base)
         tracemalloc.start()
         try:
-            cli._read(rho, base)
+            cli._read(rho, base, {"wigner_s": 0.0})
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -304,9 +304,10 @@ class RunReport:
     """Summary of one run: echoed config, diagnostics, emitted files and
     wall times (``timings``: ``compute_s`` for the mode's tables and
     diagnostics, ``wigner_s`` for the Wigner evaluations within it,
-    ``wigner_bands`` for the row bands, hence threads, each evaluation ran
-    on (0 when the mode evaluates none), and ``write_s`` per written
-    table)."""
+    ``wigner_bands`` for the row bands, hence threads, of each evaluation,
+    as :func:`wigner_bands` gives them for the refined config grid at the
+    start of the run (0 when the mode evaluates none), and ``write_s`` per
+    written table)."""
 
     mode: str
     config: dict
@@ -501,14 +502,11 @@ def _read(rho: DyadEnsemble, base: PhaseSpaceGrid, timings: dict):
     grid ``grid_for`` fits around it.  The Wigner function is evaluated once,
     on that grid's 2x refinement: the field returned is its even-index
     subgrid, and the diagnostics' refinement check reads the whole.  The
-    evaluation's wall time is added to ``timings["wigner_s"]`` and its row
-    band count stored as ``timings["wigner_bands"]``."""
+    evaluation's wall time is added to ``timings["wigner_s"]``."""
     grid = grid_for(rho, base)
-    fine_grid = grid.refined()
     t0 = time.perf_counter()
-    fine = wigner_mixed(rho, fine_grid)
+    fine = wigner_mixed(rho, grid.refined())
     timings["wigner_s"] += time.perf_counter() - t0
-    timings["wigner_bands"] = wigner_bands(fine_grid)
     diag = {k: float(v) for k, v in diagnostics(rho, fine).items()}
     return grid, fine.coarsened(), diag
 
@@ -623,7 +621,11 @@ def run(cfg: ExperimentConfig) -> RunReport:
     t0 = time.perf_counter()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     artifacts, write_s = [], {}
-    timings = {"wigner_s": 0.0, "wigner_bands": 0}
+    # grid_for keeps the config grid's point count, so every evaluation of
+    # the run has the band count of its refinement
+    evaluates = "grid" in MODES[cfg.mode].reads
+    timings = {"wigner_s": 0.0,
+               "wigner_bands": wigner_bands(cfg.grid.refined()) if evaluates else 0}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         tables, diag = MODES[cfg.mode].compute(cfg, timings)

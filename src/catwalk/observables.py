@@ -71,7 +71,13 @@ DYAD_BLOCK = 64
 # at 48 (numpy 2.4) on grids with one long axis.
 PROFILE_BYTES = 64
 # Fewest x rows per thread of a Wigner evaluation; a grid with fewer than
-# twice as many rows is evaluated in the caller's thread alone.  The bands
+# twice as many rows is evaluated in the caller's thread alone.  A thread
+# and its two barrier waits per dyad block cost about 0.5 ms a call, which
+# small grids do not win back.  Two bands against one, median of 40
+# alternated calls (2-CPU x86): for the n = 20 dephased walk (4 blocks)
+# 2.3 against 1.7 ms on a 41^2 grid, 3.7 against 4.1 ms on 81^2 and 5.3
+# against 6.6 ms on 129^2; for n = 5 (1 block) 0.89 against 0.55 ms on
+# 81^2 and 1.03 against 0.85 ms on 129^2.  The bands
 # interleave, row i in band i % count: rows whose profiles underflow to
 # subnormals contract several times slower, and they lie together in x.
 # For the n = 160 walk's 401^2 field, the two contiguous halves contracted

@@ -361,6 +361,9 @@ class TestDecohereRun:
                                 "wigner_xi_1"]
         d = report["diagnostics"]
         assert d["xi_0"]["negativity_volume"] > d["xi_1"]["negativity_volume"]
+        # the band count of the config grid's refinement
+        assert report["timings"]["wigner_bands"] == observables.wigner_bands(
+            observables.PhaseSpaceGrid(-6, 6, -6, 6, 161, 161))
 
     def test_minus_zero_xi_reads_as_zero(self, tmp_path):
         cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nn = 1\nxi = -0\n"

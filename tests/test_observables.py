@@ -748,11 +748,14 @@ class TestDiagnostics:
         # even-index subgrid and the negativity volumes of both; on a skinny
         # grid the dyad profile blocks outweigh the field.  The bound holds
         # for any number of row bands, so the grid refusals do not depend
-        # on the machine.
+        # on the machine.  Bands of one row and up, so that the skinny grids
+        # run in every band count too.
         monkeypatch.setattr(observables, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(observables, "BAND_ROWS", 1)
         rho = walk_density(fig_pp(20, xi=0.2))
         base = PhaseSpaceGrid(-6, 6, -6, 6, nx, np_)
         g = grid_for(rho, base)
+        assert observables.wigner_bands(g.refined()) == cpus
         tracemalloc.start()
         try:
             cli._read(rho, base, {"wigner_s": 0.0})

@@ -5,12 +5,15 @@ The package is organized in five layers:
 * :mod:`catwalk.algebra`: exact coherent-state algebra (displacements,
   rotations, the composite kick operator, overlaps, normalization).
 * :mod:`catwalk.protocol`: physical-to-dimensionless parameter mapping,
-  the two conditioned protocols (n-pulse walk and two-component cat) and
-  :func:`run_conditioned_walk`, the walk measured cycle by cycle.
+  the labels of the two conditioned protocols (n-pulse walk and
+  two-component cat) and :func:`run_conditioned_walk`, the walk measured
+  cycle by cycle.
 * :mod:`catwalk.dephasing`: density matrices in the coherent-dyad basis
   (:class:`DyadEnsemble`: the labels' amplitude and phase arrays, one
   weight matrix and the labels' Gram matrix, all read-only; a pure state is
-  its rank-1 :func:`projector`) and the per-pulse dephasing recursion.
+  its rank-1 :func:`projector`), the per-pulse dephasing recursion and the
+  cat as a two-row ensemble with its outcome probability
+  (:func:`cat_density`).
 * :mod:`catwalk.observables`: position densities, Wigner functions, and
   scalar diagnostics on phase-space grids, each read from a
   :class:`DyadEnsemble`.
@@ -73,8 +76,6 @@ from .protocol import (
     PhysicalParams,
     ProtocolParams,
     cat_labels,
-    cat_state,
-    cat_success_probability,
     derive_protocol,
     kick_labels,
     run_conditioned_walk,

@@ -66,7 +66,6 @@ from .observables import (
 from .protocol import (
     PhysicalParams,
     ProtocolParams,
-    cat_success_probability,
     derive_protocol,
     kick_labels,
 )
@@ -525,10 +524,11 @@ def _walk(cfg: ExperimentConfig, timings: dict):
 
 
 def _cat(cfg: ExperimentConfig, timings: dict):
-    pp = cfg.protocol()
-    rho = cat_density(pp, math.exp(-cfg.decay_exponent))
+    """The damped cat density and its outcome probability, both from one
+    ``cat_density`` call."""
+    rho, prob = cat_density(cfg.protocol(), math.exp(-cfg.decay_exponent))
     grid, W, diag = _read(rho, cfg.grid, timings)
-    diag["success_probability"] = cat_success_probability(pp)
+    diag["success_probability"] = prob
     return [_pdist_table(rho, grid), _wigner_table(W),
             _diagnostics_table(diag)], diag
 

@@ -30,6 +30,11 @@ indices j = -s, -s+2, ..., s in ascending order, so the matrix holds exactly
 (s+1)^2 weights and one step is four shifted-slice adds on the zero-padded
 matrix.  The kick phases theta_j ride on the labels, which is what makes
 the weight recursion above purely index-local.
+
+The cat is the two-row case, built once from its labels beta_{-n},
+beta_{+n}: a decay over the whole run multiplies its two cross weights by
+one factor, and, as for a walk step, the trace of the damped weights is the
+probability of the conditioning outcome.
 """
 
 import cmath
@@ -40,7 +45,7 @@ import numpy as np
 
 from .algebra import DEGENERACY_CUTOFF, SuperposedState, gram_matrix, normalize
 from .errors import DegenerateState
-from .protocol import ProtocolParams, cat_state, kick_labels, walk_state
+from .protocol import TAU, ProtocolParams, cat_labels, kick_labels, walk_state
 
 # Largest kick-table Gram matrix a walk may build (kick_gram_bytes): n <= 1023.
 GRAM_BUDGET_BYTES = 64 * 2**20
@@ -53,10 +58,11 @@ class DyadEnsemble:
 
     ``amplitudes`` (complex) and ``phases`` (float) hold the labels in row
     order: ascending kick index j for the walk densities, component order
-    for a :func:`projector`.  ``weights`` is the complex (m, m) matrix
-    rho_jk and ``gram`` the labels' Gram matrix G[i, j] = <label_i|label_j>:
-    gram_matrix(amplitudes, phases) unless the caller passes the one it
-    holds; no other field may be None.  All four are kept as read-only
+    for a :func:`projector`, beta_{-n} then beta_{+n} for the cat.
+    ``weights`` is the complex (m, m) matrix rho_jk and ``gram`` the labels'
+    Gram matrix G[i, j] = <label_i|label_j>: gram_matrix(amplitudes,
+    phases) unless the caller passes the one it holds; no other field may
+    be None.  All four are kept as read-only
     copies.  Physical instances are Hermitian, unit trace under the
     overlap-weighted sum and positive semidefinite; a pure state is the
     rank-1 case.  Instances compare by identity, since ``==`` on an array
@@ -107,26 +113,25 @@ def _normalized(rho: DyadEnsemble) -> tuple:
     return DyadEnsemble(rho.amplitudes, rho.phases, rho.weights / tr, rho.gram), tr
 
 
-def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams, kicks=None) -> tuple:
+def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams, kicks: tuple) -> tuple:
     """One conditioned pulse pair with dephasing exponent pp.xi.
 
     Returns (the conditioned ensemble, the probability of the ground
-    outcome).  The m rows of ``rho`` must be the kick labels j = -(m-1),
-    ..., m-1 (step 2) of pp's kick table, as :func:`walk_density_steps`
-    makes them (ValueError otherwise); the result has one row more, j = -m,
-    ..., m.  Weights follow the four-term recursion in the module docstring
-    and the result is renormalized to unit trace.  Each dressed branch
-    reaches the ground outcome with amplitude 1/2, so the trace the
-    recursion produces is 4 times the outcome probability.  xi = inf is
-    accepted and kills the cross terms outright.
-    ``kicks`` is (amplitudes, phases, Gram) of pp's kick table j = -N..N,
-    N >= m, as :func:`walk_density_steps` holds it; without it the step
-    builds the table for N = m and the Gram of the rows it keeps.
+    outcome).  ``kicks`` is (amplitudes, phases, Gram) of pp's kick table
+    j = -N..N, N >= m, as :func:`walk_density_steps` holds it.  The m rows
+    of ``rho`` must be the kick labels j = -(m-1), ..., m-1 (step 2) of
+    that table (ValueError otherwise); the result has one row more, j = -m,
+    ..., m, and carries the slice of the table's Gram for its rows.
+    Weights follow the four-term recursion in the module docstring and the
+    result is renormalized to unit trace.  Each dressed branch reaches the
+    ground outcome with amplitude 1/2, so the trace the recursion produces
+    is 4 times the outcome probability.  xi = inf is accepted and kills the
+    cross terms outright.
     """
     damp = math.exp(-pp.xi) if math.isfinite(pp.xi) else 0.0
     cross = cmath.exp(2j * pp.phi) * damp
     reach = len(rho.weights)
-    amplitudes, phases, G = kicks or (*kick_labels(pp.l1, pp.l2, pp.alpha0, reach), None)
+    amplitudes, phases, G = kicks
     rows = slice(len(phases) // 2 - reach, len(phases) // 2 + reach + 1, 2)
     inner = slice(rows.start + 1, rows.stop - 1, 2)
     if not (np.array_equal(rho.amplitudes, amplitudes[inner])
@@ -135,8 +140,7 @@ def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams, kicks=None) -> tuple:
     R = np.pad(rho.weights, 1)
     weights = (R[:-1, :-1] + R[1:, 1:]
                + cross * R[:-1, 1:] + cross.conjugate() * R[1:, :-1])
-    rho, tr = _normalized(DyadEnsemble(amplitudes[rows], phases[rows], weights,
-                                       None if G is None else G[rows, rows]))
+    rho, tr = _normalized(DyadEnsemble(amplitudes[rows], phases[rows], weights, G[rows, rows]))
     return rho, tr / 4.0
 
 
@@ -191,19 +195,38 @@ def pure_walk_density(pp: ProtocolParams) -> DyadEnsemble:
                         rho.gram[::-1, ::-1])
 
 
-def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> DyadEnsemble:
-    """Projector of :func:`cat_state` with its cross dyads damped.
+def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> tuple:
+    """(density, outcome probability) of the cat: the state after n
+    uninterrupted drive cycles, conditioned by one measurement.
 
-    ``cross_suppression`` multiplies both off-diagonal weights (use
-    exp(-3 n Gamma T / 4) for a decay rate Gamma acting over the whole n-cycle
-    run); the result is renormalized.  Rows are the kick indices -n and n.
+    The rows are the labels beta_{-n}, beta_{+n} of :func:`cat_labels`, the
+    weights c_j conj(c_k) with c = (e^{-i phi'}, -e^{+i phi'}) / 2 and
+    phi' = 2 n phi reduced mod 2 pi.  ``cross_suppression`` multiplies both
+    cross weights (use exp(-3 n Gamma T / 4) for a decay rate Gamma acting
+    over the whole n-cycle run).  The density is normalized once, and the
+    trace it had, that of the damped weights, is the outcome probability:
+    P(s) = 1/2 + s (P(1) - 1/2).  Requires n >= 1 and alpha0 = 0
+    (ValueError).  Raises DegenerateState when the undamped trace is
+    <= DEGENERACY_CUTOFF, that is, when the two components cancel (e.g.
+    l1 = l2 = 0 with phi' an integer multiple of pi).
     """
     if not 0.0 <= cross_suppression <= 1.0:
         raise ValueError("cross_suppression must lie in [0, 1]")
-    rho = projector(cat_state(pp))
-    weights = cross_suppression * rho.weights
-    np.fill_diagonal(weights, rho.weights.diagonal())
-    return _normalized(DyadEnsemble(rho.amplitudes, rho.phases, weights, rho.gram))[0]
+    if pp.n < 1:
+        raise ValueError("cat protocol needs at least one cycle")
+    if pp.alpha0 != 0:
+        raise ValueError("cat protocol starts from the vacuum (alpha0 = 0)")
+    plus, minus = cat_labels(pp.l1, pp.l2, pp.n)
+    phi_c = (2.0 * pp.n * pp.phi) % TAU
+    c = np.array([0.5 * cmath.exp(-1j * phi_c), -0.5 * cmath.exp(1j * phi_c)])
+    rho = DyadEnsemble([minus.amplitude, plus.amplitude], [minus.phase, plus.phase],
+                       np.outer(c, c.conj()))
+    undamped = dyad_trace(rho).real
+    if undamped <= DEGENERACY_CUTOFF:
+        raise DegenerateState(f"cat components cancel: Tr rho = {undamped:.3e}")
+    s = cross_suppression
+    return _normalized(DyadEnsemble(rho.amplitudes, rho.phases,
+                                    rho.weights * [[1.0, s], [s, 1.0]], rho.gram))
 
 
 def _weighted_matrix(rho: DyadEnsemble):

@@ -6,7 +6,9 @@ both square-pulsed: on for the first half of each mechanical period, off for
 the second half.  Conditioning the qubit on the ground outcome after every
 pulse pair drives the mode through a random walk over coherent amplitudes;
 keeping the strong drive on throughout and measuring once instead produces a
-two-component (cat) superposition.
+two-component (cat) superposition.  This module gives the labels of both:
+:func:`kick_labels` for the walk, :func:`cat_labels` for the cat, whose
+density and outcome probability are :func:`catwalk.dephasing.cat_density`.
 
 Everything here is dimensionless: the kick strength l1 = Omega2*eta/omega,
 the rotation fraction l2 = Omega1*eta^2/omega, the per-cycle drive phase
@@ -225,40 +227,6 @@ def cat_labels(l1: float, l2: float, n: int) -> tuple:
         plus = _cat_kick(plus, l1, l2, +1)
         minus = _cat_kick(minus, l1, l2, -1)
     return plus, minus
-
-
-def _cat_raw(pp: ProtocolParams) -> SuperposedState:
-    """The conditioned, unnormalized cat state
-    [e^{-i phi'}|beta_{-n}> - e^{+i phi'}|beta_{+n}>] / 2 with
-    phi' = 2 n phi reduced mod 2 pi; its squared norm is the outcome
-    probability."""
-    if pp.n < 1:
-        raise ValueError("cat protocol needs at least one cycle")
-    plus, minus = cat_labels(pp.l1, pp.l2, pp.n)
-    phi_c = (2.0 * pp.n * pp.phi) % TAU
-    return SuperposedState((
-        (0.5 * cmath.exp(-1j * phi_c), minus),
-        (-0.5 * cmath.exp(1j * phi_c), plus),
-    ))
-
-
-def cat_state(pp: ProtocolParams) -> SuperposedState:
-    """Two-component superposition after n uninterrupted drive cycles.
-
-    K [ e^{-i phi'} |beta_{-n}> - e^{+i phi'} |beta_{+n}> ] with phi' = 2 n phi
-    and the theta' phases tracked on the labels.  Requires n >= 1 and
-    alpha0 = 0.  Raises DegenerateState when the two components cancel
-    (e.g. l1 = l2 = 0 with phi' an integer multiple of pi).
-    """
-    if pp.alpha0 != 0:
-        raise ValueError("cat protocol starts from the vacuum (alpha0 = 0)")
-    return normalize(_cat_raw(pp))
-
-
-def cat_success_probability(pp: ProtocolParams) -> float:
-    """Probability of the single conditioning measurement of the cat
-    protocol: the squared norm of the conditioned state."""
-    return norm_squared(_cat_raw(pp))
 
 
 def run_conditioned_walk(pp: ProtocolParams):

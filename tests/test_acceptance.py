@@ -50,7 +50,6 @@ from catwalk.observables import (
 from catwalk.protocol import (
     PhysicalParams,
     ProtocolParams,
-    cat_state,
     derive_protocol,
     kick_labels,
     walk_state,
@@ -249,32 +248,31 @@ def test_criterion_6_wigner_validity():
     """Reality, normalization, marginals, bound, and quadrature agreement."""
     with criterion(6, "Wigner validity suite"):
         grid = default_grid()
-        states = {
-            "vacuum": normalize(SuperposedState(((1.0, CoherentLabel.vacuum()),))),
-            "walk n=1": walk_state(fig_pp(1)),
-            "walk n=5": walk_state(fig_pp(5)),
-            "cat n=10": cat_state(fig_pp(10)),
+        densities = {
+            "vacuum": projector(normalize(SuperposedState(((1.0, CoherentLabel.vacuum()),)))),
+            "walk n=1": projector(walk_state(fig_pp(1))),
+            "walk n=5": projector(walk_state(fig_pp(5))),
+            "cat n=10": cat_density(fig_pp(10))[0],
         }
         xs_sub = grid.x_axis()[::10]
         ps_sub = grid.p_axis()[::10]
-        for name, state in states.items():
-            W = wigner_pure(state, grid)
+        for name, rho in densities.items():
+            W = wigner_mixed(rho, grid)
             # normalization on the (auto-sufficient) default box
             assert abs(W.norm - 1.0) < 1e-3, name
             # fundamental bound
             assert np.abs(W.values).max() <= 1 / pi + 1e-9, name
             # marginal against the position density
             marginal = W.values.sum(axis=1) * grid.dp
-            dens = position_density(projector(state), grid).values
+            dens = position_density(rho, grid).values
             assert np.abs(marginal - dens).max() < 1e-4, name
             # pointwise reality of the raw complex dyad sum
             total = np.zeros((len(xs_sub), len(ps_sub)), dtype=complex)
-            for cm, lm in state.components:
-                for ck, lk in state.components:
-                    w = cm * ck.conjugate() * np.exp(1j * (lm.phase - lk.phase))
-                    total += w * wigner_dyad_closed(
-                        lm.amplitude, lk.amplitude, xs_sub, ps_sub
-                    )
+            rows = list(zip(rho.amplitudes, rho.phases))
+            for m, (am, tm) in enumerate(rows):
+                for k, (ak, tk) in enumerate(rows):
+                    w = rho.weights[m, k] * np.exp(1j * (tm - tk))
+                    total += w * wigner_dyad_closed(am, ak, xs_sub, ps_sub)
             assert np.abs(total.imag).max() < 1e-10, name
 
         # closed form vs quadrature on 20 random dyads
@@ -303,8 +301,8 @@ def test_criterion_7_decoherence_consistency():
 
         pp = fig_pp(10)
         factor = math.exp(-2.0)  # total dressed-coherence decay over 10 cycles
-        pure = cat_density(pp)
-        damped = cat_density(pp, cross_suppression=factor)
+        pure, _ = cat_density(pp)
+        damped, _ = cat_density(pp, cross_suppression=factor)
         r_pure = pure.weights[0, 1] / pure.weights[1, 1]  # rows: kicks -10, 10
         r_damped = damped.weights[0, 1] / damped.weights[1, 1]
         assert abs(r_damped / r_pure - factor) < 1e-12

@@ -28,7 +28,7 @@ from catwalk.cli import (
     parse_config_file,
     parse_grid,
 )
-from catwalk import cli, efmt, fock, observables
+from catwalk import cli, dephasing, efmt, fock, observables
 from catwalk.dephasing import GRAM_BUDGET_BYTES, kick_gram_bytes
 from catwalk.errors import ConfigError
 from catwalk.protocol import PhysicalParams, ProtocolParams, derive_protocol
@@ -343,6 +343,22 @@ class TestCatRun:
         cfg = write_config(tmp_path, "l1 = 0\nl2 = 0\nphi = 0\nn = 1\n")
         assert main(["cat", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
 
+    def test_one_label_build_and_one_normalization(self, tmp_path, monkeypatch):
+        # the density and the success probability come from one cat_density call
+        calls = {"cat_labels": 0, "_normalized": 0}
+        for name in calls:
+            original = getattr(dephasing, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(dephasing, name, counted)
+        raw = dict(parse_config_file(CONFIGS / "cat.cfg"), out=str(tmp_path / "x"))
+        report = cli.run(build_config("cat", raw))
+        assert calls == {"cat_labels": 1, "_normalized": 1}
+        assert report.diagnostics["success_probability"] == pytest.approx(0.50007, abs=1e-5)
+
 
 class TestDecohereRun:
     def test_xi_series(self, tmp_path):
@@ -432,6 +448,26 @@ class TestWignerEvaluations:
         assert calls == [True] * densities
         assert report.warnings == []
         assert any(o["name"].startswith("wigner") for o in report.outputs)
+
+
+class TestOneStateType:
+    """No CLI mode builds a SuperposedState: every run reads DyadEnsembles."""
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda path: path.name)
+    def test_no_config_builds_a_superposed_state(self, tmp_path, monkeypatch, path):
+        from catwalk.algebra import CoherentLabel, SuperposedState
+
+        def refuse(self):
+            raise AssertionError("a CLI run built a SuperposedState")
+
+        monkeypatch.setattr(SuperposedState, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="built a SuperposedState"):
+            SuperposedState(((1.0, CoherentLabel.vacuum()),))  # the guard is live
+        mode = path.stem.replace("_", "-")
+        raw = dict(parse_config_file(path), out=str(tmp_path / "o"),
+                   outputs=",".join(MODES[mode].writable))
+        report = cli.run(build_config(mode, raw))
+        assert report.outputs and all(Path(o["path"]).exists() for o in report.outputs)
 
 
 ORACLE_CFG = (f"omega = 1.0\ng = 0.01\nomega1 = {16.25 / (1 - 1e-4 / 2)}\n"

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catwalk import dephasing
+from catwalk.algebra import gram_matrix
 from catwalk.dephasing import (
     DyadEnsemble,
     _normalized,
@@ -26,13 +27,20 @@ from catwalk.dephasing import (
     walk_density_steps,
 )
 from catwalk.errors import DegenerateState
-from catwalk.protocol import ProtocolParams, walk_state
+from catwalk.protocol import ProtocolParams, kick_labels, walk_state
 
 from conftest import overlap_matrix
 
 
 def fig_pp(n, xi=0.0):
     return ProtocolParams(0.1, 0.01, 4.5 * pi, n, xi)
+
+
+def kick_table(pp):
+    """(amplitudes, phases, Gram) of pp's kick table j = -n..n, the table
+    evolve_dyads reads."""
+    amplitudes, phases = kick_labels(pp.l1, pp.l2, pp.alpha0, pp.n)
+    return amplitudes, phases, gram_matrix(amplitudes, phases)
 
 
 def classical_path_mixture(l1, l2, n):
@@ -159,7 +167,7 @@ class TestEnsemble:
 
     def test_built_gram_is_that_of_its_labels(self):
         pp = fig_pp(10)
-        for rho in (projector(walk_state(pp)), cat_density(pp, 0.3), pure_walk_density(pp)):
+        for rho in (projector(walk_state(pp)), cat_density(pp, 0.3)[0], pure_walk_density(pp)):
             assert rho.gram.tobytes() == overlap_matrix(rho.amplitudes, rho.phases).tobytes()
 
     def test_trace_distance_needs_equal_label_tuples(self):
@@ -245,14 +253,14 @@ class TestCoherenceDecay:
 class TestCatDensity:
     def test_pure_limit(self):
         pp = fig_pp(10)
-        rho = cat_density(pp)
+        rho, _ = cat_density(pp)
         assert purity(rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_cross_dyad_suppression_exact(self):
         pp = fig_pp(10)
         factor = math.exp(-2.0)
-        pure = cat_density(pp)
-        damped = cat_density(pp, cross_suppression=factor)
+        pure, _ = cat_density(pp)
+        damped, _ = cat_density(pp, cross_suppression=factor)
         # suppression applies exactly to the off-diagonal dyads, up to the
         # common renormalization constant
         # rows are the kick indices -10 and 10
@@ -261,7 +269,7 @@ class TestCatDensity:
         assert abs(r_damped / r_pure - factor) < 1e-12
 
     def test_damped_cat_invariants(self):
-        rho = cat_density(fig_pp(10), cross_suppression=math.exp(-2.0))
+        rho, _ = cat_density(fig_pp(10), cross_suppression=math.exp(-2.0))
         assert abs(dyad_trace(rho).real - 1.0) < 1e-12
         assert min_eigenvalue(rho) > -1e-12
         assert purity(rho) < 1.0
@@ -269,13 +277,37 @@ class TestCatDensity:
     def test_validation(self):
         with pytest.raises(ValueError):
             cat_density(fig_pp(2), cross_suppression=1.5)
+        with pytest.raises(ValueError):
+            cat_density(fig_pp(2), cross_suppression=-0.1)
+
+    @pytest.mark.parametrize("n", [1, 10])
+    def test_fully_damped_probability_is_one_half(self, n):
+        # no cross weight left: each label carries |c_j|^2 = 1/4 of a unit norm
+        _, prob = cat_density(fig_pp(n), cross_suppression=0.0)
+        assert abs(prob - 0.5) <= 2 * math.ulp(0.5)
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    @pytest.mark.parametrize("decay", [0.5, 2.0])
+    def test_probability_is_the_damped_trace(self, n, decay):
+        # P(s) = 1/2 + s (P(1) - 1/2): only the cross weights carry s
+        s = math.exp(-decay)
+        _, undamped = cat_density(fig_pp(n))
+        _, prob = cat_density(fig_pp(n), cross_suppression=s)
+        assert abs(prob - (0.5 + s * (undamped - 0.5))) <= 1e-15
+
+    def test_probability_reads_the_decay(self):
+        # at n = 1 the undamped outcome is rare, and damping lifts it to 0.22
+        _, undamped = cat_density(fig_pp(1))
+        _, damped = cat_density(fig_pp(1), cross_suppression=math.exp(-0.5))
+        assert undamped == pytest.approx(0.038, abs=5e-4)
+        assert damped == pytest.approx(0.220, abs=5e-4)
 
 
 class TestEvolveDyads:
     def test_single_step_from_custom_ensemble(self):
         pp = fig_pp(1, xi=0.7)
         rho0 = pure_walk_density(fig_pp(0))
-        rho1, _ = evolve_dyads(rho0, pp)
+        rho1, _ = evolve_dyads(rho0, pp, kick_table(pp))
         assert len(rho1.amplitudes) == 2  # kick indices -1 and 1
         damp = math.exp(-0.7)
         # cross terms carry e^{+-2i phi} e^{-xi} relative to the diagonals
@@ -284,11 +316,11 @@ class TestEvolveDyads:
 
     def test_one_kick_table_and_gram_per_walk(self, monkeypatch):
         # every step slices the walk's one Gram; the bits equal steps that
-        # build their own labels and Gram
+        # each read a table of their own reach
         pp = fig_pp(6, xi=0.3)
         rho = DyadEnsemble([pp.alpha0], [0.0], [[1.0]])
-        for _ in range(pp.n):
-            rho, _ = evolve_dyads(rho, pp)
+        for step in range(1, pp.n + 1):
+            rho, _ = evolve_dyads(rho, pp, kick_table(fig_pp(step, xi=0.3)))
         calls = {"kick_labels": 0, "gram_matrix": 0}
         for name in calls:
             original = getattr(dephasing, name)
@@ -307,14 +339,15 @@ class TestEvolveDyads:
 
     def test_rows_must_be_the_kick_labels(self):
         pp = ProtocolParams(0.1, 0.01, 0.3, 3)
+        kicks = kick_table(pp)
         # a projector's rows run in component order, kick index n down to -n
         with pytest.raises(ValueError, match="kick labels"):
-            evolve_dyads(projector(walk_state(ProtocolParams(0.1, 0.01, 0.3, 2))), pp)
+            evolve_dyads(projector(walk_state(ProtocolParams(0.1, 0.01, 0.3, 2))), pp, kicks)
         # labels of another alpha0
         with pytest.raises(ValueError, match="kick labels"):
-            evolve_dyads(walk_density(ProtocolParams(0.1, 0.01, 0.3, 2, alpha0=0.2)), pp)
+            evolve_dyads(walk_density(ProtocolParams(0.1, 0.01, 0.3, 2, alpha0=0.2)), pp, kicks)
         # rows in ascending kick index are one step short of walk_density
-        rho, _ = evolve_dyads(pure_walk_density(ProtocolParams(0.1, 0.01, 0.3, 2)), pp)
+        rho, _ = evolve_dyads(pure_walk_density(ProtocolParams(0.1, 0.01, 0.3, 2)), pp, kicks)
         assert trace_distance(rho, walk_density(pp)) < 1e-12
 
     def test_trace_renormalized_every_step(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from catwalk.algebra import CoherentLabel, SuperposedState, normalize
-from catwalk.dephasing import projector, walk_density, walk_density_steps
+from catwalk.dephasing import cat_density, projector, walk_density, walk_density_steps
 from catwalk.errors import CutoffTooSmall, ZeroProbabilityOutcome
 from catwalk.protocol import PhysicalParams, ProtocolParams, derive_protocol, walk_state
 from catwalk import fock
@@ -410,25 +410,23 @@ class TestCatEquivalence:
         # orthogonal plus combination.
         pp = derive_protocol(CHECK_POINT, 5)
         contract = ProtocolParams(pp.l1, pp.l2, pp.phi, 5)
-        from catwalk.protocol import cat_state
-
-        target = cat_state(contract)
+        rho, prob = cat_density(contract)
         pg, vg, pe, ve = fock.run_cat_record(CHECK_POINT, 5)
         assert pg + pe == pytest.approx(1.0, abs=1e-10)
-        assert fock.fidelity(ve, projector(target)) >= 1 - 1e-5
-        assert fock.fidelity(vg, projector(target)) < 1e-2
+        assert fock.fidelity(ve, rho) >= 1 - 1e-5
+        assert fock.fidelity(vg, rho) < 1e-2
+        assert prob == pytest.approx(pe, abs=1e-6)
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_success_probability_is_the_excited_outcome(self, n):
         # the closed-form probability of the conditioning measurement is that
         # of the outcome the Fock model labels excited (gaps 4.7e-9, 4.1e-8
-        # and 1.05e-7 at n = 1, 3, 5)
-        from catwalk.protocol import cat_success_probability
-
+        # and 1.05e-7 at n = 1, 3, 5); decay 0 leaves the cross weights whole
         pp = derive_protocol(CHECK_POINT, n)
         contract = ProtocolParams(pp.l1, pp.l2, pp.phi, n)
         _, _, pe, _ = fock.run_cat_record(CHECK_POINT, n)
-        assert cat_success_probability(contract) == pytest.approx(pe, abs=1e-6)
+        _, prob = cat_density(contract, cross_suppression=math.exp(-0.0))
+        assert prob == pytest.approx(pe, abs=1e-6)
 
 
 class TestFullHamiltonian:

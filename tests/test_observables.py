@@ -137,8 +137,8 @@ class TestRefinedSubgrid:
         pytest.param(lambda: walk_density(fig_pp(10, alpha0=ALPHA0)), id="walk-10-alpha0"),
         pytest.param(lambda: walk_density(fig_pp(10, 0.2, ALPHA0)), id="decohere-10-alpha0"),
         pytest.param(lambda: walk_density(fig_pp(5, l1=2.0)), id="walk-5-l1-2"),
-        pytest.param(lambda: cat_density(fig_pp(10)), id="cat"),
-        pytest.param(lambda: cat_density(fig_pp(10), math.exp(-2.0)), id="cat-damped"),
+        pytest.param(lambda: cat_density(fig_pp(10))[0], id="cat"),
+        pytest.param(lambda: cat_density(fig_pp(10), math.exp(-2.0))[0], id="cat-damped"),
     ])
     def test_subgrid_is_the_field_on_the_grid(self, rho, base):
         rho = rho()
@@ -312,8 +312,8 @@ class TestWignerMixed:
 
         g = default_grid()
         pp = fig_pp(10)
-        full = wigner_mixed(cat_density(pp), g)
-        damped = wigner_mixed(cat_density(pp, math.exp(-2.0)), g)
+        full = wigner_mixed(cat_density(pp)[0], g)
+        damped = wigner_mixed(cat_density(pp, math.exp(-2.0))[0], g)
         assert negativity_volume(damped) < negativity_volume(full)
         assert abs(full.norm - 1.0) < 1e-3 and abs(damped.norm - 1.0) < 1e-3
 
@@ -384,6 +384,7 @@ class TestWignerMixed:
         pytest.param(lambda: projector(walk_state(fig_pp(10))), id="walk-10"),
         pytest.param(lambda: projector(walk_state(fig_pp(20))), id="walk-20"),
         pytest.param(lambda: walk_density(fig_pp(20, xi=0.2)), id="decohere-20"),
+        pytest.param(lambda: cat_density(fig_pp(10), math.exp(-2.0))[0], id="cat-damped"),
     ])
     def test_contraction_error_against_mpmath(self, rho):
         # A rounding bound at each point that holds for any summation order:
@@ -479,7 +480,7 @@ class TestBands:
         pytest.param(lambda: projector(walk_state(fig_pp(10))), id="walk-10"),
         pytest.param(lambda: projector(walk_state(fig_pp(40))), id="walk-40"),
         pytest.param(lambda: walk_density(fig_pp(20, xi=0.2)), id="decohere-20"),
-        pytest.param(lambda: cat_density(fig_pp(5), 0.7), id="cat-5"),
+        pytest.param(lambda: cat_density(fig_pp(5), 0.7)[0], id="cat-5"),
     ])
     def test_bytes_equal_serial_loop(self, monkeypatch, rho, shape):
         # bands of one row and up, so that every count runs on every grid

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from catwalk.algebra import SuperposedState, norm_squared, state_overlap
-from catwalk.dephasing import walk_density_steps
+from catwalk.dephasing import cat_density, dyad_trace, walk_density_steps
 from catwalk.errors import DegenerateState, RegimeViolation
 from catwalk.protocol import (
     PhysicalParams,
     ProtocolParams,
     cat_labels,
-    cat_state,
-    cat_success_probability,
     derive_protocol,
     kick_labels,
     run_conditioned_walk,
@@ -242,16 +240,18 @@ class TestRecordProbabilities:
 class TestCatState:
     def test_zero_kick_phase_behaviour(self):
         valid = ProtocolParams(0.0, 0.0, pi / 4, 1)  # phi' = pi/2
-        state = cat_state(valid)
-        assert norm_squared(state) == pytest.approx(1.0, abs=1e-12)
+        rho, _ = cat_density(valid)
+        assert dyad_trace(rho).real == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(DegenerateState):
-            cat_state(ProtocolParams(0.0, 0.0, 0.0, 1))  # phi' = 0
+            cat_density(ProtocolParams(0.0, 0.0, 0.0, 1))  # phi' = 0
+        with pytest.raises(DegenerateState):  # damping cannot rescue it
+            cat_density(ProtocolParams(0.0, 0.0, 0.0, 1), 0.0)
 
     def test_requires_vacuum_start(self):
         with pytest.raises(ValueError):
-            cat_state(ProtocolParams(0.1, 0.01, 0.0, 2, alpha0=0.1 + 0j))
+            cat_density(ProtocolParams(0.1, 0.01, 0.0, 2, alpha0=0.1 + 0j))
         with pytest.raises(ValueError):
-            cat_state(ProtocolParams(0.1, 0.01, 0.0, 0))
+            cat_density(ProtocolParams(0.1, 0.01, 0.0, 0))
 
     def test_labels_against_printed_recursion(self):
         # beta_j = (beta_{j-1} + i l1) e^{-2 i l2 pi} + i l1 e^{-i l2 pi}
@@ -277,15 +277,15 @@ class TestCatState:
         assert abs(plus.amplitude - frozen) < 1e-12
 
     def test_normalization_contract(self):
-        state = cat_state(ProtocolParams(0.1, 0.01, 4.5 * pi, 10))
-        assert abs(norm_squared(state) - 1.0) < 1e-12
-        assert len(state.components) == 2
+        rho, _ = cat_density(ProtocolParams(0.1, 0.01, 4.5 * pi, 10))
+        assert abs(dyad_trace(rho).real - 1.0) < 1e-12
+        assert rho.weights.shape == (2, 2)
 
     def test_success_probability_zero_kick(self):
         # with no kicks the conditioned combination has weight sin^2(phi')
         pp = ProtocolParams(0.0, 0.0, 0.3, 3)
         phi_c = 2 * 3 * 0.3
-        assert cat_success_probability(pp) == pytest.approx(math.sin(phi_c) ** 2)
+        assert cat_density(pp)[1] == pytest.approx(math.sin(phi_c) ** 2)
 
     def test_theta_mirror_symmetry(self):
         plus, minus = cat_labels(0.1, 0.01, 7)

@@ -317,20 +317,7 @@ class RunReport:
     wall_time_s: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mode": self.mode,
-                "config": self.config,
-                "diagnostics": self.diagnostics,
-                "outputs": self.outputs,
-                "warnings": self.warnings,
-                "timings": self.timings,
-                "wall_time_s": self.wall_time_s,
-            },
-            indent=2,
-            sort_keys=True,
-            default=str,
-        )
+        return json.dumps(vars(self), indent=2, sort_keys=True, default=str)
 
 
 @dataclass(frozen=True)
@@ -562,9 +549,8 @@ def _oracle_check(cfg: ExperimentConfig, timings: dict):
             phys, cfg.n, cfg.alpha0, cfg.cutoff, hamiltonian="full")
         leak_max = max(leak_max, leak_full)
     fid_min = min([1.0] + fids)
-    pp = derive_protocol(phys, cfg.n, cfg.alpha0)
     diag = {"fidelity_min": fid_min, "leakage_max": leak_max,
-            "l1": pp.l1, "l2": pp.l2, "phi": pp.phi}
+            "l1": cfg.l1, "l2": cfg.l2, "phi": cfg.phi}
     print(f"oracle-check: min closed-form fidelity over n=1..{cfg.n}: {fid_min:.9f}")
     table = Table("oracle_check", "oracle-table",
                   "closed form vs matrix evolution; columns: " + ", ".join(columns),

@@ -1,4 +1,4 @@
-"""The benchmark tracer's probe of the measurement chain.
+"""The benchmark tracer's probes of the measurement chain and the Fock oracle.
 
 No benchmark workload calls ``protocol.run_conditioned_walk``, so this is
 the one place its span probe runs.  ``bench/spans.py`` is imported as it
@@ -12,7 +12,8 @@ import catwalk
 import catwalk.cli  # noqa: F401  (the tracer wraps functions in every module)
 from catwalk.protocol import ProtocolParams
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def test_chain_span_reads_n_and_components(monkeypatch):
@@ -29,3 +30,24 @@ def test_chain_span_reads_n_and_components(monkeypatch):
     chain = [s for s in tracer.spans if s.name == "protocol.run_conditioned_walk"]
     assert [s.attrs for s in chain] == [{"n": 5, "components": 6}]
     assert spans.components_by_n(tracer.spans) == {5: 6}
+
+
+def test_oracle_run_shows_its_fock_spans(monkeypatch, tmp_path):
+    # configs/oracle_check.cfg walks n = 4 cycles: one evolve span per cycle
+    # and one build_heff span per segment of the cycle, built once per run
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    cli = catwalk.cli
+    raw = cli.parse_config_file(ROOT / "configs" / "oracle_check.cfg")
+    cfg = cli.build_config("oracle-check", dict(raw, out=str(tmp_path)))
+    tracer = spans.Tracer()
+    tracer.install(catwalk)
+    try:
+        cli.run(cfg)
+    finally:
+        tracer.remove()
+    assert tracer.missing == []
+    names = [s.name for s in tracer.spans]
+    assert names.count("fock.evolve") == 4
+    assert names.count("fock.build_heff") == 2

@@ -8,9 +8,11 @@ evolved by the exact matrix exponential of its Hamiltonian (via
 eigendecomposition), so there is no integrator tolerance to tune; accuracy
 is limited only by the Fock cutoff, which a leakage gate checks after every
 segment (``evolve``).  A reduced Hamiltonian is block diagonal in the dressed
-qubit basis (|g> +- |e>)/sqrt(2), so its exponential is taken from N x N
-blocks; the unreduced one is a single 2N x 2N block.  A cycle's propagators
-are built once per run, and ``project`` conditions on a qubit outcome.
+qubit basis (|g> +- |e>)/sqrt(2), so its exponential is taken from two N x N
+blocks: two N x N eigendecompositions for a segment with the weak drive on,
+none for a diagonal one (drive off, or the cat's Omega1-only segment).  The
+unreduced one is a single 2N x 2N block.  A cycle's propagators are built
+once per run, and ``project`` conditions on a qubit outcome.
 
 The drive-frame Hamiltonian with both drives on is
 
@@ -60,13 +62,26 @@ PROPAGATOR_BUDGET_BYTES = 64 * 2**20
 WALK_CYCLE = ((math.pi, True, True), (math.pi, False, False))
 CAT_CYCLE = ((math.pi, True, True), (math.pi, True, False))
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
-
-
 def destroy(cutoff: int) -> np.ndarray:
     """Annihilation operator on the truncated Fock space."""
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
+
+
+def _number(a: np.ndarray) -> np.ndarray:
+    """The number operator a^dag a of a truncated ``destroy`` matrix, built
+    from its diagonal s * s, s = sqrt(1..N-1): what the matmul computes, bit
+    for bit."""
+    s = a.diagonal(1).real
+    return np.diag(np.concatenate(([0.0], s * s))).astype(complex)
+
+
+def _qubit_major(gg, ge, eg, ee) -> np.ndarray:
+    """The qubit-major 2N x 2N matrix [[gg, ge], [eg, ee]] of four N x N
+    blocks, each copied into place."""
+    n = len(gg)
+    H = np.empty((2, n, 2, n), dtype=complex)
+    H[0, :, 0], H[0, :, 1], H[1, :, 0], H[1, :, 1] = gg, ge, eg, ee
+    return H.reshape(2 * n, 2 * n)
 
 
 def coherent_fock_vector(alpha: complex, cutoff: int, phase: float = 0.0) -> np.ndarray:
@@ -110,8 +125,21 @@ def poisson_tail(mean: float, cutoff: int) -> float:
     return total if upward else 1.0 - total
 
 
-def _fock_columns(rho: DyadEnsemble, cutoff: int) -> np.ndarray:
-    """The Fock columns e^{i theta_j}|alpha_j> of rho's labels, (cutoff, m).
+def _expand(amplitudes: np.ndarray, phases: np.ndarray, cutoff: int) -> tuple:
+    """(columns, tails) of the labels e^{i theta_j}|alpha_j>: their Fock
+    columns, (cutoff, m), and t_j = sqrt(poisson_tail(|alpha_j|^2, cutoff))."""
+    columns = np.empty((cutoff, len(amplitudes)), dtype=complex)
+    tails = np.empty(len(amplitudes))
+    for j, (alpha, theta) in enumerate(zip(amplitudes.tolist(), phases.tolist())):
+        columns[:, j] = coherent_fock_vector(alpha, cutoff, theta)
+        tails[j] = math.sqrt(poisson_tail(abs(alpha) ** 2, cutoff))
+    return columns, tails
+
+
+def _fock_columns(rho: DyadEnsemble, cutoff: int,
+                  expansion: tuple | None = None) -> np.ndarray:
+    """The Fock columns e^{i theta_j}|alpha_j> of rho's labels, (cutoff, m):
+    ``expansion``, when the caller holds the ``_expand`` of rho's labels.
 
     CutoffTooSmall when the rigorous truncation bound sum_jk |w_jk| t_j t_k,
     t_j^2 = poisson_tail(|alpha_j|^2, cutoff), exceeds EXPANSION_LEAKAGE_MAX;
@@ -119,11 +147,7 @@ def _fock_columns(rho: DyadEnsemble, cutoff: int) -> np.ndarray:
     expansion's trace deficit, because the large cancelling weights of
     strongly post-selected states would make float noise look like leakage.
     """
-    columns = np.empty((cutoff, len(rho.amplitudes)), dtype=complex)
-    tails = np.empty(len(rho.amplitudes))
-    for j, (alpha, theta) in enumerate(zip(rho.amplitudes.tolist(), rho.phases.tolist())):
-        columns[:, j] = coherent_fock_vector(alpha, cutoff, theta)
-        tails[j] = math.sqrt(poisson_tail(abs(alpha) ** 2, cutoff))
+    columns, tails = expansion or _expand(rho.amplitudes, rho.phases, cutoff)
     leak = float(tails @ np.abs(rho.weights) @ tails)
     if leak > EXPANSION_LEAKAGE_MAX:
         raise CutoffTooSmall(
@@ -147,23 +171,24 @@ def build_heff(
 ) -> np.ndarray:
     """Reduced drive-frame Hamiltonian (divided by hbar*omega) as a dense matrix.
 
-    With both drives off this is just the free mode, a^dag a.  The returned
-    matrix is Hermitian to machine precision and block-diagonal in the
-    dressed qubit basis (|g> +- |e>)/sqrt(2): each block is a displaced,
-    frequency-shifted oscillator.
+    With both drives off this is just the free mode, a^dag a.  Otherwise it
+    is exactly [[A, B], [B, A]] with A = a^dag a and B the qubit-flipping
+    terms, so it is block-diagonal in the dressed qubit basis
+    (|g> +- |e>)/sqrt(2): each block is a displaced, frequency-shifted
+    oscillator.
     """
     a = destroy(cutoff)
-    nop = (a.conj().T @ a).real.astype(complex)
-    H = np.kron(_I2, nop)
+    nop = _number(a)
+    flip = np.zeros_like(nop)
     eta = p.eta
     if omega1_on:
         o1 = p.Omega1 / p.omega
-        H = H + o1 * (1 - eta**2 / 2) * np.kron(_SX, np.eye(cutoff, dtype=complex))
-        H = H - o1 * eta**2 * np.kron(_SX, nop)
+        flip = flip + o1 * (1 - eta**2 / 2) * np.eye(cutoff, dtype=complex)
+        flip = flip - o1 * eta**2 * nop
     if omega2_on:
         o2 = p.Omega2 / p.omega
-        H = H - o2 * eta * np.kron(_SX, 1j * (a.conj().T - a))
-    return H
+        flip = flip - o2 * eta * (1j * (a.conj().T - a))
+    return _qubit_major(nop, flip, flip, nop)
 
 
 def build_full_hamiltonian(
@@ -174,20 +199,24 @@ def build_full_hamiltonian(
 ) -> np.ndarray:
     """Unreduced drive-frame Hamiltonian (divided by hbar*omega)."""
     a = destroy(cutoff)
-    nop = (a.conj().T @ a).real.astype(complex)
+    nop = _number(a)
     eye = np.eye(cutoff, dtype=complex)
-    proj_e = np.diag([0.0, 1.0]).astype(complex)
-    H = np.kron(_I2, nop) + (p.g / p.omega) * np.kron(proj_e, a + a.conj().T)
+    # the qubit-flipping blocks <g|H|e> and <e|H|g>
+    up, down = np.zeros_like(nop), np.zeros_like(nop)
     if omega1_on:
-        H = H + (p.Omega1 / p.omega) * np.kron(_SX, eye)
-    if omega2_on:
-        drive2 = np.array([[0.0, -1j], [1j, 0.0]])  # i(s+ - s-) in (g, e) order
-        H = H + (p.Omega2 / p.omega) * np.kron(drive2, eye)
-    return H
+        o1 = p.Omega1 / p.omega
+        up, down = up + o1 * eye, down + o1 * eye
+    if omega2_on:  # i(s+ - s-)
+        o2 = p.Omega2 / p.omega
+        up, down = up + o2 * (-1j * eye), down + o2 * (1j * eye)
+    return _qubit_major(nop, up, down, nop + (p.g / p.omega) * (a + a.conj().T))
 
 
 def _exp_hermitian(H: np.ndarray, duration: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H via one eigendecomposition."""
+    """exp(-i H t) for Hermitian H via one eigendecomposition; a diagonal H,
+    such as a drive-off segment's, is its own eigenbasis and takes none."""
+    if np.count_nonzero(H) == np.count_nonzero(np.diagonal(H)):
+        return np.diag(np.exp(-1j * np.diagonal(H).real * duration))
     w, V = np.linalg.eigh(H)
     return (V * np.exp(-1j * w * duration)) @ V.conj().T
 
@@ -199,9 +228,10 @@ def _propagator(H: np.ndarray, duration: float) -> np.ndarray:
     When H = [[A, B], [B, A]] exactly, as every reduced Hamiltonian is, H is
     block diagonal in the dressed qubit basis (|g> +- |e>)/sqrt(2) and
     exp(-i H t) = 1/2 [[P+ + P-, P+ - P-], [P+ - P-, P+ + P-]] with
-    P+- = exp(-i (A +- B) t): two N x N eigendecompositions, one when B = 0.
-    Any other H, the unreduced one, is a single block and takes one 2N x 2N
-    eigendecomposition.
+    P+- = exp(-i (A +- B) t): two N x N eigendecompositions, none when
+    A +- B is diagonal (``_exp_hermitian``), as with the drives off or
+    Omega1 alone.  Any other H, the unreduced one, is a single block and
+    takes one 2N x 2N eigendecomposition.
     """
     n = len(H) // 2
     A, B = H[:n, :n], H[:n, n:]
@@ -278,7 +308,11 @@ def fidelity(mode_amplitudes: np.ndarray, rho: DyadEnsemble) -> float:
     there by its truncated trace Tr(W C^dag C).  For a ``projector`` this is
     |<psi|v>|^2 against ``superposed_fock_vector``."""
     v = np.asarray(mode_amplitudes, dtype=complex)
-    C = _fock_columns(rho, len(v))
+    return _fidelity(v, rho, _fock_columns(rho, len(v)))
+
+
+def _fidelity(v: np.ndarray, rho: DyadEnsemble, C: np.ndarray) -> float:
+    """``fidelity`` with the Fock columns C of rho's labels given."""
     u = C.conj().T @ v  # <label_j|v> in the truncated space
     truncated_trace = np.sum(rho.weights * (C.conj().T @ C).T).real
     return float((u.conj() @ rho.weights @ u).real / truncated_trace)
@@ -295,11 +329,11 @@ def walk_prefixes(
     each cycle, and keep the state after every cycle.
 
     The drive-on and drive-off propagators are built once and applied cycle
-    after cycle, so the whole walk costs three N x N eigendecompositions
-    (two 2N x 2N for the unreduced model) whatever n is.  The leakage gate
-    is checked after every segment.  The state after k cycles comes from
-    exactly the operations of a k-cycle walk, so every prefix is bit for bit
-    what a separate k-cycle run returns.
+    after cycle, so the whole walk costs two N x N eigendecompositions, both
+    for the drive-on segment (two 2N x 2N for the unreduced model), whatever
+    n is.  The leakage gate is checked after every segment.  The state after
+    k cycles comes from exactly the operations of a k-cycle walk, so every
+    prefix is bit for bit what a separate k-cycle run returns.
 
     Returns (per-cycle ground probabilities, normalized mode amplitudes after
     k = 0..n cycles, largest leakage seen after any segment).
@@ -371,7 +405,19 @@ def closed_form_walk_fidelities(
     if n < 1:
         raise ValueError(f"the walk comparison needs n >= 1; got {n}")
     probs, modes, leak_max = walk_prefixes(p, n, alpha0, cutoff, hamiltonian)
-    steps = walk_density_steps(replace(derive_protocol(p, n, alpha0), xi=0.0))
-    next(steps)  # step 0, the initial |alpha0><alpha0|
-    fids = [fidelity(modes[k], rho) for k, rho, _ in steps]
+    steps = [rho for _, rho, _ in
+             walk_density_steps(replace(derive_protocol(p, n, alpha0), xi=0.0))]
+    # Step k's rows are the kick labels j = -k..k in steps of 2, so steps n
+    # and n - 1 hold the 2n + 1 labels between them: each is expanded once,
+    # and every step reads a contiguous copy of its slice, the layout
+    # _expand gives, under its own leakage gate.
+    columns = np.empty((cutoff, 2 * n + 1), dtype=complex)
+    tails = np.empty(2 * n + 1)
+    for parity, rho in ((0, steps[n]), (1, steps[n - 1])):
+        columns[:, parity::2], tails[parity::2] = _expand(rho.amplitudes, rho.phases, cutoff)
+    fids = []
+    for k in range(1, n + 1):
+        rows = slice(n - k, n + k + 1, 2)
+        expansion = np.ascontiguousarray(columns[:, rows]), np.ascontiguousarray(tails[rows])
+        fids.append(_fidelity(modes[k], steps[k], _fock_columns(steps[k], cutoff, expansion)))
     return fids, probs, leak_max

@@ -590,12 +590,12 @@ class TestOracleCheckRun:
         assert len(calls) == expected
 
     @pytest.mark.parametrize("full, shapes", [
-        ("false", [(40, 40)] * 3),
-        ("true", [(40, 40)] * 3 + [(80, 80)] * 2),
+        ("false", [(40, 40)] * 2),
+        ("true", [(40, 40)] * 2 + [(80, 80)] * 2),
     ], ids=["reduced", "full"])
     def test_eigendecompositions_per_run(self, tmp_path, monkeypatch, full, shapes):
         # a count, not a timing: the reduced drive-on propagator takes two
-        # N x N eigendecompositions and the drive-off one a single N x N;
+        # N x N eigendecompositions and the drive-off one, diagonal, none;
         # the unreduced pass adds one 2N x 2N per propagator
         seen = []
         real = fock.np.linalg.eigh
@@ -605,6 +605,31 @@ class TestOracleCheckRun:
         assert main(["oracle-check", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 0
         assert seen == shapes
+
+    @pytest.mark.parametrize("n", [1, 10])
+    def test_one_expansion_per_kick_label(self, tmp_path, monkeypatch, n):
+        # alpha0 for the Fock walk, then each of the 2n + 1 kick labels once
+        # for all n steps, where expanding every step's own rows takes
+        # sum_k (k + 1), 65 at n = 10
+        calls = []
+        real = fock.coherent_fock_vector
+        monkeypatch.setattr(fock, "coherent_fock_vector",
+                            lambda *args: calls.append(args) or real(*args))
+        cfg = write_config(tmp_path, ORACLE_CFG.format(n=n, cutoff=40, full="false"))
+        assert main(["oracle-check", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 0
+        assert len(calls) == 2 * n + 2
+
+    def test_eigendecompositions_per_cat_record(self, monkeypatch):
+        # the cat's Omega1-only segment is diagonal in the dressed basis:
+        # only its drive-on segment takes the two N x N eigendecompositions
+        seen = []
+        real = fock.np.linalg.eigh
+        monkeypatch.setattr(fock.np.linalg, "eigh",
+                            lambda H: seen.append(H.shape) or real(H))
+        fock.run_cat_record(PhysicalParams(1.0, 0.01, 16.25 / (1 - 1e-4 / 2), 1.5), 3,
+                            cutoff=40)
+        assert seen == [(40, 40)] * 2
 
     # fidelity_min and the lowest fidelity_full before the oracle read the
     # walk's densities (the per-k binomial state, normalized), to 17 digits

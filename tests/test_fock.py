@@ -136,6 +136,87 @@ SEGMENTS = pytest.mark.parametrize("o1, o2", [
     (True, True), (False, False), (True, False),
 ], ids=["drive-on", "drive-off", "cat-omega1-only"])
 
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+I2 = np.eye(2, dtype=complex)
+
+
+def kron_heff(p, cutoff, omega1_on, omega2_on):
+    """Reference for ``fock.build_heff``: kron products of qubit and mode
+    operators, with a^dag a from a dense matmul."""
+    a = fock.destroy(cutoff)
+    nop = (a.conj().T @ a).real.astype(complex)
+    H = np.kron(I2, nop)
+    eta = p.eta
+    if omega1_on:
+        o1 = p.Omega1 / p.omega
+        H = H + o1 * (1 - eta**2 / 2) * np.kron(SX, np.eye(cutoff, dtype=complex))
+        H = H - o1 * eta**2 * np.kron(SX, nop)
+    if omega2_on:
+        o2 = p.Omega2 / p.omega
+        H = H - o2 * eta * np.kron(SX, 1j * (a.conj().T - a))
+    return H
+
+
+def kron_full_hamiltonian(p, cutoff, omega1_on, omega2_on):
+    """Reference for ``fock.build_full_hamiltonian``, from kron products."""
+    a = fock.destroy(cutoff)
+    nop = (a.conj().T @ a).real.astype(complex)
+    eye = np.eye(cutoff, dtype=complex)
+    proj_e = np.diag([0.0, 1.0]).astype(complex)
+    H = np.kron(I2, nop) + (p.g / p.omega) * np.kron(proj_e, a + a.conj().T)
+    if omega1_on:
+        H = H + (p.Omega1 / p.omega) * np.kron(SX, eye)
+    if omega2_on:
+        drive2 = np.array([[0.0, -1j], [1j, 0.0]])  # i(s+ - s-) in (g, e) order
+        H = H + (p.Omega2 / p.omega) * np.kron(drive2, eye)
+    return H
+
+
+def reference_propagator(H, t):
+    """exp(-i H t) from eigendecompositions alone, diagonal blocks included:
+    of A +- B when H = [[A, B], [B, A]] exactly, of the whole H otherwise."""
+    n = len(H) // 2
+    A, B = H[:n, :n], H[:n, n:]
+    if not (np.array_equal(A, H[n:, n:]) and np.array_equal(B, H[n:, :n])):
+        return dense_propagator(H, t)
+    plus = dense_propagator(A + B, t)
+    minus = dense_propagator(A - B, t) if B.any() else plus
+    even, odd = (plus + minus) / 2, (plus - minus) / 2
+    return np.block([[even, odd], [odd, even]])
+
+
+def same_bits(x, y):
+    """Equal bytes, signed zeros included, without copying the arrays."""
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+class TestReferencePropagators:
+    # the block builders and the diagonal segments' direct exponential give
+    # the bytes of the kron builders and LAPACK's eigendecompositions
+    @pytest.mark.parametrize("cutoff", [8, 40, 160, 724])
+    @pytest.mark.parametrize("p", [CHECK_POINT, STRONG_POINT, FULL_POINT],
+                             ids=["check", "strong", "full"])
+    @SEGMENTS
+    def test_hamiltonians_bit_for_bit(self, p, cutoff, o1, o2):
+        assert same_bits(fock.build_heff(p, cutoff, o1, o2), kron_heff(p, cutoff, o1, o2))
+        assert same_bits(fock.build_full_hamiltonian(p, cutoff, o1, o2),
+                         kron_full_hamiltonian(p, cutoff, o1, o2))
+
+    # The unreduced model at cutoff 724 is left out: its propagators are one
+    # 1448 x 1448 eigendecomposition of the Hamiltonian bytes checked above,
+    # as in the reference, and eight of them take about 25 s on two CPUs.
+    @pytest.mark.parametrize("hamiltonian, cutoff", [
+        *(("reduced", cutoff) for cutoff in (8, 40, 160, 724)),
+        *(("full", cutoff) for cutoff in (8, 40, 160)),
+    ])
+    @pytest.mark.parametrize("p", [CHECK_POINT, STRONG_POINT], ids=["check", "strong"])
+    @pytest.mark.parametrize("cycle", [fock.WALK_CYCLE, fock.CAT_CYCLE], ids=["walk", "cat"])
+    def test_cycle_propagators_bit_for_bit(self, cycle, p, hamiltonian, cutoff):
+        build = kron_heff if hamiltonian == "reduced" else kron_full_hamiltonian
+        got = fock._cycle_propagators(cycle, p, cutoff, hamiltonian)
+        for U, (t, o1, o2) in zip(got, cycle, strict=True):
+            assert same_bits(U, reference_propagator(build(p, cutoff, o1, o2), t))
+
 
 class TestPropagator:
     @pytest.mark.parametrize("cutoff", [40, 160])
@@ -487,6 +568,22 @@ class TestOnePass:
             C = fock._fock_columns(rho, cutoff)[-fock.LEAKAGE_LEVELS:]
             top = max(top, np.einsum("mj,jk,mk->", C, rho.weights, C.conj()).real)
         assert top / 10 <= leak_max <= 10 * top
+
+    def test_expansion_gate_reads_each_step(self):
+        # from alpha0 = 3 at cutoff 36 the Fock walk passes its own gate, but
+        # the closed-form truncation bound sum_jk |w_jk| t_j t_k of step k
+        # grows with k and first passes EXPANSION_LEAKAGE_MAX at k = 7
+        pp = replace(derive_protocol(CHECK_POINT, 10, 3.0), xi=0.0)
+        bounds = []
+        for _, rho, _ in walk_density_steps(pp):
+            t = np.sqrt([fock.poisson_tail(abs(alpha) ** 2, 36) for alpha in rho.amplitudes])
+            bounds.append(t @ np.abs(rho.weights) @ t)
+        first = next(k for k, bound in enumerate(bounds) if bound > fock.EXPANSION_LEAKAGE_MAX)
+        assert first == 7
+        fock.closed_form_walk_fidelities(CHECK_POINT, first - 1, 3.0, 36)
+        with pytest.raises(CutoffTooSmall,
+                           match=f"leaks up to {bounds[first]:.3e} past cutoff 36"):
+            fock.closed_form_walk_fidelities(CHECK_POINT, 10, 3.0, 36)
 
     def test_propagator_bytes(self):
         # two dense complex (2N)^2 matrices

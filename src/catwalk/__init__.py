@@ -47,7 +47,6 @@ from .dephasing import (
     projector,
     pure_walk_density,
     purity,
-    qubit_coherence_decay,
     trace_distance,
     walk_density,
     walk_density_steps,

@@ -261,14 +261,3 @@ def cross_term_weight(rho: DyadEnsemble) -> float:
     terms = np.abs(rho.weights * rho.gram.T)
     np.fill_diagonal(terms, 0.0)
     return float(terms.sum())
-
-
-def qubit_coherence_decay(t: float, Gamma: float) -> float:
-    """Dressed-coherence survival factor exp(-3 Gamma t / 4).
-
-    The per-pulse dephasing exponent is this decay evaluated over the driven
-    half period: xi = 3 Gamma T / 8.
-    """
-    if t < 0 or Gamma < 0:
-        raise ValueError("t and Gamma must be non-negative")
-    return math.exp(-0.75 * Gamma * t)

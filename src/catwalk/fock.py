@@ -1,18 +1,19 @@
 """Independent truncated-Fock-space simulator for cross-checking the closed forms.
 
-The joint qubit-mode state is a plain 2N-element numpy vector, qubit-major:
-index q*N + k holds qubit level q (0 = ground, 1 = excited) and Fock level k.
-A protocol is one cycle of piecewise-constant (duration, Omega1 on, Omega2
-on) segments, ``WALK_CYCLE`` or ``CAT_CYCLE``, repeated.  Each segment is
-evolved by the exact matrix exponential of its Hamiltonian (via
-eigendecomposition), so there is no integrator tolerance to tune; accuracy
-is limited only by the Fock cutoff, which a leakage gate checks after every
-segment (``evolve``).  A reduced Hamiltonian is block diagonal in the dressed
-qubit basis (|g> +- |e>)/sqrt(2), so its exponential is taken from two N x N
-blocks: two N x N eigendecompositions for a segment with the weak drive on,
-none for a diagonal one (drive off, or the cat's Omega1-only segment).  The
-unreduced one is a single 2N x 2N block.  A cycle's propagators are built
-once per run, and ``project`` conditions on a qubit outcome.
+The joint qubit-mode state is a plain 2N-element numpy vector in its model's
+qubit frame (``FRAMES``): index q*N + k holds frame state q and Fock level k.
+The reduced Hamiltonian is exactly [[A, B], [B, A]] in the bare (g, e) basis,
+so in its frame, the dressed basis (|g> +- |e>)/sqrt(2), each half evolves
+on its own under A +- B; the unreduced model keeps the bare basis.  A
+protocol is one cycle of piecewise-constant (duration, Omega1 on, Omega2 on)
+segments, ``WALK_CYCLE`` or ``CAT_CYCLE``, repeated.  A cycle's propagators
+are the exact exponentials of each segment's blocks, built once per run: two
+N x N eigendecompositions with the weak drive on, none for a diagonal block,
+one 2N x 2N for the unreduced model.  There is no integrator tolerance to
+tune; accuracy is limited only by the Fock cutoff, which a leakage gate
+checks after every segment (``evolve``).  The walk and the cat enter the
+frame at the ground embedding and leave it at ``project``, which
+conditions on a bare qubit outcome.
 
 The drive-frame Hamiltonian with both drives on is
 
@@ -61,6 +62,10 @@ PROPAGATOR_BUDGET_BYTES = 64 * 2**20
 # strong drive on throughout and pulses the weak one.
 WALK_CYCLE = ((math.pi, True, True), (math.pi, False, False))
 CAT_CYCLE = ((math.pi, True, True), (math.pi, True, False))
+# Each model's qubit frame, real orthogonal: column j is frame state j in the
+# bare (g, e) basis, so row q holds the frame coordinates of bare level q.
+FRAMES = {"reduced": np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2), "full": np.eye(2)}
+
 
 def destroy(cutoff: int) -> np.ndarray:
     """Annihilation operator on the truncated Fock space."""
@@ -221,34 +226,24 @@ def _exp_hermitian(H: np.ndarray, duration: float) -> np.ndarray:
     return (V * np.exp(-1j * w * duration)) @ V.conj().T
 
 
-def _propagator(H: np.ndarray, duration: float) -> np.ndarray:
-    """exp(-i H t) for a Hermitian 2N x 2N H, block by block (t in 1/omega
-    units, H in omega units).
-
-    When H = [[A, B], [B, A]] exactly, as every reduced Hamiltonian is, H is
-    block diagonal in the dressed qubit basis (|g> +- |e>)/sqrt(2) and
-    exp(-i H t) = 1/2 [[P+ + P-, P+ - P-], [P+ - P-, P+ + P-]] with
-    P+- = exp(-i (A +- B) t): two N x N eigendecompositions, none when
-    A +- B is diagonal (``_exp_hermitian``), as with the drives off or
-    Omega1 alone.  Any other H, the unreduced one, is a single block and
-    takes one 2N x 2N eigendecomposition.
-    """
+def _dressed_blocks(H: np.ndarray) -> tuple:
+    """The dressed blocks (A + B, A - B) of a reduced H = [[A, B], [B, A]]."""
     n = len(H) // 2
-    A, B = H[:n, :n], H[:n, n:]
-    if not (np.array_equal(A, H[n:, n:]) and np.array_equal(B, H[n:, :n])):
-        return _exp_hermitian(H, duration)
-    plus = _exp_hermitian(A + B, duration)
-    minus = _exp_hermitian(A - B, duration) if B.any() else plus
-    even, odd = (plus + minus) / 2, (plus - minus) / 2
-    return np.block([[even, odd], [odd, even]])
+    return H[:n, :n] + H[:n, n:], H[:n, :n] - H[:n, n:]
+
+
+def _propagator(blocks, duration: float) -> np.ndarray:
+    """exp(-i H t) of each Hermitian block H of ``blocks``, stacked."""
+    return np.stack([_exp_hermitian(H, duration) for H in blocks])
 
 
 def propagator_bytes(cutoff: int) -> int:
-    """Memory of the two dense 2N x 2N complex propagators a cycle stores
-    (N = cutoff).  This counts the stored propagators, not the peak of
-    building them: tracemalloc reads that peak at 1.9x this count for the
-    reduced model (cutoff 400 and 724) and 3.0x for the unreduced one
-    (cutoff 400)."""
+    """Memory of the propagators a cycle stores (N = cutoff), bounded by the
+    unreduced model's two 2N x 2N complex matrices; the reduced model's two
+    (2, N, N) stacks take half of this.  This counts the stored
+    propagators, not the peak of building them: tracemalloc reads that peak
+    at 1.13x this count for the reduced model and 3.0x for the unreduced one
+    (walk cycle, cutoffs 400 and 724; the reduced cat cycle peaks alike)."""
     return 2 * (2 * cutoff) ** 2 * np.dtype(complex).itemsize
 
 
@@ -256,25 +251,31 @@ def _cycle_propagators(
     cycle, p: PhysicalParams, cutoff: int, hamiltonian: str = "reduced"
 ) -> list:
     """The propagator of each (duration, Omega1 on, Omega2 on) segment of a
-    cycle, in order; ``hamiltonian`` selects "reduced" (the dressed-frame
-    model) or "full" (the unreduced drive-frame model)."""
-    if hamiltonian not in ("reduced", "full"):
+    cycle, in order, as a stack of blocks acting on consecutive slices of a
+    state in the model's frame (``FRAMES``).  ``hamiltonian`` selects
+    "reduced", the dressed-frame model, whose stack is the two N x N blocks
+    exp(-i (A +- B) t) of ``build_heff``'s [[A, B], [B, A]], or "full", the
+    unreduced drive-frame model, whose stack is its one 2N x 2N exponential."""
+    if hamiltonian not in FRAMES:
         raise ValueError("hamiltonian must be 'reduced' or 'full'")
-    build = build_heff if hamiltonian == "reduced" else build_full_hamiltonian
-    return [_propagator(build(p, cutoff, o1, o2), duration)
+    if hamiltonian == "full":
+        return [_propagator((build_full_hamiltonian(p, cutoff, o1, o2),), duration)
+                for duration, o1, o2 in cycle]
+    return [_propagator(_dressed_blocks(build_heff(p, cutoff, o1, o2)), duration)
             for duration, o1, o2 in cycle]
 
 
 def evolve(propagators, vector: np.ndarray):
-    """Apply the propagators in order to a qubit-major 2N vector, checking
-    the leakage gate after each: CutoffTooSmall when the population of the
-    top LEAKAGE_LEVELS Fock levels of either qubit block exceeds LEAKAGE_MAX.
+    """Apply the propagators in order to a 2N vector in their model's frame,
+    checking the leakage gate after each: CutoffTooSmall when the top
+    LEAKAGE_LEVELS Fock levels of both halves hold more than LEAKAGE_MAX, a
+    population that is the same in any orthonormal qubit frame.
 
     Returns (vector, largest leakage seen after any segment).
     """
     leak_max = 0.0
     for U in propagators:
-        vector = U @ vector
+        vector = (U @ vector.reshape(len(U), -1, 1)).ravel()
         leak = float(np.sum(np.abs(vector.reshape(2, -1)[:, -LEAKAGE_LEVELS:]) ** 2))
         if leak > LEAKAGE_MAX:
             raise CutoffTooSmall(
@@ -285,15 +286,11 @@ def evolve(propagators, vector: np.ndarray):
     return vector, leak_max
 
 
-def _ground(mode: np.ndarray) -> np.ndarray:
-    """The qubit-major 2N vector of the qubit in |g> and the mode in ``mode``."""
-    return np.concatenate([mode, np.zeros_like(mode)])
-
-
-def project(vector: np.ndarray, qubit: int):
-    """Project a qubit-major 2N vector on qubit level ``qubit`` (0 = ground,
-    1 = excited); return (probability, normalized mode amplitudes)."""
-    block = vector.reshape(2, -1)[qubit]
+def project(vector: np.ndarray, qubit: int, frame: np.ndarray):
+    """Project a 2N vector in the qubit frame ``frame`` on bare qubit level
+    ``qubit`` (0 = ground, 1 = excited); return (probability, normalized
+    mode amplitudes)."""
+    block = frame[qubit] @ vector.reshape(2, -1)
     prob = float(np.vdot(block, block).real)
     if prob < 1e-14:
         raise ZeroProbabilityOutcome(
@@ -339,12 +336,13 @@ def walk_prefixes(
     k = 0..n cycles, largest leakage seen after any segment).
     """
     props = _cycle_propagators(WALK_CYCLE, p, cutoff, hamiltonian)
+    frame = FRAMES[hamiltonian]
     mode = coherent_fock_vector(alpha0, cutoff)
     probs, modes, leak_max = [], [mode], 0.0
     for _ in range(n):
-        vector, leak = evolve(props, _ground(mode))
+        vector, leak = evolve(props, np.kron(frame[0], mode))  # |g>|mode>
         leak_max = max(leak_max, leak)
-        prob, mode = project(vector, 0)
+        prob, mode = project(vector, 0, frame)
         probs.append(prob)
         modes.append(mode)
     return probs, modes, leak_max
@@ -362,9 +360,10 @@ def run_cat_record(
     excited probability, excited-conditioned mode amplitudes).
     """
     props = _cycle_propagators(CAT_CYCLE, p, cutoff)
-    vector, _ = evolve(props * n, _ground(coherent_fock_vector(0j, cutoff)))
-    pg, vg = project(vector, 0)
-    pe, ve = project(vector, 1)
+    frame = FRAMES["reduced"]
+    vector, _ = evolve(props * n, np.kron(frame[0], coherent_fock_vector(0j, cutoff)))
+    pg, vg = project(vector, 0, frame)
+    pe, ve = project(vector, 1, frame)
     return pg, vg, pe, ve
 
 

@@ -21,7 +21,6 @@ from catwalk.dephasing import (
     projector,
     pure_walk_density,
     purity,
-    qubit_coherence_decay,
     trace_distance,
     walk_density,
     walk_density_steps,
@@ -233,21 +232,6 @@ class TestMonotones:
 
         diag = diagnostics(walk_density(fig_pp(5, xi=1.0)))
         assert abs(diag["mean_x"]) < 0.1
-
-
-class TestCoherenceDecay:
-    def test_no_decay(self):
-        assert qubit_coherence_decay(5.0, 0.0) == 1.0
-
-    def test_reference_points(self):
-        # 3 Gamma t / 4 = 2  ->  e^{-2}
-        assert qubit_coherence_decay(2.0, 4.0 / 3.0) == pytest.approx(math.exp(-2))
-        # per-pulse factor at xi = 0.2
-        assert math.exp(-0.2) == pytest.approx(0.8187, abs=5e-5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            qubit_coherence_decay(-1.0, 1.0)
 
 
 class TestCatDensity:

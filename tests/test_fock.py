@@ -93,33 +93,38 @@ class TestBuildHeff:
         assert np.allclose(H, np.kron(np.eye(2), np.diag(np.arange(10.0))), atol=0)
 
 
-def ground_vector(alpha, cutoff):
-    """The qubit-major 2N vector of |g>|alpha>."""
-    return np.concatenate([coherent_column(alpha, cutoff), np.zeros(cutoff)])
+def ground_vector(alpha, cutoff, hamiltonian="full"):
+    """The 2N vector of |g>|alpha> in the ``hamiltonian`` model's qubit
+    frame: (g, e) for the unreduced model, the dressed (|g> +- |e>)/sqrt(2)
+    for the reduced one."""
+    chi = coherent_column(alpha, cutoff)
+    if hamiltonian == "full":
+        return np.concatenate([chi, np.zeros(cutoff)])
+    return np.concatenate([chi, chi]) / math.sqrt(2)
 
 
 class TestEvolve:
     def test_zero_duration_is_identity(self):
-        vector = ground_vector(0.4 + 0.1j, 40)
+        vector = ground_vector(0.4 + 0.1j, 40, "reduced")
         props = fock._cycle_propagators(((0.0, True, True),), CHECK_POINT, 40)
         out, _ = fock.evolve(props, vector)
         assert np.allclose(out, vector, atol=1e-12)
 
     def test_free_full_period_is_identity(self):
-        vector = ground_vector(0.7 + 0j, 40)
+        vector = ground_vector(0.7 + 0j, 40, "reduced")
         props = fock._cycle_propagators(((2 * pi, False, False),), CHECK_POINT, 40)
         out, _ = fock.evolve(props, vector)
         assert np.allclose(out, vector, atol=1e-10)
 
     def test_norm_preserved(self):
         props = fock._cycle_propagators(fock.WALK_CYCLE, CHECK_POINT, 60)
-        out, _ = fock.evolve(props * 3, ground_vector(0.2j, 60))
+        out, _ = fock.evolve(props * 3, ground_vector(0.2j, 60, "reduced"))
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
     def test_leakage_gate_trips(self):
         props = fock._cycle_propagators(fock.WALK_CYCLE, STRONG_POINT, 8)
         with pytest.raises(CutoffTooSmall):
-            fock.evolve(props, ground_vector(1.5 + 0j, 8))
+            fock.evolve(props, ground_vector(1.5 + 0j, 8, "reduced"))
 
     def test_unknown_hamiltonian_refused(self):
         with pytest.raises(ValueError, match="reduced"):
@@ -172,17 +177,22 @@ def kron_full_hamiltonian(p, cutoff, omega1_on, omega2_on):
     return H
 
 
-def reference_propagator(H, t):
-    """exp(-i H t) from eigendecompositions alone, diagonal blocks included:
-    of A +- B when H = [[A, B], [B, A]] exactly, of the whole H otherwise."""
+def dressed_blocks(H):
+    """The dressed blocks A + B and A - B of a reduced H = [[A, B], [B, A]]."""
     n = len(H) // 2
     A, B = H[:n, :n], H[:n, n:]
-    if not (np.array_equal(A, H[n:, n:]) and np.array_equal(B, H[n:, :n])):
-        return dense_propagator(H, t)
-    plus = dense_propagator(A + B, t)
-    minus = dense_propagator(A - B, t) if B.any() else plus
-    even, odd = (plus + minus) / 2, (plus - minus) / 2
-    return np.block([[even, odd], [odd, even]])
+    assert same_bits(A, H[n:, n:]) and same_bits(B, H[n:, :n])
+    return A + B, A - B
+
+
+def bare_propagator(stack):
+    """The bare-basis 2N x 2N matrix of a reduced model's dressed (2, N, N)
+    propagator stack: K diag(P+, P-) K with K the Hadamard on the qubit."""
+    n = stack.shape[-1]
+    K = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2), np.eye(n))
+    D = np.zeros((2 * n, 2 * n), dtype=complex)
+    D[:n, :n], D[n:, n:] = stack
+    return K @ D @ K
 
 
 def same_bits(x, y):
@@ -212,10 +222,20 @@ class TestReferencePropagators:
     @pytest.mark.parametrize("p", [CHECK_POINT, STRONG_POINT], ids=["check", "strong"])
     @pytest.mark.parametrize("cycle", [fock.WALK_CYCLE, fock.CAT_CYCLE], ids=["walk", "cat"])
     def test_cycle_propagators_bit_for_bit(self, cycle, p, hamiltonian, cutoff):
-        build = kron_heff if hamiltonian == "reduced" else kron_full_hamiltonian
+        # reduced: the (2, N, N) stack of exp(-i (A +- B) t), each block the
+        # eigendecomposition's and, when diagonal, the exponential of its
+        # diagonal; unreduced: the (1, 2N, 2N) stack of the one dense block
         got = fock._cycle_propagators(cycle, p, cutoff, hamiltonian)
         for U, (t, o1, o2) in zip(got, cycle, strict=True):
-            assert same_bits(U, reference_propagator(build(p, cutoff, o1, o2), t))
+            if hamiltonian == "full":
+                H = kron_full_hamiltonian(p, cutoff, o1, o2)
+                assert same_bits(U, dense_propagator(H, t)[None])
+                continue
+            assert U.shape == (2, cutoff, cutoff)
+            for P, block in zip(U, dressed_blocks(kron_heff(p, cutoff, o1, o2)), strict=True):
+                assert same_bits(P, dense_propagator(block, t))
+                if np.count_nonzero(block) == np.count_nonzero(np.diagonal(block)):
+                    assert same_bits(P, np.diag(np.exp(-1j * np.diagonal(block).real * t)))
 
 
 class TestPropagator:
@@ -223,11 +243,12 @@ class TestPropagator:
     @pytest.mark.parametrize("p", [CHECK_POINT, STRONG_POINT], ids=["check", "strong"])
     @SEGMENTS
     def test_dressed_blocks_match_dense(self, p, cutoff, o1, o2):
-        # every reduced Hamiltonian is [[A, B], [B, A]]: its exponential from
-        # the N x N blocks A +- B is the dense one to rounding (2.6e-13 at
-        # cutoff 80), and unitary
+        # every reduced Hamiltonian is [[A, B], [B, A]]: the dressed blocks
+        # exp(-i (A +- B) t), carried back to the bare basis, are the dense
+        # exponential to rounding (3.1e-13 at cutoff 80), and unitary
         H = fock.build_heff(p, cutoff, o1, o2)
-        U = fock._propagator(H, pi)
+        (stack,) = fock._cycle_propagators(((pi, o1, o2),), p, cutoff)
+        U = bare_propagator(stack)
         assert np.abs(U - dense_propagator(H, pi)).max() <= 1e-12
         assert np.linalg.norm(U.conj().T @ U - np.eye(2 * cutoff), 2) <= 1e-12
 
@@ -237,7 +258,7 @@ class TestPropagator:
         # the g |e><e| coupling breaks the qubit symmetry: one 2N x 2N block,
         # bit for bit the dense exponential
         H = fock.build_full_hamiltonian(p, 40, o1, o2)
-        assert np.array_equal(fock._propagator(H, pi), dense_propagator(H, pi))
+        assert same_bits(fock._propagator((H,), pi), dense_propagator(H, pi)[None])
 
 
 class TestDressedBlockClosedForm:
@@ -259,8 +280,7 @@ class TestDressedBlockClosedForm:
         pp = derive_protocol(p, 1)
         w = 1 - s * pp.l2 if o1 else 1.0
         beta = s * 1j * pp.l1 / w if o2 else 0j
-        U = fock._propagator(fock.build_heff(p, N, o1, o2), pi)
-        P = U[:N, :N] + s * U[:N, N:]  # (P+ + P-)/2 + s (P+ - P-)/2
+        P = fock._cycle_propagators(((pi, o1, o2),), p, N)[0][(1 - s) // 2]
         for alpha in (0j, 0.7 + 0.2j, -1.5 + 1j, 2 - 0.5j):
             image = (alpha - beta) * np.exp(-1j * pi * w)
             chi = (pi * w * abs(beta) ** 2 + (-beta * alpha.conjugate()).imag
@@ -269,24 +289,37 @@ class TestDressedBlockClosedForm:
             assert np.abs(P @ coherent_column(alpha, N) - expected).max() < 1e-12
 
 
+BARE = fock.FRAMES["full"]
+
+
 class TestProjection:
     def test_product_state_ground(self):
-        prob, mode = fock.project(ground_vector(0.3 + 0.2j, 30), 0)
+        prob, mode = fock.project(ground_vector(0.3 + 0.2j, 30), 0, BARE)
         assert prob == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(mode, coherent_column(0.3 + 0.2j, 30), atol=1e-12)
 
     def test_balanced_superposition(self):
         chi = coherent_column(0.5 + 0j, 30)
         vector = np.concatenate([chi, chi]) / math.sqrt(2)
-        pg, _ = fock.project(vector, 0)
-        pe, _ = fock.project(vector, 1)
+        pg, _ = fock.project(vector, 0, BARE)
+        pe, _ = fock.project(vector, 1, BARE)
         assert pg == pytest.approx(0.5, abs=1e-12)
         assert pe == pytest.approx(0.5, abs=1e-12)
         assert pg + pe == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_probability_raises(self):
         with pytest.raises(ZeroProbabilityOutcome):
-            fock.project(ground_vector(0.1 + 0j, 20), 1)
+            fock.project(ground_vector(0.1 + 0j, 20), 1, BARE)
+
+    def test_dressed_frame_projects_on_bare_levels(self):
+        # |g>|chi> written in the dressed frame projects back on it, and its
+        # excited outcome is refused as the bare vector's is
+        dressed = fock.FRAMES["reduced"]
+        prob, mode = fock.project(ground_vector(0.3 + 0.2j, 30, "reduced"), 0, dressed)
+        assert prob == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(mode, coherent_column(0.3 + 0.2j, 30), atol=1e-12)
+        with pytest.raises(ZeroProbabilityOutcome):
+            fock.project(ground_vector(0.1 + 0j, 20, "reduced"), 1, dressed)
 
 
 class TestFidelity:
@@ -358,9 +391,7 @@ def dephased_fock_walk(p, n, cutoff, xi, damp_same_branch=False):
       rho' ~ F (P+ rho P+^dag + P- rho P-^dag
                 + e^{-xi} (P+ rho P-^dag + P- rho P+^dag)) F^dag.
     ``damp_same_branch`` is a broken variant that damps the wrong pair."""
-    U = fock._propagator(fock.build_heff(p, cutoff), pi)
-    even, odd = U[:cutoff, :cutoff], U[:cutoff, cutoff:]
-    plus, minus = even + odd, even - odd
+    plus, minus = fock._cycle_propagators(((pi, True, True),), p, cutoff)[0]
     F = np.diag(np.exp(-1j * pi * np.arange(cutoff)))
     damp = math.exp(-xi)
     v = fock.coherent_fock_vector(0j, cutoff)
@@ -505,15 +536,16 @@ def per_k_reference(p, k, hamiltonian="reduced", alpha0=0j):
     """The k-cycle walk evolved from alpha0 on its own, one ``evolve`` call
     per segment, each with a propagator built for it: (per-cycle
     probabilities, largest leakage, final mode)."""
+    frame = fock.FRAMES[hamiltonian]
     mode = fock.coherent_fock_vector(alpha0, 80)
     probs, leak = [], 0.0
     for _ in range(k):
-        vector = np.concatenate([mode, np.zeros(80, dtype=complex)])
+        vector = np.kron(frame[0], mode)
         for segment in fock.WALK_CYCLE:
             props = fock._cycle_propagators((segment,), p, 80, hamiltonian)
             vector, segment_leak = fock.evolve(props, vector)
             leak = max(leak, segment_leak)
-        prob, mode = fock.project(vector, 0)
+        prob, mode = fock.project(vector, 0, frame)
         probs.append(prob)
     return probs, leak, mode
 
@@ -586,8 +618,92 @@ class TestOnePass:
             fock.closed_form_walk_fidelities(CHECK_POINT, 10, 3.0, 36)
 
     def test_propagator_bytes(self):
-        # two dense complex (2N)^2 matrices
+        # two dense complex (2N)^2 matrices: what the unreduced model stores,
+        # twice what the reduced model's two (2, N, N) stacks take
         assert fock.propagator_bytes(80) == 2 * 160**2 * 16
+        for hamiltonian, share in (("full", 1), ("reduced", 2)):
+            props = fock._cycle_propagators(fock.WALK_CYCLE, CHECK_POINT, 80, hamiltonian)
+            assert share * sum(U.nbytes for U in props) == fock.propagator_bytes(80)
+
+
+def expm_props(p, cutoff, cycle):
+    """A cycle's bare-basis propagators from ``kron_heff`` and scipy's expm."""
+    from scipy.linalg import expm
+
+    return [expm(-1j * t * kron_heff(p, cutoff, o1, o2)) for t, o1, o2 in cycle]
+
+
+def expm_evolve(props, vector):
+    """Apply bare-basis propagators in order: (vector, largest top-5
+    population of the two qubit blocks after any of them)."""
+    leak = 0.0
+    for U in props:
+        vector = U @ vector
+        leak = max(leak, np.sum(np.abs(vector.reshape(2, -1)[:, -fock.LEAKAGE_LEVELS:]) ** 2))
+    return vector, leak
+
+
+def expm_walk(p, n, cutoff):
+    """The reduced walk in the bare basis: (per-cycle ground probabilities,
+    modes after k = 0..n cycles, largest leakage)."""
+    props = expm_props(p, cutoff, fock.WALK_CYCLE)
+    mode = coherent_column(0j, cutoff)
+    probs, modes, leak_max = [], [mode], 0.0
+    for _ in range(n):
+        vector, leak = expm_evolve(props, np.concatenate([mode, np.zeros(cutoff)]))
+        leak_max = max(leak_max, leak)
+        probs.append(np.vdot(vector[:cutoff], vector[:cutoff]).real)
+        mode = vector[:cutoff] / math.sqrt(probs[-1])
+        modes.append(mode)
+    return probs, modes, leak_max
+
+
+class TestExpmReference:
+    # The dressed-frame walk and cat against a bare-basis 2N evolution from
+    # the kron Hamiltonian and scipy's expm.  The largest gaps at cutoff 40
+    # are 1.0e-14 (CHECK_POINT) and 8.6e-14 (STRONG_POINT) relative in the
+    # walk's probabilities, 2.3e-13 in the cat's, and 5.2e-13 in any mode
+    # amplitude; the bounds leave a factor of 4 or more.  The bare 2N
+    # propagators these blocks replace gave the same numbers within 1.0e-15
+    # relative in probability and 2.5e-15 in amplitude.
+    @pytest.mark.parametrize("p", [CHECK_POINT, STRONG_POINT], ids=["check", "strong"])
+    def test_walk_matches_expm(self, p):
+        probs, modes, _ = fock.walk_prefixes(p, 6, cutoff=40)
+        ref_probs, ref_modes, _ = expm_walk(p, 6, 40)
+        assert np.allclose(probs, ref_probs, rtol=4e-13, atol=0)
+        for mode, ref in zip(modes, ref_modes, strict=True):
+            assert np.abs(mode - ref).max() <= 2.5e-12
+
+    @pytest.mark.parametrize("p", [CHECK_POINT, STRONG_POINT], ids=["check", "strong"])
+    def test_cat_matches_expm(self, p):
+        pg, vg, pe, ve = fock.run_cat_record(p, 3, cutoff=40)
+        vector, _ = expm_evolve(expm_props(p, 40, fock.CAT_CYCLE) * 3,
+                                np.concatenate([coherent_column(0j, 40), np.zeros(40)]))
+        for qubit, (prob, mode) in enumerate(((pg, vg), (pe, ve))):
+            block = vector.reshape(2, -1)[qubit]
+            ref_prob = np.vdot(block, block).real
+            assert prob == pytest.approx(ref_prob, rel=1e-12, abs=0)
+            assert np.abs(mode - block / math.sqrt(ref_prob)).max() <= 2.5e-12
+
+    def test_gate_reads_the_same_population_in_the_dressed_frame(self):
+        # n = 10 at cutoff 40 puts a tail of about 4e-80 in the top levels.
+        # The same dressed blocks applied as bare 2N matrices give the
+        # dressed-frame reading within 1.8e-15 relative.  Against
+        # expm the reading is 6.5e-4 low, in both forms: eigendecomposed
+        # blocks carry a 1e-80 tail to that precision only, while expm agrees
+        # with a 40-digit mpmath exponential of the blocks within 1e-11.
+        p, n, cutoff = CHECK_POINT, 10, 40
+        _, _, leak = fock.walk_prefixes(p, n, cutoff=cutoff)
+        bare = [bare_propagator(U) for U in fock._cycle_propagators(fock.WALK_CYCLE, p, cutoff)]
+        mode, bare_leak = coherent_column(0j, cutoff), 0.0
+        for _ in range(n):
+            vector, cycle_leak = expm_evolve(bare, np.concatenate([mode, np.zeros(cutoff)]))
+            bare_leak = max(bare_leak, cycle_leak)
+            mode = vector[:cutoff] / np.linalg.norm(vector[:cutoff])
+        assert leak == pytest.approx(bare_leak, rel=1e-10, abs=0)
+        _, _, expm_leak = expm_walk(p, n, cutoff)
+        assert leak == pytest.approx(expm_leak, rel=1e-3, abs=0)
+        assert 1e-80 < leak <= fock.LEAKAGE_MAX
 
 
 class TestCatEquivalence:

@@ -203,16 +203,18 @@ KEYS = {
 }
 
 
-def _check_cutoff(cutoff: int):
+def _check_cutoff(cutoff: int, full_hamiltonian: bool):
     """Refuse a Fock cutoff the leakage gate cannot use or whose propagators
-    would not fit in ``fock.PROPAGATOR_BUDGET_BYTES``."""
+    would not fit in ``fock.PROPAGATOR_BUDGET_BYTES``: those of the reduced
+    model, and of the unreduced one when the run adds its pass."""
     if cutoff <= fock.LEAKAGE_LEVELS:
         raise ConfigError(f"cutoff must exceed the {fock.LEAKAGE_LEVELS} "
                           f"Fock levels the leakage gate watches; got {cutoff}")
-    need = fock.propagator_bytes(cutoff)
-    if need > fock.PROPAGATOR_BUDGET_BYTES:
-        raise ConfigError(f"cutoff {cutoff} needs {need:,} bytes of propagators, "
-                          f"over the budget of {fock.PROPAGATOR_BUDGET_BYTES:,}")
+    for hamiltonian in ("reduced", "full") if full_hamiltonian else ("reduced",):
+        need = fock.propagator_bytes(cutoff, hamiltonian)
+        if need > fock.PROPAGATOR_BUDGET_BYTES:
+            raise ConfigError(f"cutoff {cutoff} needs {need:,} bytes of {hamiltonian} "
+                              f"propagators, over the budget of {fock.PROPAGATOR_BUDGET_BYTES:,}")
 
 
 def _check_kicks(n: int):
@@ -274,7 +276,7 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
         raise ConfigError(f"{mode} cannot write {', '.join(sorted(bad))}; "
                           f"it writes {', '.join(spec.writable)}")
     _check_grid(cfg.grid)
-    _check_cutoff(cfg.cutoff)
+    _check_cutoff(cfg.cutoff, cfg.full_hamiltonian)
 
     tags = [_xi_tag(xi) for xi in cfg.xi_values]
     if len(set(tags)) < len(tags):

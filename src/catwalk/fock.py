@@ -1,19 +1,18 @@
 """Independent truncated-Fock-space simulator for cross-checking the closed forms.
 
 The joint qubit-mode state is a plain 2N-element numpy vector in its model's
-qubit frame (``FRAMES``): index q*N + k holds frame state q and Fock level k.
-The reduced Hamiltonian is exactly [[A, B], [B, A]] in the bare (g, e) basis,
-so in its frame, the dressed basis (|g> +- |e>)/sqrt(2), each half evolves
-on its own under A +- B; the unreduced model keeps the bare basis.  A
-protocol is one cycle of piecewise-constant (duration, Omega1 on, Omega2 on)
-segments, ``WALK_CYCLE`` or ``CAT_CYCLE``, repeated.  A cycle's propagators
-are the exact exponentials of each segment's blocks, built once per run: two
-N x N eigendecompositions with the weak drive on, none for a diagonal block,
-one 2N x 2N for the unreduced model.  There is no integrator tolerance to
-tune; accuracy is limited only by the Fock cutoff, which a leakage gate
-checks after every segment (``evolve``).  The walk and the cat enter the
-frame at the ground embedding and leave it at ``project``, which
-conditions on a bare qubit outcome.
+frame (``FRAMES``): index q*N + k holds frame qubit state q and frame Fock
+level k.  The reduced Hamiltonian is exactly [[A, B], [B, A]] in the bare
+(g, e) basis, so in its frame, the dressed basis (|g> +- |e>)/sqrt(2) with
+level k taken as i^k|k>, each half evolves on its own under a real symmetric
+block (``_dressed_blocks``); the unreduced model keeps the bare basis.  A
+protocol is one cycle of (duration, Omega1 on, Omega2 on) segments,
+``WALK_CYCLE`` or ``CAT_CYCLE``, repeated; its exact propagators are built
+once per run, from two real N x N eigendecompositions with the weak drive on
+and none without it (one complex 2N x 2N for the unreduced model).  Accuracy
+is limited only by the Fock cutoff, which a leakage gate checks after every
+segment (``evolve``).  The walk and the cat enter the frame at
+``embed_ground`` and leave it at ``project``, on a bare qubit outcome.
 
 The drive-frame Hamiltonian with both drives on is
 
@@ -62,9 +61,10 @@ PROPAGATOR_BUDGET_BYTES = 64 * 2**20
 # strong drive on throughout and pulses the weak one.
 WALK_CYCLE = ((math.pi, True, True), (math.pi, False, False))
 CAT_CYCLE = ((math.pi, True, True), (math.pi, True, False))
-# Each model's qubit frame, real orthogonal: column j is frame state j in the
-# bare (g, e) basis, so row q holds the frame coordinates of bare level q.
-FRAMES = {"reduced": np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2), "full": np.eye(2)}
+# Each model's frame (Q, d): row q of the real orthogonal Q holds the frame
+# coordinates of bare qubit level q, and frame Fock level k is i^{d k}|k>.
+FRAMES = {"reduced": (np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2), 1),
+          "full": (np.eye(2), 0)}
 
 
 def destroy(cutoff: int) -> np.ndarray:
@@ -90,13 +90,11 @@ def _qubit_major(gg, ge, eg, ee) -> np.ndarray:
 
 
 def coherent_fock_vector(alpha: complex, cutoff: int, phase: float = 0.0) -> np.ndarray:
-    """Fock amplitudes of e^{i phase}|alpha>, computed by a stable recurrence."""
-    v = np.empty(cutoff, dtype=complex)
-    term = math.exp(-abs(alpha) ** 2 / 2.0)
-    for k in range(cutoff):
-        v[k] = term
-        term = term * alpha / math.sqrt(k + 1)
-    return v * np.exp(1j * phase)
+    """Fock amplitudes of e^{i phase}|alpha>: the running product of
+    e^{-|alpha|^2/2}, alpha/sqrt(1), ..., alpha/sqrt(cutoff - 1)."""
+    factors = np.concatenate(([math.exp(-abs(alpha) ** 2 / 2.0)],
+                              alpha / np.sqrt(np.arange(1, cutoff))))
+    return np.cumprod(factors[:cutoff]) * np.exp(1j * phase)
 
 
 def poisson_tail(mean: float, cutoff: int) -> float:
@@ -168,19 +166,15 @@ def superposed_fock_vector(state: SuperposedState, cutoff: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def build_heff(
-    p: PhysicalParams,
-    cutoff: int = DEFAULT_CUTOFF,
-    omega1_on: bool = True,
-    omega2_on: bool = True,
-) -> np.ndarray:
-    """Reduced drive-frame Hamiltonian (divided by hbar*omega) as a dense matrix.
+def build_heff(p: PhysicalParams, cutoff: int = DEFAULT_CUTOFF, omega1_on: bool = True,
+               omega2_on: bool = True) -> np.ndarray:
+    """Reduced drive-frame Hamiltonian (divided by hbar*omega) as a dense
+    matrix in the bare qubit and Fock bases.
 
     With both drives off this is just the free mode, a^dag a.  Otherwise it
     is exactly [[A, B], [B, A]] with A = a^dag a and B the qubit-flipping
-    terms, so it is block-diagonal in the dressed qubit basis
-    (|g> +- |e>)/sqrt(2): each block is a displaced, frequency-shifted
-    oscillator.
+    terms: each dressed block A +- B is a displaced, frequency-shifted
+    oscillator, which the reduced model builds as ``_dressed_blocks``.
     """
     a = destroy(cutoff)
     nop = _number(a)
@@ -217,59 +211,77 @@ def build_full_hamiltonian(
     return _qubit_major(nop, up, down, nop + (p.g / p.omega) * (a + a.conj().T))
 
 
-def _exp_hermitian(H: np.ndarray, duration: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H via one eigendecomposition; a diagonal H,
-    such as a drive-off segment's, is its own eigenbasis and takes none."""
-    if np.count_nonzero(H) == np.count_nonzero(np.diagonal(H)):
-        return np.diag(np.exp(-1j * np.diagonal(H).real * duration))
+def _propagator(H: np.ndarray, duration: float) -> np.ndarray:
+    """exp(-i H t) of a Hermitian H from one eigendecomposition, a one-block stack."""
     w, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * w * duration)) @ V.conj().T
+    return ((V * np.exp(-1j * w * duration)) @ V.conj().T)[None]
 
 
-def _dressed_blocks(H: np.ndarray) -> tuple:
-    """The dressed blocks (A + B, A - B) of a reduced H = [[A, B], [B, A]]."""
-    n = len(H) // 2
-    return H[:n, :n] + H[:n, n:], H[:n, :n] - H[:n, n:]
+def _dressed_blocks(p: PhysicalParams, cutoff: int, omega1_on: bool,
+                    omega2_on: bool) -> np.ndarray:
+    """The reduced model's blocks in its frame, the real (2, N, N) stack
+    R+- = D^dag (A +- B) D, D = diag(i^k), of ``build_heff``'s [[A, B], [B, A]],
+    value for value: B's weak-drive term -Omega2 eta i(a^dag - a) becomes
+    -Omega2 eta (a + a^dag), and with it off each block is diagonal."""
+    s = np.sqrt(np.arange(1, cutoff, dtype=float))
+    nop, flip, k = np.concatenate(([0.0], s * s)), 0.0, np.arange(cutoff)
+    if omega1_on:
+        o1 = p.Omega1 / p.omega
+        flip = o1 * (1 - p.eta**2 / 2) - o1 * p.eta**2 * nop
+    R = np.zeros((2, cutoff, cutoff))
+    R[:, k, k] = nop + flip, nop - flip
+    if omega2_on:
+        off = (p.Omega2 / p.omega) * p.eta * s
+        R[:, k[1:], k[:-1]] = R[:, k[:-1], k[1:]] = -off, off
+    return R
 
 
-def _propagator(blocks, duration: float) -> np.ndarray:
-    """exp(-i H t) of each Hermitian block H of ``blocks``, stacked."""
-    return np.stack([_exp_hermitian(H, duration) for H in blocks])
+def _dressed_propagator(p: PhysicalParams, cutoff: int, duration: float,
+                        omega1_on: bool, omega2_on: bool) -> np.ndarray:
+    """exp(-i R t) of each ``_dressed_blocks`` R, stacked: from its diagonal
+    with the weak drive off, else from one real eigendecomposition
+    R = V w V^T as Re = V cos(w t) V^T and Im = -V sin(w t) V^T."""
+    R = _dressed_blocks(p, cutoff, omega1_on, omega2_on)
+    U = np.zeros(R.shape, dtype=complex)
+    for block, out in zip(R, U):
+        if omega2_on:
+            w, V = np.linalg.eigh(block)
+            out.real = (V * np.cos(w * duration)) @ V.T
+            out.imag = (V * -np.sin(w * duration)) @ V.T
+        else:
+            np.fill_diagonal(out, np.exp(-1j * np.diagonal(block) * duration))
+    return U
 
 
-def propagator_bytes(cutoff: int) -> int:
-    """Memory of the propagators a cycle stores (N = cutoff), bounded by the
-    unreduced model's two 2N x 2N complex matrices; the reduced model's two
-    (2, N, N) stacks take half of this.  This counts the stored
-    propagators, not the peak of building them: tracemalloc reads that peak
-    at 1.13x this count for the reduced model and 3.0x for the unreduced one
-    (walk cycle, cutoffs 400 and 724; the reduced cat cycle peaks alike)."""
-    return 2 * (2 * cutoff) ** 2 * np.dtype(complex).itemsize
+def propagator_bytes(cutoff: int, hamiltonian: str) -> int:
+    """Memory of the complex propagators a cycle stores (N = cutoff): two
+    (2, N, N) stacks, 64 N^2 bytes, for the "reduced" model, two 2N x 2N,
+    128 N^2, for the "full" one.  Under tracemalloc building them peaks at
+    1.25x this count (reduced, cutoffs 400 to 1024) and 3.0x (full, 400 and
+    724), walk and cat cycles alike."""
+    return (64 if hamiltonian == "reduced" else 128) * cutoff**2
 
 
-def _cycle_propagators(
-    cycle, p: PhysicalParams, cutoff: int, hamiltonian: str = "reduced"
-) -> list:
+def _cycle_propagators(cycle, p: PhysicalParams, cutoff: int, hamiltonian: str = "reduced"):
     """The propagator of each (duration, Omega1 on, Omega2 on) segment of a
     cycle, in order, as a stack of blocks acting on consecutive slices of a
     state in the model's frame (``FRAMES``).  ``hamiltonian`` selects
-    "reduced", the dressed-frame model, whose stack is the two N x N blocks
-    exp(-i (A +- B) t) of ``build_heff``'s [[A, B], [B, A]], or "full", the
-    unreduced drive-frame model, whose stack is its one 2N x 2N exponential."""
+    "reduced", whose stack is the two N x N blocks exp(-i R+- t) of its
+    ``_dressed_blocks``, or "full", the unreduced drive-frame model, whose
+    stack is its one 2N x 2N exponential."""
     if hamiltonian not in FRAMES:
         raise ValueError("hamiltonian must be 'reduced' or 'full'")
     if hamiltonian == "full":
-        return [_propagator((build_full_hamiltonian(p, cutoff, o1, o2),), duration)
+        return [_propagator(build_full_hamiltonian(p, cutoff, o1, o2), duration)
                 for duration, o1, o2 in cycle]
-    return [_propagator(_dressed_blocks(build_heff(p, cutoff, o1, o2)), duration)
-            for duration, o1, o2 in cycle]
+    return [_dressed_propagator(p, cutoff, duration, o1, o2) for duration, o1, o2 in cycle]
 
 
 def evolve(propagators, vector: np.ndarray):
     """Apply the propagators in order to a 2N vector in their model's frame,
     checking the leakage gate after each: CutoffTooSmall when the top
     LEAKAGE_LEVELS Fock levels of both halves hold more than LEAKAGE_MAX, a
-    population that is the same in any orthonormal qubit frame.
+    population that is the same in any frame of ``FRAMES``.
 
     Returns (vector, largest leakage seen after any segment).
     """
@@ -286,11 +298,22 @@ def evolve(propagators, vector: np.ndarray):
     return vector, leak_max
 
 
-def project(vector: np.ndarray, qubit: int, frame: np.ndarray):
-    """Project a 2N vector in the qubit frame ``frame`` on bare qubit level
-    ``qubit`` (0 = ground, 1 = excited); return (probability, normalized
-    mode amplitudes)."""
-    block = frame[qubit] @ vector.reshape(2, -1)
+def _gauge(mode: np.ndarray, d: int) -> np.ndarray:
+    """mode with level k times i^{d k}, exactly: 1, i, -1 and -i only swap
+    and negate components."""
+    return mode * np.array([1, 1j, -1, -1j])[d * np.arange(len(mode)) % 4] if d % 4 else mode
+
+
+def embed_ground(mode: np.ndarray, frame: tuple) -> np.ndarray:
+    """The 2N vector of |g>|mode>, mode in the bare Fock basis, in ``frame``."""
+    return np.kron(frame[0][0], _gauge(mode, -frame[1]))
+
+
+def project(vector: np.ndarray, qubit: int, frame: tuple):
+    """Project a 2N vector in ``frame`` on bare qubit level ``qubit``
+    (0 = ground, 1 = excited); return (probability, normalized mode
+    amplitudes in the bare Fock basis)."""
+    block = _gauge(frame[0][qubit] @ vector.reshape(2, -1), frame[1])
     prob = float(np.vdot(block, block).real)
     if prob < 1e-14:
         raise ZeroProbabilityOutcome(
@@ -315,21 +338,17 @@ def _fidelity(v: np.ndarray, rho: DyadEnsemble, C: np.ndarray) -> float:
     return float((u.conj() @ rho.weights @ u).real / truncated_trace)
 
 
-def walk_prefixes(
-    p: PhysicalParams,
-    n: int,
-    alpha0: complex = 0j,
-    cutoff: int = DEFAULT_CUTOFF,
-    hamiltonian: str = "reduced",
-):
+def walk_prefixes(p: PhysicalParams, n: int, alpha0: complex = 0j,
+                  cutoff: int = DEFAULT_CUTOFF, hamiltonian: str = "reduced"):
     """Evolve n pulse pairs once, projecting the qubit on the ground state
     each cycle, and keep the state after every cycle.
 
     The drive-on and drive-off propagators are built once and applied cycle
-    after cycle, so the whole walk costs two N x N eigendecompositions, both
-    for the drive-on segment (two 2N x 2N for the unreduced model), whatever
-    n is.  The leakage gate is checked after every segment.  The state after
-    k cycles comes from exactly the operations of a k-cycle walk, so every
+    after cycle, so the whole walk costs two real N x N eigendecompositions
+    (two complex 2N x 2N for the unreduced model), whatever n is.  Each cycle
+    enters the frame at ``embed_ground`` and leaves it at ``project``, and
+    the leakage gate is checked after every segment.  The state after k
+    cycles comes from exactly the operations of a k-cycle walk, so every
     prefix is bit for bit what a separate k-cycle run returns.
 
     Returns (per-cycle ground probabilities, normalized mode amplitudes after
@@ -340,7 +359,7 @@ def walk_prefixes(
     mode = coherent_fock_vector(alpha0, cutoff)
     probs, modes, leak_max = [], [mode], 0.0
     for _ in range(n):
-        vector, leak = evolve(props, np.kron(frame[0], mode))  # |g>|mode>
+        vector, leak = evolve(props, embed_ground(mode, frame))
         leak_max = max(leak_max, leak)
         prob, mode = project(vector, 0, frame)
         probs.append(prob)
@@ -348,11 +367,7 @@ def walk_prefixes(
     return probs, modes, leak_max
 
 
-def run_cat_record(
-    p: PhysicalParams,
-    n: int,
-    cutoff: int = DEFAULT_CUTOFF,
-):
+def run_cat_record(p: PhysicalParams, n: int, cutoff: int = DEFAULT_CUTOFF):
     """Evolve n cat cycles from the vacuum with the qubit in |g>, the
     leakage gate checked after every segment, and project once at the end.
 
@@ -361,7 +376,7 @@ def run_cat_record(
     """
     props = _cycle_propagators(CAT_CYCLE, p, cutoff)
     frame = FRAMES["reduced"]
-    vector, _ = evolve(props * n, np.kron(frame[0], coherent_fock_vector(0j, cutoff)))
+    vector, _ = evolve(props * n, embed_ground(coherent_fock_vector(0j, cutoff), frame))
     pg, vg = project(vector, 0, frame)
     pe, ve = project(vector, 1, frame)
     return pg, vg, pe, ve

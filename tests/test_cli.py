@@ -579,28 +579,33 @@ class TestOracleCheckRun:
     def test_propagators_built_once_per_run(self, tmp_path, monkeypatch, n, full,
                                             expected):
         # propagator work must not grow with n: one drive-on and one
-        # drive-off propagator per Hamiltonian, whatever n is
-        calls = []
-        real = fock._propagator
-        monkeypatch.setattr(fock, "_propagator",
-                            lambda H, t: calls.append(t) or real(H, t))
+        # drive-off segment built per Hamiltonian, whatever n is; the
+        # reduced model builds its real blocks, the unreduced one its 2N
+        # Hamiltonian's exponential, and neither assembles build_heff's 2N
+        calls = {"reduced": 0, "full": 0}
+        for name, model in (("_dressed_blocks", "reduced"), ("_propagator", "full")):
+            def spy(*args, real=getattr(fock, name), model=model):
+                calls[model] += 1
+                return real(*args)
+            monkeypatch.setattr(fock, name, spy)
+        monkeypatch.setattr(fock, "build_heff", None)
         cfg = write_config(tmp_path, ORACLE_CFG.format(n=n, cutoff=40, full=full))
         assert main(["oracle-check", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 0
-        assert len(calls) == expected
+        assert calls == {"reduced": 2, "full": expected - 2}
 
     @pytest.mark.parametrize("full, shapes", [
-        ("false", [(40, 40)] * 2),
-        ("true", [(40, 40)] * 2 + [(80, 80)] * 2),
+        ("false", [((40, 40), "float64")] * 2),
+        ("true", [((40, 40), "float64")] * 2 + [((80, 80), "complex128")] * 2),
     ], ids=["reduced", "full"])
     def test_eigendecompositions_per_run(self, tmp_path, monkeypatch, full, shapes):
         # a count, not a timing: the reduced drive-on propagator takes two
-        # N x N eigendecompositions and the drive-off one, diagonal, none;
-        # the unreduced pass adds one 2N x 2N per propagator
+        # real N x N eigendecompositions and the drive-off one, diagonal,
+        # none; the unreduced pass adds one complex 2N x 2N per propagator
         seen = []
         real = fock.np.linalg.eigh
         monkeypatch.setattr(fock.np.linalg, "eigh",
-                            lambda H: seen.append(H.shape) or real(H))
+                            lambda H: seen.append((H.shape, H.dtype.name)) or real(H))
         cfg = write_config(tmp_path, ORACLE_CFG.format(n=8, cutoff=40, full=full))
         assert main(["oracle-check", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 0
@@ -622,14 +627,15 @@ class TestOracleCheckRun:
 
     def test_eigendecompositions_per_cat_record(self, monkeypatch):
         # the cat's Omega1-only segment is diagonal in the dressed basis:
-        # only its drive-on segment takes the two N x N eigendecompositions
+        # only its drive-on segment takes the two real N x N
+        # eigendecompositions
         seen = []
         real = fock.np.linalg.eigh
         monkeypatch.setattr(fock.np.linalg, "eigh",
-                            lambda H: seen.append(H.shape) or real(H))
+                            lambda H: seen.append((H.shape, H.dtype.name)) or real(H))
         fock.run_cat_record(PhysicalParams(1.0, 0.01, 16.25 / (1 - 1e-4 / 2), 1.5), 3,
                             cutoff=40)
-        assert seen == [(40, 40)] * 2
+        assert seen == [((40, 40), "float64")] * 2
 
     # fidelity_min and the lowest fidelity_full before the oracle read the
     # walk's densities (the per-k binomial state, normalized), to 17 digits
@@ -677,16 +683,41 @@ class TestOracleCheckRun:
                      "--out", str(tmp_path / "x")]) == 2
 
     def test_oversized_cutoff_refused_by_estimate(self, tmp_path, monkeypatch, capsys):
+        self.check_refused_by_estimate(tmp_path, monkeypatch, capsys, "false", "reduced")
+
+    def test_oversized_full_cutoff_refused_by_estimate(self, tmp_path, monkeypatch, capsys):
+        self.check_refused_by_estimate(tmp_path, monkeypatch, capsys, "true", "full")
+
+    @staticmethod
+    def check_refused_by_estimate(tmp_path, monkeypatch, capsys, full, hamiltonian):
+        # each model's own count: the reduced model's stacks alone, and the
+        # unreduced one's 2N matrices when full_hamiltonian adds its pass
         cutoff = 1
-        while fock.propagator_bytes(cutoff) <= fock.PROPAGATOR_BUDGET_BYTES:
+        while fock.propagator_bytes(cutoff, hamiltonian) <= fock.PROPAGATOR_BUDGET_BYTES:
             cutoff *= 2
         # never build a propagator here, even if the refusal were missing
-        monkeypatch.setattr(fock, "_propagator", None)
-        monkeypatch.setattr(fock, "build_heff", None)
-        cfg = write_config(tmp_path, ORACLE_CFG.format(n=2, cutoff=cutoff, full="false"))
+        for name in ("_propagator", "_dressed_blocks", "build_heff", "build_full_hamiltonian"):
+            monkeypatch.setattr(fock, name, None)
+        cfg = write_config(tmp_path, ORACLE_CFG.format(n=2, cutoff=cutoff, full=full))
         assert main(["oracle-check", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 2
-        assert f"{fock.propagator_bytes(cutoff):,} bytes" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{fock.propagator_bytes(cutoff, hamiltonian):,} bytes of {hamiltonian}" in err
+
+    @pytest.mark.parametrize("cutoff, full, accepted", [
+        (80, "false", True), (160, "false", True), (1024, "false", True),
+        (1025, "false", False), (724, "true", True), (725, "true", False),
+    ])
+    def test_cutoff_budget_per_model(self, cutoff, full, accepted):
+        # 64 MiB holds the reduced model's 64 N^2 bytes up to N = 1024 and
+        # the unreduced model's 128 N^2 up to N = 724
+        raw = {"omega": "1.0", "g": "0.01", "omega1": "16.25", "omega2": "1.5",
+               "n": "10", "cutoff": str(cutoff), "full_hamiltonian": full}
+        if accepted:
+            assert build_config("oracle-check", raw).cutoff == cutoff
+        else:
+            with pytest.raises(ConfigError, match=f"cutoff {cutoff} needs"):
+                build_config("oracle-check", raw)
 
     @pytest.mark.parametrize("cutoff", [80, 160])
     def test_working_cutoffs_accepted(self, cutoff):

@@ -93,13 +93,42 @@ class TestBuildHeff:
         assert np.allclose(H, np.kron(np.eye(2), np.diag(np.arange(10.0))), atol=0)
 
 
+class TestCoherentFockVector:
+    # against 40-digit mpmath amplitudes e^{-|a|^2/2} a^k / sqrt(k!) e^{i phase};
+    # the largest relative errors are 0 (vacuum), 6.7e-16 (a label of the
+    # oracle point's size) and 1.6e-14 (|alpha|^2 = 153 at cutoff 160), each
+    # bound about 3x that
+    @pytest.mark.parametrize("alpha, cutoff, phase, rel", [
+        (0j, 40, 0.0, 0.0),
+        (0.35 - 0.12j, 40, 0.7, 2e-15),
+        (12.0 + 3.0j, 160, 0.3, 5e-14),
+    ], ids=["vacuum", "label", "near-cutoff"])
+    def test_matches_mpmath(self, alpha, cutoff, phase, rel):
+        import mpmath
+
+        with mpmath.workdps(40):
+            a = mpmath.mpc(alpha.real, alpha.imag)
+            scale = mpmath.exp(-abs(a) ** 2 / 2) * mpmath.expj(phase)
+            ref = [scale * a**k / mpmath.sqrt(mpmath.factorial(k)) for k in range(cutoff)]
+            got = fock.coherent_fock_vector(alpha, cutoff, phase)
+            assert got.shape == (cutoff,)
+            for x, y in zip(got.tolist(), ref, strict=True):
+                assert abs(mpmath.mpc(x) - y) <= rel * abs(y) or x == y == 0
+
+
+def level_phases(cutoff, d=1):
+    """i^{d k} for the Fock levels k = 0..cutoff-1, as exact complex units."""
+    return np.array([1, 1j, -1, -1j])[d * np.arange(cutoff) % 4]
+
+
 def ground_vector(alpha, cutoff, hamiltonian="full"):
-    """The 2N vector of |g>|alpha> in the ``hamiltonian`` model's qubit
-    frame: (g, e) for the unreduced model, the dressed (|g> +- |e>)/sqrt(2)
-    for the reduced one."""
+    """The 2N vector of |g>|alpha> in the ``hamiltonian`` model's frame:
+    (g, e) for the unreduced model; for the reduced one the dressed
+    (|g> +- |e>)/sqrt(2), with Fock level k taken as i^k|k>."""
     chi = coherent_column(alpha, cutoff)
     if hamiltonian == "full":
         return np.concatenate([chi, np.zeros(cutoff)])
+    chi = chi * level_phases(cutoff, -1)
     return np.concatenate([chi, chi]) / math.sqrt(2)
 
 
@@ -135,6 +164,16 @@ def dense_propagator(H, t):
     """exp(-i H t) from one eigendecomposition of the whole 2N x 2N matrix."""
     w, V = np.linalg.eigh(H)
     return (V * np.exp(-1j * w * t)) @ V.conj().T
+
+
+def real_propagator(R, t):
+    """exp(-i R t) of a real symmetric R from one real eigendecomposition:
+    Re = V cos(w t) V^T, Im = -V sin(w t) V^T."""
+    w, V = np.linalg.eigh(R)
+    U = np.empty(R.shape, dtype=complex)
+    U.real = (V * np.cos(w * t)) @ V.T
+    U.imag = (V * -np.sin(w * t)) @ V.T
+    return U
 
 
 SEGMENTS = pytest.mark.parametrize("o1, o2", [
@@ -185,19 +224,38 @@ def dressed_blocks(H):
     return A + B, A - B
 
 
+def gauged(M, d=1):
+    """D^dag M D for D = diag(i^{d k}): entry (j, k) times i^{d (k - j)},
+    a product with an exact complex unit."""
+    return M * np.outer(level_phases(len(M), -d), level_phases(len(M), d))
+
+
+def gauged_blocks(p, cutoff, o1, o2):
+    """The reduced model's blocks in its frame from the kron reference: the
+    real parts of D^dag (A +- B) D, whose imaginary parts are exactly 0."""
+    blocks = [gauged(block) for block in dressed_blocks(kron_heff(p, cutoff, o1, o2))]
+    assert all(not block.imag.any() for block in blocks)
+    return [block.real for block in blocks]
+
+
 def bare_propagator(stack):
-    """The bare-basis 2N x 2N matrix of a reduced model's dressed (2, N, N)
-    propagator stack: K diag(P+, P-) K with K the Hadamard on the qubit."""
+    """The bare-basis 2N x 2N matrix of a reduced model's (2, N, N)
+    propagator stack: K diag(D P+ D^dag, D P- D^dag) K with K the Hadamard
+    on the qubit and D = diag(i^k) the frame's Fock levels."""
     n = stack.shape[-1]
     K = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2), np.eye(n))
     D = np.zeros((2 * n, 2 * n), dtype=complex)
-    D[:n, :n], D[n:, n:] = stack
+    D[:n, :n], D[n:, n:] = (gauged(P, -1) for P in stack)
     return K @ D @ K
 
 
 def same_bits(x, y):
     """Equal bytes, signed zeros included, without copying the arrays."""
     return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+# The walk's and the cat's segments: both drives on, both off, Omega1 alone.
+CYCLE_SEGMENTS = sorted({(o1, o2) for _, o1, o2 in fock.WALK_CYCLE + fock.CAT_CYCLE})
 
 
 class TestReferencePropagators:
@@ -222,9 +280,10 @@ class TestReferencePropagators:
     @pytest.mark.parametrize("p", [CHECK_POINT, STRONG_POINT], ids=["check", "strong"])
     @pytest.mark.parametrize("cycle", [fock.WALK_CYCLE, fock.CAT_CYCLE], ids=["walk", "cat"])
     def test_cycle_propagators_bit_for_bit(self, cycle, p, hamiltonian, cutoff):
-        # reduced: the (2, N, N) stack of exp(-i (A +- B) t), each block the
-        # eigendecomposition's and, when diagonal, the exponential of its
-        # diagonal; unreduced: the (1, 2N, 2N) stack of the one dense block
+        # reduced: the (2, N, N) stack of exp(-i R+- t), R+- = D^dag (A +- B) D
+        # from the kron reference, each block the real eigendecomposition's
+        # with the weak drive on and the exponential of its diagonal without
+        # it; unreduced: the (1, 2N, 2N) stack of the one dense block
         got = fock._cycle_propagators(cycle, p, cutoff, hamiltonian)
         for U, (t, o1, o2) in zip(got, cycle, strict=True):
             if hamiltonian == "full":
@@ -232,9 +291,43 @@ class TestReferencePropagators:
                 assert same_bits(U, dense_propagator(H, t)[None])
                 continue
             assert U.shape == (2, cutoff, cutoff)
+            for P, R in zip(U, gauged_blocks(p, cutoff, o1, o2), strict=True):
+                if o2:
+                    assert same_bits(P, real_propagator(R, t))
+                else:
+                    assert not np.any(R - np.diag(np.diagonal(R)))
+                    assert same_bits(P, np.diag(np.exp(-1j * np.diagonal(R) * t)))
+
+    @pytest.mark.parametrize("cutoff", [40, 160, 724])
+    @pytest.mark.parametrize("p", [CHECK_POINT, STRONG_POINT], ids=["check", "strong"])
+    @pytest.mark.parametrize("o1, o2", CYCLE_SEGMENTS)
+    def test_dressed_blocks_are_the_gauged_reduced_blocks(self, p, cutoff, o1, o2):
+        # R+- = D^dag (A +- B) D of build_heff's blocks, value for value: the
+        # imaginary parts are exactly 0 and the real ones the same numbers
+        # (+ 0.0 folds the signed zeros of the complex products)
+        H = fock.build_heff(p, cutoff, o1, o2)
+        A, B = H[:cutoff, :cutoff], H[:cutoff, cutoff:]
+        R = fock._dressed_blocks(p, cutoff, o1, o2)
+        assert R.dtype == np.float64 and R.shape == (2, cutoff, cutoff)
+        for block, reference in zip(R, (gauged(A + B), gauged(A - B)), strict=True):
+            assert not reference.imag.any()
+            assert same_bits(block + 0.0, reference.real + 0.0)
+            assert same_bits(block, block.T)
+
+    @pytest.mark.parametrize("cutoff", [40, 160, 724])
+    @pytest.mark.parametrize("p", [CHECK_POINT, STRONG_POINT], ids=["check", "strong"])
+    @pytest.mark.parametrize("cycle", [fock.WALK_CYCLE, fock.CAT_CYCLE], ids=["walk", "cat"])
+    def test_real_blocks_match_the_complex_eigendecomposition(self, cycle, p, cutoff):
+        # against D^dag exp(-i (A +- B) t) D from a complex eigendecomposition
+        # of the ungauged blocks, the form these propagators replace: the
+        # largest gap is 2.5e-16 (cutoff 160) and the diagonal segments are
+        # bit for bit
+        got = fock._cycle_propagators(cycle, p, cutoff)
+        for U, (t, o1, o2) in zip(got, cycle, strict=True):
             for P, block in zip(U, dressed_blocks(kron_heff(p, cutoff, o1, o2)), strict=True):
-                assert same_bits(P, dense_propagator(block, t))
-                if np.count_nonzero(block) == np.count_nonzero(np.diagonal(block)):
+                if o2:
+                    assert np.abs(P - gauged(dense_propagator(block, t))).max() <= 1e-15
+                else:
                     assert same_bits(P, np.diag(np.exp(-1j * np.diagonal(block).real * t)))
 
 
@@ -258,7 +351,7 @@ class TestPropagator:
         # the g |e><e| coupling breaks the qubit symmetry: one 2N x 2N block,
         # bit for bit the dense exponential
         H = fock.build_full_hamiltonian(p, 40, o1, o2)
-        assert same_bits(fock._propagator((H,), pi), dense_propagator(H, pi)[None])
+        assert same_bits(fock._propagator(H, pi), dense_propagator(H, pi)[None])
 
 
 class TestDressedBlockClosedForm:
@@ -280,7 +373,7 @@ class TestDressedBlockClosedForm:
         pp = derive_protocol(p, 1)
         w = 1 - s * pp.l2 if o1 else 1.0
         beta = s * 1j * pp.l1 / w if o2 else 0j
-        P = fock._cycle_propagators(((pi, o1, o2),), p, N)[0][(1 - s) // 2]
+        P = gauged(fock._cycle_propagators(((pi, o1, o2),), p, N)[0][(1 - s) // 2], -1)
         for alpha in (0j, 0.7 + 0.2j, -1.5 + 1j, 2 - 0.5j):
             image = (alpha - beta) * np.exp(-1j * pi * w)
             chi = (pi * w * abs(beta) ** 2 + (-beta * alpha.conjugate()).imag
@@ -310,6 +403,32 @@ class TestProjection:
     def test_zero_probability_raises(self):
         with pytest.raises(ZeroProbabilityOutcome):
             fock.project(ground_vector(0.1 + 0j, 20), 1, BARE)
+
+    def test_frame_round_trip_is_exact(self, rng):
+        # the gauge only swaps and negates parts: in and out of the frame
+        # gives the bytes back, and the reduced frame's embedding and
+        # projection read the numbers of its qubit frame alone
+        v = rng.normal(size=160) + 1j * rng.normal(size=160)
+        inside = fock._gauge(v, -1)
+        assert same_bits(fock._gauge(inside, 1), v)
+        k = np.arange(160) % 4
+        parts = {0: (v.real, v.imag), 1: (v.imag, -v.real),
+                 2: (-v.real, -v.imag), 3: (-v.imag, v.real)}
+        for level in range(4):
+            re, im = parts[level]
+            assert same_bits(inside.real[k == level], re[k == level])
+            assert same_bits(inside.imag[k == level], im[k == level])
+        reduced = fock.FRAMES["reduced"]
+        qubit_only = (reduced[0], 0)
+        assert same_bits(fock.embed_ground(v, reduced),
+                         fock.embed_ground(v, qubit_only) * np.tile(level_phases(160, -1), 2))
+        w = rng.normal(size=320) + 1j * rng.normal(size=320)
+        for qubit in (0, 1):
+            prob, mode = fock.project(w * np.tile(level_phases(160, -1), 2), qubit, reduced)
+            ref_prob, ref_mode = fock.project(w, qubit, qubit_only)
+            assert prob == ref_prob and same_bits(mode, ref_mode)
+        # the unreduced frame has no gauge: its embedding is the plain kron
+        assert same_bits(fock.embed_ground(v, BARE), np.kron(BARE[0][0], v))
 
     def test_dressed_frame_projects_on_bare_levels(self):
         # |g>|chi> written in the dressed frame projects back on it, and its
@@ -391,7 +510,8 @@ def dephased_fock_walk(p, n, cutoff, xi, damp_same_branch=False):
       rho' ~ F (P+ rho P+^dag + P- rho P-^dag
                 + e^{-xi} (P+ rho P-^dag + P- rho P+^dag)) F^dag.
     ``damp_same_branch`` is a broken variant that damps the wrong pair."""
-    plus, minus = fock._cycle_propagators(((pi, True, True),), p, cutoff)[0]
+    (stack,) = fock._cycle_propagators(((pi, True, True),), p, cutoff)
+    plus, minus = (gauged(P, -1) for P in stack)
     F = np.diag(np.exp(-1j * pi * np.arange(cutoff)))
     damp = math.exp(-xi)
     v = fock.coherent_fock_vector(0j, cutoff)
@@ -540,7 +660,7 @@ def per_k_reference(p, k, hamiltonian="reduced", alpha0=0j):
     mode = fock.coherent_fock_vector(alpha0, 80)
     probs, leak = [], 0.0
     for _ in range(k):
-        vector = np.kron(frame[0], mode)
+        vector = fock.embed_ground(mode, frame)
         for segment in fock.WALK_CYCLE:
             props = fock._cycle_propagators((segment,), p, 80, hamiltonian)
             vector, segment_leak = fock.evolve(props, vector)
@@ -618,12 +738,14 @@ class TestOnePass:
             fock.closed_form_walk_fidelities(CHECK_POINT, 10, 3.0, 36)
 
     def test_propagator_bytes(self):
-        # two dense complex (2N)^2 matrices: what the unreduced model stores,
-        # twice what the reduced model's two (2, N, N) stacks take
-        assert fock.propagator_bytes(80) == 2 * 160**2 * 16
-        for hamiltonian, share in (("full", 1), ("reduced", 2)):
-            props = fock._cycle_propagators(fock.WALK_CYCLE, CHECK_POINT, 80, hamiltonian)
-            assert share * sum(U.nbytes for U in props) == fock.propagator_bytes(80)
+        # what each model's cycle stores: two complex (2, N, N) stacks for
+        # the reduced model, two complex (2N)^2 matrices for the unreduced one
+        assert fock.propagator_bytes(80, "reduced") == 2 * 2 * 80**2 * 16
+        assert fock.propagator_bytes(80, "full") == 2 * 160**2 * 16
+        for hamiltonian in ("reduced", "full"):
+            for cycle in (fock.WALK_CYCLE, fock.CAT_CYCLE):
+                props = fock._cycle_propagators(cycle, CHECK_POINT, 80, hamiltonian)
+                assert sum(U.nbytes for U in props) == fock.propagator_bytes(80, hamiltonian)
 
 
 def expm_props(p, cutoff, cycle):

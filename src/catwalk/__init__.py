@@ -68,6 +68,7 @@ from .observables import (
     grid_for,
     negativity_volume,
     position_density,
+    read_wigner,
     wigner_mixed,
     wigner_pure,
 )

@@ -21,13 +21,14 @@ and its SHA-256, so it holds under 1 MB of text whatever the table's size;
 its %.12e cells come from the vectorised, byte-exact ``efmt.cells``.
 A report.json accompanies every run with the resolved value of each key the
 mode reads, diagnostics, file checksums, warnings, and wall times: the
-whole run and, under ``timings``, the computation, the Wigner evaluations
+whole run and, under ``timings``, the computation, the Wigner reads
 within it and each table's write (the wall times, and the Wigner row band
 count, which follows the usable CPUs, are the one non-reproducible output).
 
 Exit codes: 0 success, 2 configuration error (rates outside the model's
 validity gates included), 3 numerical-gate failure (Fock leakage,
-degenerate superposition, zero-probability outcome).
+degenerate superposition, zero-probability outcome, a purity or fidelity
+that cancellation has taken outside [0, 1]).
 """
 
 import argparse
@@ -56,12 +57,10 @@ from .observables import (
     GridField,
     PhaseSpaceGrid,
     default_grid,
-    diagnostics,
-    grid_for,
     position_density,
-    wigner_bands,
+    read_bands,
+    read_wigner,
     wigner_bytes,
-    wigner_mixed,
 )
 from .protocol import (
     PhysicalParams,
@@ -232,9 +231,8 @@ def _check_grid(grid: PhaseSpaceGrid):
     ``observables.WIGNER_BUDGET_BYTES``."""
     need = wigner_bytes(grid)
     if need > WIGNER_BUDGET_BYTES:
-        raise ConfigError(f"grid {grid.nx}x{grid.np} needs {need:,} bytes for its "
-                          "Wigner function on the 2x refined grid, over the budget "
-                          f"of {WIGNER_BUDGET_BYTES:,}")
+        raise ConfigError(f"grid {grid.nx}x{grid.np} needs {need:,} bytes to read its "
+                          f"Wigner function, over the budget of {WIGNER_BUDGET_BYTES:,}")
 
 
 def build_config(mode: str, raw: dict) -> ExperimentConfig:
@@ -304,11 +302,11 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
 class RunReport:
     """Summary of one run: echoed config, diagnostics, emitted files and
     wall times (``timings``: ``compute_s`` for the mode's tables and
-    diagnostics, ``wigner_s`` for the Wigner evaluations within it,
-    ``wigner_bands`` for the row bands, hence threads, of each evaluation,
-    as :func:`wigner_bands` gives them for the refined config grid at the
-    start of the run (0 when the mode evaluates none), and ``write_s`` per
-    written table)."""
+    diagnostics, ``wigner_s`` for its :func:`read_wigner` calls, each the
+    Wigner evaluation and the diagnostics read from it, ``wigner_bands``
+    for the row bands, hence threads, of each evaluation, as
+    :func:`read_bands` gives them for the config grid (0 when the mode
+    evaluates none), and ``write_s`` per written table)."""
 
     mode: str
     config: dict
@@ -486,17 +484,12 @@ def _diagnostics_table(diag: dict, key: str | None = None) -> Table:
 
 
 def _read(rho: DyadEnsemble, base: PhaseSpaceGrid, timings: dict):
-    """(grid, Wigner field, diagnostics as floats) of one density, on the
-    grid ``grid_for`` fits around it.  The Wigner function is evaluated once,
-    on that grid's 2x refinement: the field returned is its even-index
-    subgrid, and the diagnostics' refinement check reads the whole.  The
-    evaluation's wall time is added to ``timings["wigner_s"]``."""
-    grid = grid_for(rho, base)
+    """(Wigner field, diagnostics as floats) of one density from
+    ``read_wigner``, whose wall time is added to ``timings["wigner_s"]``."""
     t0 = time.perf_counter()
-    fine = wigner_mixed(rho, grid.refined())
+    W, diag = read_wigner(rho, base)
     timings["wigner_s"] += time.perf_counter() - t0
-    diag = {k: float(v) for k, v in diagnostics(rho, fine).items()}
-    return grid, fine.coarsened(), diag
+    return W, {k: float(v) for k, v in diag.items()}
 
 
 def _walk(cfg: ExperimentConfig, timings: dict):
@@ -505,9 +498,9 @@ def _walk(cfg: ExperimentConfig, timings: dict):
     pp = cfg.protocol()
     for _, rho, record in walk_density_steps(pp):
         pass
-    grid, W, diag = _read(rho, cfg.grid, timings)
+    W, diag = _read(rho, cfg.grid, timings)
     diag["success_probability"] = record
-    tables = [alpha_table(pp), _pdist_table(rho, grid), _wigner_table(W),
+    tables = [alpha_table(pp), _pdist_table(rho, W.grid), _wigner_table(W),
               _diagnostics_table(diag)]
     return tables, diag
 
@@ -516,9 +509,9 @@ def _cat(cfg: ExperimentConfig, timings: dict):
     """The damped cat density and its outcome probability, both from one
     ``cat_density`` call."""
     rho, prob = cat_density(cfg.protocol(), math.exp(-cfg.decay_exponent))
-    grid, W, diag = _read(rho, cfg.grid, timings)
+    W, diag = _read(rho, cfg.grid, timings)
     diag["success_probability"] = prob
-    return [_pdist_table(rho, grid), _wigner_table(W),
+    return [_pdist_table(rho, W.grid), _wigner_table(W),
             _diagnostics_table(diag)], diag
 
 
@@ -532,7 +525,7 @@ def _decohere(cfg: ExperimentConfig, timings: dict):
     def tables():
         for xi in cfg.xi_values:
             rho = walk_density(replace(pp, xi=xi))
-            _, W, diag[f"xi_{_xi_tag(xi)}"] = _read(rho, cfg.grid, timings)
+            W, diag[f"xi_{_xi_tag(xi)}"] = _read(rho, cfg.grid, timings)
             yield _wigner_table(W, xi)
         yield from (_diagnostics_table(diag[key], key) for key in sorted(diag))
 
@@ -609,11 +602,8 @@ def run(cfg: ExperimentConfig) -> RunReport:
     t0 = time.perf_counter()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     artifacts, write_s = [], {}
-    # grid_for keeps the config grid's point count, so every evaluation of
-    # the run has the band count of its refinement
     evaluates = "grid" in MODES[cfg.mode].reads
-    timings = {"wigner_s": 0.0,
-               "wigner_bands": wigner_bands(cfg.grid.refined()) if evaluates else 0}
+    timings = {"wigner_s": 0.0, "wigner_bands": read_bands(cfg.grid) if evaluates else 0}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         tables, diag = MODES[cfg.mode].compute(cfg, timings)

@@ -49,6 +49,12 @@ from .protocol import TAU, ProtocolParams, cat_labels, kick_labels, walk_state
 
 # Largest kick-table Gram matrix a walk may build (kick_gram_bytes): n <= 1023.
 GRAM_BUDGET_BYTES = 64 * 2**20
+# How far a purity or fidelity read from dyad weights may leave [0, 1]
+# (check_unit).  Past the cancellation floor the weights' rounding noise
+# moves it by any amount: at the oracle point a walk's purity read 17.5 at
+# n = 50 and -1e4 at n = 60, and the oracle's fidelity 1.63 at n = 66.  The
+# benchmark's seeds 101-160 read purities of at most 1 + 6.8e-7.
+UNIT_MARGIN = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +107,14 @@ def dyad_trace(rho: DyadEnsemble) -> complex:
     math.fsum, so exactly rounded whatever the order of the terms."""
     terms = rho.weights * rho.gram.T
     return complex(math.fsum(terms.real.flat), math.fsum(terms.imag.flat))
+
+
+def check_unit(name: str, value: float):
+    """DegenerateState unless -UNIT_MARGIN <= value <= 1 + UNIT_MARGIN: a
+    probability-like reading outside that is cancellation noise, not a number."""
+    if not -UNIT_MARGIN <= value <= 1 + UNIT_MARGIN:
+        raise DegenerateState(f"{name} reads {value:.6g}, outside [0, 1]: the dyad "
+                              "weights cancel past the floating-point floor")
 
 
 def _normalized(rho: DyadEnsemble) -> tuple:

@@ -30,4 +30,5 @@ class ConfigError(CatwalkError):
 
 
 class GridTooCoarse(UserWarning):
-    """Phase-space grid too coarse for a converged negativity volume."""
+    """Phase-space grid too coarse: the negativity volume moves by more than
+    5% under 2x refinement, or the grid step resolves no coherent state."""

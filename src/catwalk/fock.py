@@ -44,9 +44,9 @@ from dataclasses import replace
 import numpy as np
 
 from .algebra import SuperposedState
-from .dephasing import DyadEnsemble, projector, walk_density_steps
+from .dephasing import DyadEnsemble, check_unit, projector, walk_density_steps
 from .errors import CutoffTooSmall, ZeroProbabilityOutcome
-from .protocol import PhysicalParams, derive_protocol
+from .protocol import PhysicalParams, derive_protocol, kick_labels
 
 DEFAULT_CUTOFF = 80
 LEAKAGE_LEVELS = 5
@@ -414,24 +414,24 @@ def closed_form_walk_fidelities(
     so the densities are those of xi = 0 whatever p.Gamma is.
 
     Returns (fidelities, per-cycle ground probabilities, largest per-segment
-    leakage).  ValueError for n < 1, where there is nothing to compare.
+    leakage).  ValueError for n < 1, where there is nothing to compare, and
+    DegenerateState at the first fidelity that leaves [0, 1] by more than
+    the rounding margin of ``check_unit``.
     """
     if n < 1:
         raise ValueError(f"the walk comparison needs n >= 1; got {n}")
     probs, modes, leak_max = walk_prefixes(p, n, alpha0, cutoff, hamiltonian)
-    steps = [rho for _, rho, _ in
-             walk_density_steps(replace(derive_protocol(p, n, alpha0), xi=0.0))]
-    # Step k's rows are the kick labels j = -k..k in steps of 2, so steps n
-    # and n - 1 hold the 2n + 1 labels between them: each is expanded once,
-    # and every step reads a contiguous copy of its slice, the layout
-    # _expand gives, under its own leakage gate.
-    columns = np.empty((cutoff, 2 * n + 1), dtype=complex)
-    tails = np.empty(2 * n + 1)
-    for parity, rho in ((0, steps[n]), (1, steps[n - 1])):
-        columns[:, parity::2], tails[parity::2] = _expand(rho.amplitudes, rho.phases, cutoff)
+    pp = replace(derive_protocol(p, n, alpha0), xi=0.0)
+    steps = [rho for _, rho, _ in walk_density_steps(pp)]
+    # Step k's rows are the kick labels j = -k..k in steps of 2, slices of
+    # pp's kick table: each of its 2n + 1 labels is expanded once, and every
+    # step reads a contiguous copy of its slice, the layout _expand gives,
+    # under its own leakage gate.
+    columns, tails = _expand(*kick_labels(pp.l1, pp.l2, pp.alpha0, n), cutoff)
     fids = []
     for k in range(1, n + 1):
         rows = slice(n - k, n + k + 1, 2)
         expansion = np.ascontiguousarray(columns[:, rows]), np.ascontiguousarray(tails[rows])
         fids.append(_fidelity(modes[k], steps[k], _fock_columns(steps[k], cutoff, expansion)))
+        check_unit(f"the fidelity at n = {k}", fids[-1])
     return fids, probs, leak_max

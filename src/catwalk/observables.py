@@ -33,22 +33,25 @@ observable reads a DyadEnsemble and a pure state enters as its rank-1
 projector, so the position density is the p-marginal of the Wigner
 function for pure and mixed states alike.  Moments are always
 computed from dyad weights and overlaps, never from grid sums, so
-diagnostics accuracy does not depend on grid resolution.  The field on a
-grid is, bit for bit, the even-index subgrid of the field on its 2x
-refinement (:meth:`GridField.coarsened`), so a reader that needs both, as
-the negativity check under refinement does, evaluates the refined one only.
+diagnostics accuracy does not depend on grid resolution.  A density's
+field and diagnostics come from one :func:`read_wigner`, which evaluates
+the field once, on the fitted grid's 2x refinement, and returns its
+even-index subgrid, the field on the grid bit for bit.  The read warns
+GridTooCoarse when the negativity volume moves under that refinement or
+when the grid step resolves no coherent state, and refuses a purity
+outside [0, 1] (DegenerateState).
 """
 
 import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .algebra import SuperposedState
-from .dephasing import DyadEnsemble, projector, purity
+from .dephasing import DyadEnsemble, check_unit, projector, purity
 from .errors import GridTooCoarse
 
 SQRT2 = math.sqrt(2.0)
@@ -132,8 +135,8 @@ class PhaseSpaceGrid:
 
 
 def wigner_bytes(grid: PhaseSpaceGrid) -> int:
-    """Upper bound on the peak bytes of one Wigner evaluation on
-    ``grid.refined()`` and the :func:`diagnostics` that read it: 8 per point
+    """Upper bound on the peak bytes of one :func:`read_wigner` on ``grid``,
+    which evaluates the field on ``grid.refined()``: 8 per point
     of ``grid`` (the even-index copy), 24 per refined point (the field and
     one block's contribution or a clipped negative part; 16 are needed) and
     the refined grid's profile blocks, PROFILE_BYTES per axis point and dyad
@@ -184,17 +187,14 @@ class GridField:
     kind: str
     norm: float = field(default=float("nan"))
 
-    def coarsened(self) -> "GridField":
-        """This Wigner field at the even-index points of its grid: the field
-        on the grid whose :meth:`PhaseSpaceGrid.refined` this grid is, bit
-        for bit.  The values are a contiguous copy, so the Riemann sum adds
-        them in the order of a field evaluated on that grid."""
-        g = self.grid
-        if self.kind != "wigner" or g.nx % 2 == 0 or g.np % 2 == 0:
-            raise ValueError("only a Wigner field on a refined grid coarsens")
-        coarse = PhaseSpaceGrid(g.x_min, g.x_max, g.p_min, g.p_max,
-                                (g.nx + 1) // 2, (g.np + 1) // 2)
-        return _wigner_field(coarse, np.ascontiguousarray(self.values[::2, ::2]))
+
+def _coarsened(fine: GridField) -> GridField:
+    """A field on a :meth:`PhaseSpaceGrid.refined` grid at its even-index
+    points, the field on the grid bit for bit: a contiguous copy, so the
+    Riemann sum adds in the order of a field evaluated there."""
+    g = fine.grid
+    coarse = replace(g, nx=(g.nx + 1) // 2, np=(g.np + 1) // 2)
+    return _wigner_field(coarse, np.ascontiguousarray(fine.values[::2, ::2]))
 
 
 def _wigner_field(grid: PhaseSpaceGrid, W: np.ndarray) -> GridField:
@@ -249,6 +249,11 @@ def wigner_bands(grid: PhaseSpaceGrid) -> int:
     usable CPU, but only as many as leave BAND_ROWS x rows to each, and at
     least one."""
     return max(1, min(_usable_cpus(), grid.nx // BAND_ROWS))
+
+
+def read_bands(grid: PhaseSpaceGrid) -> int:
+    """Row bands of a :func:`read_wigner` from ``grid`` (``grid_for`` keeps its point counts)."""
+    return wigner_bands(grid.refined())
 
 
 def _accumulate_wigner(rho: DyadEnsemble, grid: PhaseSpaceGrid) -> np.ndarray:
@@ -366,9 +371,9 @@ def diagnostics(rho: DyadEnsemble, refined: GridField | None = None) -> dict:
     weights and label overlaps.  ``refined`` is the Wigner field of ``rho``
     on a grid's :meth:`PhaseSpaceGrid.refined`.  When it is given, min_W,
     negativity_volume and wigner_norm are read from its even-index subgrid,
-    the field on that grid (:meth:`GridField.coarsened`), and the negativity
-    volume of the whole refined field is compared with it: a GridTooCoarse
-    warning is emitted if it moves by more than 5%.
+    the field on that grid, and the negativity volume of the whole refined
+    field is compared with it: a GridTooCoarse warning is emitted if it
+    moves by more than 5%.
     """
     e_a, e_aa, e_ada = _moments(rho)
     mean_x = SQRT2 * e_a.real
@@ -383,17 +388,37 @@ def diagnostics(rho: DyadEnsemble, refined: GridField | None = None) -> dict:
         "purity": purity(rho),
     }
     if refined is not None:
-        wigner = refined.coarsened()
+        wigner = _coarsened(refined)
         neg = negativity_volume(wigner)
         out["min_W"] = float(wigner.values.min())
         out["negativity_volume"] = neg
         out["wigner_norm"] = wigner.norm
         neg2 = negativity_volume(refined)
         if max(neg, neg2) > 1e-12 and abs(neg2 - neg) > 0.05 * max(neg, neg2):
-            warnings.warn(
-                f"negativity volume moved {neg:.3e} -> {neg2:.3e} under 2x "
-                "grid refinement",
-                GridTooCoarse,
-                stacklevel=2,
-            )
+            warnings.warn(f"negativity volume moved {neg:.3e} -> {neg2:.3e} under 2x "
+                          "grid refinement", GridTooCoarse, stacklevel=2)
     return out
+
+
+def read_wigner(rho: DyadEnsemble, base: PhaseSpaceGrid | None = None) -> tuple:
+    """(Wigner field, diagnostics) of a density on the grid ``grid_for``
+    fits around it from ``base``, from one evaluation on that grid's 2x
+    refinement: the field is its even-index subgrid, and
+    :func:`diagnostics` reads the whole.
+
+    Warns GridTooCoarse when the grid's larger step d cannot resolve one
+    coherent state: the Riemann sum of its Gaussian is off by about
+    2 exp(-(pi/d)^2) (Poisson summation), over 1e-6 once d > 0.825.
+    Raises DegenerateState when the purity leaves [0, 1] by more than the
+    rounding margin of ``check_unit``.
+    """
+    grid = grid_for(rho, base)
+    step, limit = max(grid.dx, grid.dp), math.pi / math.sqrt(math.log(2e6))
+    if step > limit:
+        warnings.warn(f"grid step {step:.3g} resolves no coherent state: above {limit:.3f} "
+                      "the Riemann sum of its Gaussian is off by more than 1e-6",
+                      GridTooCoarse, stacklevel=2)
+    fine = wigner_mixed(rho, grid.refined())
+    diag = diagnostics(rho, fine)  # first: its subgrid copy is freed before ours
+    check_unit("the purity", diag["purity"])
+    return _coarsened(fine), diag

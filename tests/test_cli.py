@@ -191,8 +191,18 @@ class TestWalkRun:
         assert timings["compute_s"] > 0 and all(t > 0 for t in timings["write_s"].values())
         assert timings["compute_s"] + sum(timings["write_s"].values()) <= report["wall_time_s"]
         assert 0 < timings["wigner_s"] <= timings["compute_s"]
-        assert timings["wigner_bands"] == observables.wigner_bands(
-            observables.default_grid().refined())
+        assert timings["wigner_bands"] == observables.read_bands(observables.default_grid())
+
+    @pytest.mark.parametrize("mode", ["walk", "cat"])
+    def test_grid_that_resolves_no_state_warns(self, tmp_path, mode):
+        # at l1 = 1e10 grid_for keeps 201 points over a box of half-width
+        # 2.8e11, a step of 2.8e9: no coherent state is resolved, and the
+        # field's Riemann sum reads 8.7e17 (walk) or 0 (cat)
+        cfg = write_config(tmp_path, "l1 = 1e10\nl2 = 0.01\nphi = 4.5pi\nn = 10\n")
+        out = tmp_path / mode
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 0
+        warned = json.loads((out / "report.json").read_text())["warnings"]
+        assert len(warned) == 1 and "e+09 resolves no coherent state" in warned[0]
 
     def test_labels_far_apart_give_finite_numbers(self, tmp_path):
         # at l1 = 20 the kick labels lie up to 40 apart in Re alpha: a Wigner
@@ -402,8 +412,9 @@ class TestDecohereRun:
         warned = json.loads((out / "report.json").read_text())["warnings"]
         assert sum(w.startswith("Omega1/max(Omega2, g) = 10.8") for w in warned) == 1
 
-    # the 11x11 grid is too coarse on purpose, and outside run() nothing
-    # captures the warning that says so
+    # the 11x11 grid is too coarse on purpose (its step of 1.2 resolves no
+    # coherent state), and outside run() nothing captures the warnings that
+    # say so
     @pytest.mark.filterwarnings("ignore::catwalk.errors.GridTooCoarse")
     def test_each_xi_table_is_computed_when_asked_for(self):
         # run() writes each xi's Wigner table before the next xi is computed,
@@ -419,9 +430,10 @@ class TestDecohereRun:
 
 
 class TestWignerEvaluations:
-    """Each density's Wigner function is evaluated once, on the 2x refined
-    grid: the written field is its even-index subgrid, and the diagnostics'
-    refinement check reads the whole."""
+    """Each density is read by one ``read_wigner``, which evaluates its
+    Wigner function once, on the 2x refined grid: the written field is its
+    even-index subgrid, and the diagnostics' refinement check reads the
+    whole."""
 
     @pytest.mark.parametrize("mode, text, densities", [
         ("walk", "n = 5\noutputs = alpha-table,pdist,wigner,diagnostics\n", 1),
@@ -442,7 +454,6 @@ class TestWignerEvaluations:
             calls.append(grid == observables.grid_for(rho, cfg.grid).refined())
             return real(rho, grid)
 
-        monkeypatch.setattr(cli, "wigner_mixed", counted)
         monkeypatch.setattr(observables, "wigner_mixed", counted)
         report = cli.run(cfg)
         assert calls == [True] * densities
@@ -772,6 +783,39 @@ class TestExitCodes:
         # kick branches cancel: the dyad weights have zero trace
         cfg = write_config(tmp_path, "l1 = 0\nl2 = 0.01\nphi = 0.5pi\nn = 3\nxi = 0\n")
         assert main(["decohere", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+
+    # At the oracle point's knobs the dyad weights cancel past the floating
+    # point floor between n = 40 and 50: the walk's purity reads 17.48 at
+    # n = 50 and -9.994e3 at n = 60, and the oracle's fidelities reach 1.626
+    # at n = 66.  Such readings are refused, not written.  At n = 40 the
+    # purity reads 0.986 and at n = 43 the largest fidelity 1 + 6.3e-6:
+    # within [0, 1] up to the margin, so those runs pass.
+    FLOOR_WALK = "l1 = 0.015\nl2 = 0.0016250812540627\nphi = 0.25pi\nn = {n}\n"
+
+    @pytest.mark.parametrize("n, purity", [(50, "17.4806"), (60, "-9993.93")])
+    def test_walk_purity_past_the_floor_exits_3(self, tmp_path, capsys, n, purity):
+        cfg = write_config(tmp_path, self.FLOOR_WALK.format(n=n))
+        out = tmp_path / "x"
+        assert main(["walk", "--config", str(cfg), "--out", str(out)]) == 3
+        assert f"the purity reads {purity}, outside [0, 1]" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_oracle_fidelity_past_the_floor_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, ORACLE_CFG.format(n=70, cutoff=200, full="false"))
+        out = tmp_path / "x"
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "the fidelity at n = 61 reads 1.01258," in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_readings_short_of_the_floor_pass(self, tmp_path):
+        cfg = write_config(tmp_path, self.FLOOR_WALK.format(n=40))
+        assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 0
+        purity = json.loads((tmp_path / "w" / "report.json").read_text())["diagnostics"]["purity"]
+        assert purity == pytest.approx(0.98626, abs=1e-5)
+        cfg = write_config(tmp_path, ORACLE_CFG.format(n=43, cutoff=200, full="false"))
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        fids = np.loadtxt(tmp_path / "o" / "oracle_check.csv", delimiter=",", skiprows=2)[:, 1]
+        assert 1 + 1e-6 < fids.max() < 1 + dephasing.UNIT_MARGIN
 
     def test_oversized_grid_refused_by_estimate(self, tmp_path, monkeypatch, capsys):
         spec = "-6,6,-6,6,100000,100000"

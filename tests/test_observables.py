@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from catwalk import cli, dephasing, observables
 from catwalk.algebra import CoherentLabel, SuperposedState, gram_matrix, normalize, overlap
 from catwalk.dephasing import DyadEnsemble, cat_density, projector, walk_density
-from catwalk.errors import GridTooCoarse
+from catwalk.errors import DegenerateState, GridTooCoarse
 from catwalk.observables import (
     PhaseSpaceGrid,
     _accumulate_wigner,
@@ -29,6 +29,7 @@ from catwalk.observables import (
     grid_for,
     negativity_volume,
     position_density,
+    read_wigner,
     wigner_bytes,
     wigner_mixed,
     wigner_pure,
@@ -109,7 +110,7 @@ ALPHA0 = 0.7 + 0.3j
 
 
 class TestRefinedSubgrid:
-    """A CLI run evaluates each density's Wigner function once, on the 2x
+    """``read_wigner`` evaluates a density's Wigner function once, on the 2x
     refined grid, and reads the field on the grid itself from its even-index
     points.  That rests on two identities, held here bit for bit."""
 
@@ -143,20 +144,29 @@ class TestRefinedSubgrid:
     def test_subgrid_is_the_field_on_the_grid(self, rho, base):
         rho = rho()
         g = grid_for(rho, base)
-        field = wigner_mixed(rho, g.refined()).coarsened()
+        field = observables._coarsened(wigner_mixed(rho, g.refined()))
         reference = wigner_mixed(rho, g)
         assert field.grid == g
         assert field.values.flags.c_contiguous
         assert field.values.tobytes() == reference.values.tobytes()
         assert field.norm == reference.norm
 
-    def test_only_a_refined_wigner_field_coarsens(self):
-        W = wigner_mixed(projector(VACUUM), PhaseSpaceGrid(-6, 6, -6, 6, 41, 40))
-        with pytest.raises(ValueError, match="refined"):
-            W.coarsened()
-        dens = position_density(projector(VACUUM), default_grid())
-        with pytest.raises(ValueError, match="refined"):
-            dens.coarsened()
+    @pytest.mark.parametrize("rho", [
+        pytest.param(lambda: walk_density(fig_pp(10)), id="walk-10"),
+        pytest.param(lambda: walk_density(fig_pp(20, xi=0.2)), id="decohere-20-xi0.2"),
+        pytest.param(lambda: cat_density(fig_pp(10), math.exp(-2.0))[0], id="cat-damped"),
+    ])
+    def test_read_is_the_field_and_diagnostics_on_the_fitted_grid(self, rho):
+        rho = rho()
+        base = PhaseSpaceGrid(-3, 9, -5, 4, 37, 53)
+        g = grid_for(rho, base)
+        field, diag = read_wigner(rho, base)
+        reference = wigner_mixed(rho, g)
+        assert field.grid == g
+        assert field.values.tobytes() == reference.values.tobytes()
+        assert field.norm == reference.norm
+        assert diag == diagnostics(rho, wigner_mixed(rho, g.refined()))
+        assert diag["negativity_volume"] == negativity_volume(reference)
 
 
 class TestPositionDensity:
@@ -738,6 +748,7 @@ class TestDiagnostics:
         for got, want in zip(_moments(rho), self.moments_mp(rho, R)):
             assert abs(got - want) <= bound
 
+    # the skinny grids' step of 3.0 resolves no coherent state, on purpose
     @pytest.mark.filterwarnings("ignore::catwalk.errors.GridTooCoarse")
     @pytest.mark.parametrize("nx, np_, cpus", [
         pytest.param(nx, np_, cpus, id=name + ("" if cpus == 1 else f"-{cpus}cpus"))
@@ -776,3 +787,52 @@ class TestDiagnostics:
         diagnostics(projector(state), wigner_pure(state, default_grid().refined()))
         assert not [w for w in recwarn.list if issubclass(w.category, GridTooCoarse)]
 
+
+class TestReadGates:
+    """``read_wigner`` warns GridTooCoarse from two gates and refuses an
+    impossible purity."""
+
+    # Fields resolved but negativities not, at the reference knobs on a 41^2
+    # base grid over +-6: the cat's negativity reads 0.2340 there against a
+    # converged 0.2841, and 2x refinement moves it 14.9%; the walk's moves
+    # 21%.  A bound on the kernels' band limit alone reads 4e-27 and 2e-31
+    # on these grids, so only the refinement sees the quadrature error.
+    @pytest.mark.parametrize("rho", [
+        pytest.param(lambda: cat_density(ProtocolParams(0.1, 0.01, 4.5 * pi, 10))[0], id="cat"),
+        pytest.param(lambda: walk_density(ProtocolParams(0.1, 0.01, 0.3, 10)), id="walk-phi-0.3"),
+    ])
+    def test_refinement_gate_sees_an_unconverged_negativity(self, rho, recwarn):
+        rho = rho()
+        with pytest.warns(GridTooCoarse, match="under 2x grid refinement") as caught:
+            read_wigner(rho, PhaseSpaceGrid(-6, 6, -6, 6, 41, 41))
+        assert len(caught) == 1
+        recwarn.clear()
+        read_wigner(rho)
+        assert not [w for w in recwarn.list if issubclass(w.category, GridTooCoarse)]
+
+    @pytest.mark.parametrize("points, warns", [(15, True), (16, False), (201, False)])
+    def test_resolution_gate_at_one_coherent_state(self, points, warns, recwarn):
+        # steps 0.857, 0.8 and 0.06 about the 0.825 where a coherent state's
+        # Riemann sum is 1e-6 off; the vacuum has no negativity to move
+        field, _ = read_wigner(projector(VACUUM), PhaseSpaceGrid(-6, 6, -6, 6, points, points))
+        warned = [str(w.message) for w in recwarn.list if issubclass(w.category, GridTooCoarse)]
+        assert warned == (["grid step 0.857 resolves no coherent state: above 0.825 the "
+                           "Riemann sum of its Gaussian is off by more than 1e-6"] if warns else [])
+        assert abs(field.norm - 1) > 1e-6 if warns else abs(field.norm - 1) < 1e-6
+
+    @pytest.mark.parametrize("weights, refused", [
+        ([[1.0, 0.0], [0.0, 0.0]], False),
+        ([[1.0004, 0.0], [0.0, -0.0004]], False),  # purity 1 + 8e-4, inside the margin
+        ([[1.0006, 0.0], [0.0, -0.0006]], True),  # purity 1 + 1.2e-3
+        ([[1.5, 0.0], [0.0, -0.5]], True),  # purity 2.5
+        ([[0.5, 0.6], [0.6, 0.5]], True),  # purity 1.22
+    ])
+    def test_purity_outside_the_unit_interval_refused(self, weights, refused):
+        # labels 5 apart: |<0|5>|^2 = e^-25
+        rho = DyadEnsemble([0j, 5 + 0j], [0.0, 0.0], weights)
+        if refused:
+            with pytest.raises(DegenerateState, match="the purity reads"):
+                read_wigner(rho)
+        else:
+            assert read_wigner(rho)[1]["purity"] == pytest.approx(weights[0][0] ** 2
+                                                                  + weights[1][1] ** 2)

@@ -14,9 +14,10 @@ The package is organized in five layers:
   its rank-1 :func:`projector`), the per-pulse dephasing recursion and the
   cat as a two-row ensemble with its outcome probability
   (:func:`cat_density`).
-* :mod:`catwalk.observables`: position densities, Wigner functions, and
-  scalar diagnostics on phase-space grids, each read from a
-  :class:`DyadEnsemble`.
+* :mod:`catwalk.observables`: position densities and Wigner functions on
+  phase-space grids, the grid-free :func:`diagnostics`, and
+  :func:`read_wigner`, which reads every figure of a density's field; each
+  reads a :class:`DyadEnsemble`.
 * :mod:`catwalk.fock`: independent truncated-Fock-space evolution used to
   cross-check the closed forms.
 

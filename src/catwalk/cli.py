@@ -27,8 +27,9 @@ count, which follows the usable CPUs, are the one non-reproducible output).
 
 Exit codes: 0 success, 2 configuration error (rates outside the model's
 validity gates included), 3 numerical-gate failure (Fock leakage,
-degenerate superposition, zero-probability outcome, a purity or fidelity
-that cancellation has taken outside [0, 1]).
+degenerate superposition, zero-probability outcome, kick-label overlaps
+that overflow, a purity or fidelity that cancellation has taken outside
+[0, 1]).
 """
 
 import argparse

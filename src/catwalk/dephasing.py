@@ -177,9 +177,14 @@ def walk_density_steps(pp: ProtocolParams):
     pure |alpha0><alpha0| projector.  ``record`` is the probability of the
     all-ground record so far, the product of the steps' ground
     probabilities: 1.0 at step 0.  The kick table and the Gram matrix of its
-    2n+1 labels are built once; every step's density carries a slice."""
+    2n+1 labels are built once; every step's density carries a slice.
+    Raises DegenerateState when an overlap of two labels overflows."""
     amplitudes, phases = kick_labels(pp.l1, pp.l2, pp.alpha0, pp.n)
-    G = gram_matrix(amplitudes, phases)
+    try:
+        G = gram_matrix(amplitudes, phases)
+    except FloatingPointError:
+        raise DegenerateState("kick-label overlaps overflow: Re(conj(A) B) - (|A|^2 + |B|^2)/2 "
+                              "cancels terms of size |A|^2; the rounding overflows exp") from None
     start = slice(pp.n, pp.n + 1)
     rho, record = DyadEnsemble(amplitudes[start], phases[start], [[1.0]], G[start, start]), 1.0
     yield 0, rho, record

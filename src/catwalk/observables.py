@@ -31,15 +31,16 @@ than 128 x rows: the caller's thread alone), and uses no BLAS: its bits
 depend neither on the BLAS thread count nor on the band count.  Every
 observable reads a DyadEnsemble and a pure state enters as its rank-1
 projector, so the position density is the p-marginal of the Wigner
-function for pure and mixed states alike.  Moments are always
-computed from dyad weights and overlaps, never from grid sums, so
-diagnostics accuracy does not depend on grid resolution.  A density's
-field and diagnostics come from one :func:`read_wigner`, which evaluates
-the field once, on the fitted grid's 2x refinement, and returns its
-even-index subgrid, the field on the grid bit for bit.  The read warns
-GridTooCoarse when the negativity volume moves under that refinement or
-when the grid step resolves no coherent state, and refuses a purity
-outside [0, 1] (DegenerateState).
+function for pure and mixed states alike.  Each reading has one home.
+:func:`diagnostics` gives the grid-free ones, the moments and the purity,
+from dyad weights and overlaps, never from grid sums, so their accuracy
+does not depend on grid resolution.  :func:`read_wigner` gives every
+reading of the field: it evaluates the field once, on the fitted grid's
+2x refinement, copies the even-index subgrid (the field on the grid bit
+for bit) once, and reads min_W, the negativity volume and the Riemann sum
+from that copy.  It holds the gates: GridTooCoarse when the negativity
+volume moves under the refinement or when the grid step resolves no
+coherent state, and DegenerateState for a purity outside [0, 1].
 """
 
 import math
@@ -358,59 +359,44 @@ def negativity_volume(field: GridField) -> float:
     """Integral of max(0, -W) over the grid by plain Riemann sum."""
     if field.kind != "wigner":
         raise ValueError("negativity volume needs a Wigner field")
-    # one grid-sized temporary, so wigner_bytes bounds diagnostics' peak
+    # one grid-sized temporary, so wigner_bytes bounds the read's peak
     clipped = np.negative(field.values)
     np.maximum(clipped, 0.0, out=clipped)
     return float(clipped.sum() * field.grid.dx * field.grid.dp)
 
 
-def diagnostics(rho: DyadEnsemble, refined: GridField | None = None) -> dict:
-    """Scalar summary of a density (use :func:`projector` for a pure state).
-
-    Moments (mean_x, mean_p, var_x, var_p) and purity come from the dyad
-    weights and label overlaps.  ``refined`` is the Wigner field of ``rho``
-    on a grid's :meth:`PhaseSpaceGrid.refined`.  When it is given, min_W,
-    negativity_volume and wigner_norm are read from its even-index subgrid,
-    the field on that grid, and the negativity volume of the whole refined
-    field is compared with it: a GridTooCoarse warning is emitted if it
-    moves by more than 5%.
-    """
+def diagnostics(rho: DyadEnsemble) -> dict:
+    """Grid-free scalar summary of a density (use :func:`projector` for a
+    pure state): the moments mean_x, mean_p, var_x, var_p and the purity,
+    from the dyad weights and the labels' Gram matrix."""
     e_a, e_aa, e_ada = _moments(rho)
     mean_x = SQRT2 * e_a.real
     mean_p = SQRT2 * e_a.imag
     ex2 = (e_aa.real + e_ada.real) + 0.5
     ep2 = (-e_aa.real + e_ada.real) + 0.5
-    out = {
+    return {
         "mean_x": mean_x,
         "mean_p": mean_p,
         "var_x": ex2 - mean_x**2,
         "var_p": ep2 - mean_p**2,
         "purity": purity(rho),
     }
-    if refined is not None:
-        wigner = _coarsened(refined)
-        neg = negativity_volume(wigner)
-        out["min_W"] = float(wigner.values.min())
-        out["negativity_volume"] = neg
-        out["wigner_norm"] = wigner.norm
-        neg2 = negativity_volume(refined)
-        if max(neg, neg2) > 1e-12 and abs(neg2 - neg) > 0.05 * max(neg, neg2):
-            warnings.warn(f"negativity volume moved {neg:.3e} -> {neg2:.3e} under 2x "
-                          "grid refinement", GridTooCoarse, stacklevel=2)
-    return out
 
 
 def read_wigner(rho: DyadEnsemble, base: PhaseSpaceGrid | None = None) -> tuple:
     """(Wigner field, diagnostics) of a density on the grid ``grid_for``
     fits around it from ``base``, from one evaluation on that grid's 2x
-    refinement: the field is its even-index subgrid, and
-    :func:`diagnostics` reads the whole.
+    refinement.  The field is its even-index subgrid, copied once; min_W,
+    negativity_volume and wigner_norm are read from that copy and added to
+    :func:`diagnostics`.
 
-    Warns GridTooCoarse when the grid's larger step d cannot resolve one
-    coherent state: the Riemann sum of its Gaussian is off by about
-    2 exp(-(pi/d)^2) (Poisson summation), over 1e-6 once d > 0.825.
-    Raises DegenerateState when the purity leaves [0, 1] by more than the
-    rounding margin of ``check_unit``.
+    Warns GridTooCoarse from two gates: when the grid's larger step d
+    cannot resolve one coherent state (the Riemann sum of its Gaussian is
+    off by about 2 exp(-(pi/d)^2), by Poisson summation, over 1e-6 once
+    d > 0.825), and when the negativity volume of the whole refined field
+    moves by more than 5% from the field's.  Raises DegenerateState when
+    the purity leaves [0, 1] by more than the rounding margin of
+    ``check_unit``.
     """
     grid = grid_for(rho, base)
     step, limit = max(grid.dx, grid.dp), math.pi / math.sqrt(math.log(2e6))
@@ -419,6 +405,13 @@ def read_wigner(rho: DyadEnsemble, base: PhaseSpaceGrid | None = None) -> tuple:
                       "the Riemann sum of its Gaussian is off by more than 1e-6",
                       GridTooCoarse, stacklevel=2)
     fine = wigner_mixed(rho, grid.refined())
-    diag = diagnostics(rho, fine)  # first: its subgrid copy is freed before ours
+    diag = diagnostics(rho)
+    field = _coarsened(fine)
+    neg, neg2 = negativity_volume(field), negativity_volume(fine)
+    diag.update(min_W=float(field.values.min()), negativity_volume=neg,
+                wigner_norm=field.norm)
+    if max(neg, neg2) > 1e-12 and abs(neg2 - neg) > 0.05 * max(neg, neg2):
+        warnings.warn(f"negativity volume moved {neg:.3e} -> {neg2:.3e} under 2x "
+                      "grid refinement", GridTooCoarse, stacklevel=2)
     check_unit("the purity", diag["purity"])
-    return _coarsened(fine), diag
+    return field, diag

@@ -784,6 +784,19 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "l1 = 0\nl2 = 0.01\nphi = 0.5pi\nn = 3\nxi = 0\n")
         assert main(["decohere", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
 
+    # At l2 = 0.5 the kick labels lie about l1 from the origin, and the
+    # overlap exponent Re(conj(A) B) - (|A|^2 + |B|^2)/2 cancels terms of
+    # size l1^2: the rounding left over overflows exp.  At l2 = 0.01, and
+    # in cat mode, these l1 exit 0.
+    @pytest.mark.parametrize("mode", ["walk", "decohere"])
+    @pytest.mark.parametrize("l1", ["1e10", "1e20", "1e100"])
+    def test_overflowing_kick_gram_exits_3(self, tmp_path, capsys, mode, l1):
+        cfg = write_config(tmp_path, f"l1 = {l1}\nl2 = 0.5\nphi = 0.3\nn = 10\n")
+        out = tmp_path / "x"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 3
+        assert "kick-label overlaps overflow" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     # At the oracle point's knobs the dyad weights cancel past the floating
     # point floor between n = 40 and 50: the walk's purity reads 17.48 at
     # n = 50 and -9.994e3 at n = 60, and the oracle's fidelities reach 1.626

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catwalk import dephasing
-from catwalk.algebra import gram_matrix
+from catwalk.algebra import CoherentLabel, PulseOperatorSpec, apply_pulse_operator, gram_matrix
 from catwalk.dephasing import (
     DyadEnsemble,
     _normalized,
@@ -351,3 +351,49 @@ class TestEvolveDyads:
         assert np.array_equal(rho.phases, expected.phases)
         scale = np.abs(expected.weights).max()
         assert np.abs(rho.weights - expected.weights).max() <= 1e-9 * scale
+
+
+def eigenbasis_record(pp, sign=1, levels=400):
+    """P_n = sum_m Pois_mu(m) cos^{2n}(sign phi + gamma - theta m): the
+    all-ground record in the kick's eigenbasis.  O(l1, l2) rotates phase
+    space by theta = l2 pi about c = l1 cot(theta/2), so it is diagonal on
+    the states D(c)|m> with eigenvalues e^{i gamma} e^{-i theta m}, gamma
+    the phase O gives the label at c; the walk operator
+    e^{i phi} O + e^{-i phi} O^dag is then 2 cos(phi + gamma - theta m)
+    there, and |alpha0> holds D(c)|m> with Poisson weights, mu = |alpha0 - c|^2.
+    A sum of positive terms: it has no cancellation floor."""
+    theta = pp.l2 * pi
+    c = pp.l1 / math.tan(theta / 2)
+    gamma = apply_pulse_operator(PulseOperatorSpec(pp.l1, pp.l2), CoherentLabel(c)).phase
+    mu = abs(pp.alpha0 - c) ** 2
+    return math.fsum(math.exp(m * math.log(mu) - mu - math.lgamma(m + 1))
+                     * math.cos(sign * pp.phi + gamma - theta * m) ** (2 * pp.n)
+                     for m in range(levels))
+
+
+class TestRecordInEigenbasis:
+    """The step trace's record against the cancellation-free eigenbasis sum
+    at the reference point (c = 6.3657, gamma = 1.2731, mu = 40.5).  At
+    phi = 4.5 pi the dyad weights cancel and the gap grows with n, 1.1e-14
+    at n = 1 to 1.2e-9 at n = 40: each bound is a few times the gap
+    measured there, so the floor is pinned as a function of n.  At
+    phi = 0.3 little cancels and the gap stayed within 1.9e-14."""
+
+    @pytest.mark.parametrize("phi, n, bound", [
+        (4.5 * pi, 1, 5e-14), (4.5 * pi, 5, 3e-12), (4.5 * pi, 10, 1.5e-10),
+        (4.5 * pi, 20, 1.2e-9), (4.5 * pi, 40, 5e-9),
+    ] + [(0.3, n, 1e-13) for n in (1, 5, 10, 20, 40)])
+    def test_record_within_the_floor(self, phi, n, bound):
+        pp = ProtocolParams(0.1, 0.01, phi, n)
+        for _, _, record in walk_density_steps(pp):
+            pass
+        want = eigenbasis_record(pp)
+        assert abs(record - want) <= bound * want
+
+    @pytest.mark.parametrize("n", [1, 5, 10, 20, 40])
+    def test_mirrored_phase_is_off(self, n):
+        # cos(-phi + gamma - theta m) is another record: pins the sign of phi
+        pp = ProtocolParams(0.1, 0.01, 0.3, n)
+        for _, _, record in walk_density_steps(pp):
+            pass
+        assert abs(record - eigenbasis_record(pp, sign=-1)) >= 1e-3 * record

@@ -165,8 +165,23 @@ class TestRefinedSubgrid:
         assert field.grid == g
         assert field.values.tobytes() == reference.values.tobytes()
         assert field.norm == reference.norm
-        assert diag == diagnostics(rho, wigner_mixed(rho, g.refined()))
-        assert diag["negativity_volume"] == negativity_volume(reference)
+        assert diag == {**diagnostics(rho), "min_W": float(reference.values.min()),
+                        "negativity_volume": negativity_volume(reference),
+                        "wigner_norm": reference.norm}
+
+    def test_one_subgrid_copy_per_read(self, monkeypatch):
+        # the field returned and the readings taken from it are one copy
+        copies, coarsened = [], observables._coarsened
+
+        def counted(fine):
+            copies.append(fine.grid)
+            return coarsened(fine)
+
+        monkeypatch.setattr(observables, "_coarsened", counted)
+        rho = walk_density(fig_pp(5))
+        field, diag = read_wigner(rho)
+        assert copies == [grid_for(rho).refined()]
+        assert diag["wigner_norm"] == field.norm
 
 
 class TestPositionDensity:
@@ -651,12 +666,16 @@ class TestProjector:
 
 class TestDiagnostics:
     def test_vacuum(self):
-        d = diagnostics(projector(VACUUM), wigner_pure(VACUUM, default_grid().refined()))
+        _, d = read_wigner(projector(VACUUM))
         assert d["mean_x"] == pytest.approx(0.0, abs=1e-14)
         assert d["var_x"] == pytest.approx(0.5, abs=1e-12)
         assert d["var_p"] == pytest.approx(0.5, abs=1e-12)
         assert d["negativity_volume"] == pytest.approx(0.0, abs=1e-12)
         assert d["purity"] == 1.0
+
+    def test_grid_free_readings_only(self):
+        d = diagnostics(walk_density(fig_pp(5, xi=0.2)))
+        assert sorted(d) == ["mean_p", "mean_x", "purity", "var_p", "var_x"]
 
     def test_coherent_state_minimum_uncertainty(self):
         state = pure_state((1.0, CoherentLabel(0.8 - 0.3j)))
@@ -779,12 +798,12 @@ class TestDiagnostics:
     def test_grid_too_coarse_warning(self):
         state = walk_state(fig_pp(5))
         coarse = PhaseSpaceGrid(-6, 6, -6, 6, 21, 21)
-        with pytest.warns(GridTooCoarse):
-            diagnostics(projector(state), wigner_pure(state, coarse.refined()))
+        with pytest.warns(GridTooCoarse, match="under 2x grid refinement"):
+            read_wigner(projector(state), coarse)
 
     def test_fine_grid_no_warning(self, recwarn):
         state = walk_state(fig_pp(5))
-        diagnostics(projector(state), wigner_pure(state, default_grid().refined()))
+        read_wigner(projector(state))
         assert not [w for w in recwarn.list if issubclass(w.category, GridTooCoarse)]
 
 

@@ -43,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEGENERACY_CUTOFF, SuperposedState, gram_matrix, normalize
+from .algebra import DEGENERACY_CUTOFF, TAU, SuperposedState, gram_matrix, normalize
 from .errors import DegenerateState
-from .protocol import TAU, ProtocolParams, cat_labels, kick_labels, walk_state
+from .protocol import ProtocolParams, cat_labels, kick_labels, walk_state
 
 # Largest kick-table Gram matrix a walk may build (kick_gram_bytes): n <= 1023.
 GRAM_BUDGET_BYTES = 64 * 2**20

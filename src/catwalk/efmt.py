@@ -8,26 +8,25 @@ separators and then drops every NUL byte.
 For 1e-290 <= |v| <= 1e290 the thirteen significant digits come from the
 scaled value s = |v| * 10**(12 - k), which lies in [1e12, 1e13):
 
-* 10**(12 - k) is a double-double hi + lo, built from Python ints for the
-  non-negative powers and by one Newton step for their reciprocals; a
-  Dekker product with Veltkamp splits (no FMA needed) gives s as p + err
-  to a relative error near 2**-100, an absolute error below 1e-16 in its
-  fractional part r.  Within the fast range every partial product is a
-  normal double, so |v| needs no frexp/ldexp rescaling;
+* 10**(12 - k) is Python's correctly rounded ``float("1e%d" % (12 - k))``
+  and s is one float64 product: two correctly rounded operations, so s is
+  off by a relative 2u + u**2 at most (u = 2**-53), under 2.3e-3 in
+  absolute terms below 1e13.  Rounding s to an integer is then exact
+  wherever its fractional part r lies _TIE = 5e-3, about twice that bound,
+  or more from 1/2.  Within the fast range the product is a normal double;
 * k starts from ``floor(log10 |v|)`` and is corrected by one where the
-  unrounded s falls outside [1e12, 1e13); rounding s up to 1e13 then moves
-  the exponent by one more;
+  unrounded s falls outside [1e12, 1e13); a corrected s can miss that range
+  only by the product's error, so it rounds to 1e12 or to 1e13, and
+  rounding s up to 1e13 moves the exponent by one more;
 * the digits come from splitting the rounded s into 1 + 4 + 4 + 4 digits
   (exact float64 quotients, since s < 2**53) and a lookup table of the
   10,000 four-digit groups, read as 4-byte words.
 
 Values the fast path cannot decide or does not cover are formatted by
-``FLOAT_FMT % v``: near-ties (|r - 1/2| < 1e-9, where exact decimal ties
-need round-half-even on the binary value), zeros, subnormals, nan, +-inf
-and |v| outside [1e-290, 1e290].
+``FLOAT_FMT % v``: near-ties (|r - 1/2| < _TIE, about 1% of values, where
+the product cannot tell which side of the tie the binary value lies on),
+zeros, subnormals, nan, +-inf and |v| outside [1e-290, 1e290].
 """
-
-import math
 
 import numpy as np
 
@@ -38,50 +37,8 @@ _FAST_MIN, _FAST_MAX = 1e-290, 1e290
 # Decimal exponents the tables cover: the fast range's -291..290, one more
 # each way for the log10 estimate, and the carry of a rounding to 1e13.
 _K_MIN, _K_MAX = -292, 291
-_TIE = 1e-9
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for doubles
-
-
-def _split(x):
-    """Veltkamp halves of x, each of at most 26 significant bits."""
-    c = x * _SPLIT
-    hi = c - (c - x)
-    return hi, x - hi
-
-
-def _two_product(a, b):
-    """p, e with p + e = a * b exactly (Dekker; no FMA needed)."""
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _powers() -> np.ndarray:
-    """Rows hi, hi_hi, hi_lo, lo; column k - _K_MIN holds hi + lo =
-    10**(12 - k) to within about 2**-104, relatively, and hi's Veltkamp
-    halves hi_hi + hi_lo.  Non-negative powers come from Python ints (exact
-    int-to-float rounding), negative ones from one double-double Newton
-    step for their reciprocals."""
-    x, pos = 1, []
-    for _ in range(12 - _K_MIN + 1):
-        hi = float(x)
-        pos.append((hi, float(x - int(hi))))
-        x *= 10
-    hi, lo = np.array(pos).T
-    # 1 / (hi + lo) = r + r * d, with d = 1 - r * (hi + lo) to 2**-106
-    h, l = hi[1:_K_MAX - 12 + 1], lo[1:_K_MAX - 12 + 1]
-    r = 1.0 / h
-    p, err = _two_product(r, h)
-    c = r * (((1.0 - p) - err) - r * l)
-    r_hi = r + c
-    hi = np.concatenate([hi[::-1], r_hi])
-    lo = np.concatenate([lo[::-1], c - (r_hi - r)])
-    mant, e = np.frexp(hi)  # split hi at unit scale, where x * _SPLIT cannot overflow
-    return np.stack([hi, *(np.ldexp(half, e) for half in _split(mant)), lo])
-
-
-_POWERS = _powers()
+_TIE = 5e-3  # > (2u + u**2) * 1e13 = 2.2e-3, the error of s below 1e13
+_POWERS = np.array([float("1e%d" % (12 - k)) for k in range(_K_MIN, _K_MAX + 1)])
 # byte groups read and written through little-endian words
 _DIGITS2 = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint8).reshape(100, 2)
 _DIGITS4 = np.concatenate(np.broadcast_arrays(_DIGITS2[:, None], _DIGITS2[None, :]),
@@ -93,20 +50,10 @@ _HEAD = np.frombuffer(
 
 
 def _scaled(a, k):
-    """floor(s) and s - floor(s) for s = a * 10**(12 - k)."""
-    hi, hh, hl, lo = _POWERS.take(k - _K_MIN, axis=1)
-    ah, al = _split(a)
-    p = a * hi
-    err = ((ah * hh - p) + ah * hl + al * hh) + al * hl
-    err += a * lo
-    fl = np.floor(p)
-    r = (p - fl) + err
-    down, up = r < 0.0, r >= 1.0
-    fl += up
-    fl -= down
-    r += down
-    r -= up
-    return fl, r
+    """floor(s) and s - floor(s) for s = a * 10**(12 - k), rounded."""
+    s = a * _POWERS.take(k - _K_MIN)
+    fl = np.floor(s)
+    return fl, s - fl
 
 
 def cells(values) -> np.ndarray:

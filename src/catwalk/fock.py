@@ -43,7 +43,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .algebra import SuperposedState
+from .algebra import DEGENERACY_CUTOFF, SuperposedState
 from .dephasing import DyadEnsemble, check_unit, projector, walk_density_steps
 from .errors import CutoffTooSmall, ZeroProbabilityOutcome
 from .protocol import PhysicalParams, derive_protocol, kick_labels
@@ -315,7 +315,7 @@ def project(vector: np.ndarray, qubit: int, frame: tuple):
     amplitudes in the bare Fock basis)."""
     block = _gauge(frame[0][qubit] @ vector.reshape(2, -1), frame[1])
     prob = float(np.vdot(block, block).real)
-    if prob < 1e-14:
+    if prob < DEGENERACY_CUTOFF:
         raise ZeroProbabilityOutcome(
             f"outcome '{('ground', 'excited')[qubit]}' has probability {prob:.3e}"
         )
@@ -422,16 +422,18 @@ def closed_form_walk_fidelities(
         raise ValueError(f"the walk comparison needs n >= 1; got {n}")
     probs, modes, leak_max = walk_prefixes(p, n, alpha0, cutoff, hamiltonian)
     pp = replace(derive_protocol(p, n, alpha0), xi=0.0)
-    steps = [rho for _, rho, _ in walk_density_steps(pp)]
     # Step k's rows are the kick labels j = -k..k in steps of 2, slices of
     # pp's kick table: each of its 2n + 1 labels is expanded once, and every
     # step reads a contiguous copy of its slice, the layout _expand gives,
-    # under its own leakage gate.
+    # under its own leakage gate.  The densities stream: one step's is read
+    # at a time, where all n + 1 would hold about 32 n**3 / 3 bytes.
     columns, tails = _expand(*kick_labels(pp.l1, pp.l2, pp.alpha0, n), cutoff)
+    steps = walk_density_steps(pp)
+    next(steps)  # step 0, the start, has no Fock prefix to compare
     fids = []
-    for k in range(1, n + 1):
+    for (k, rho, _), mode in zip(steps, modes[1:]):
         rows = slice(n - k, n + k + 1, 2)
         expansion = np.ascontiguousarray(columns[:, rows]), np.ascontiguousarray(tails[rows])
-        fids.append(_fidelity(modes[k], steps[k], _fock_columns(steps[k], cutoff, expansion)))
+        fids.append(_fidelity(mode, rho, _fock_columns(rho, cutoff, expansion)))
         check_unit(f"the fidelity at n = {k}", fids[-1])
     return fids, probs, leak_max

@@ -40,7 +40,8 @@ reading of the field: it evaluates the field once, on the fitted grid's
 for bit) once, and reads min_W, the negativity volume and the Riemann sum
 from that copy.  It holds the gates: GridTooCoarse when the negativity
 volume moves under the refinement or when the grid step resolves no
-coherent state, and DegenerateState for a purity outside [0, 1].
+coherent state, and DegenerateState for a purity outside [0, 1] or
+moments below the uncertainty bound.
 """
 
 import math
@@ -52,8 +53,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import SuperposedState
-from .dephasing import DyadEnsemble, check_unit, projector, purity
-from .errors import GridTooCoarse
+from .dephasing import UNIT_MARGIN, DyadEnsemble, check_unit, projector, purity
+from .errors import DegenerateState, GridTooCoarse
 
 SQRT2 = math.sqrt(2.0)
 
@@ -396,7 +397,8 @@ def read_wigner(rho: DyadEnsemble, base: PhaseSpaceGrid | None = None) -> tuple:
     d > 0.825), and when the negativity volume of the whole refined field
     moves by more than 5% from the field's.  Raises DegenerateState when
     the purity leaves [0, 1] by more than the rounding margin of
-    ``check_unit``.
+    ``check_unit``, and when a moment is not finite or var_x * var_p falls
+    below Robertson's bound 1/4 by more than that margin.
     """
     grid = grid_for(rho, base)
     step, limit = max(grid.dx, grid.dp), math.pi / math.sqrt(math.log(2e6))
@@ -414,4 +416,10 @@ def read_wigner(rho: DyadEnsemble, base: PhaseSpaceGrid | None = None) -> tuple:
         warnings.warn(f"negativity volume moved {neg:.3e} -> {neg2:.3e} under 2x "
                       "grid refinement", GridTooCoarse, stacklevel=2)
     check_unit("the purity", diag["purity"])
+    moments = [diag[key] for key in ("mean_x", "mean_p", "var_x", "var_p")]
+    if not (all(map(math.isfinite, moments))
+            and diag["var_x"] * diag["var_p"] >= 0.25 * (1 - UNIT_MARGIN)):
+        raise DegenerateState(f"var_x = {diag['var_x']:.6g}, var_p = {diag['var_p']:.6g}: "
+                              "below Robertson's bound 1/4, the dyad weights cancel past "
+                              "the floating-point floor")
     return field, diag

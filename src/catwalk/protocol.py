@@ -32,6 +32,7 @@ import numpy as np
 
 from .algebra import (
     DEGENERACY_CUTOFF,
+    TAU,
     CoherentLabel,
     PulseOperatorSpec,
     SuperposedState,
@@ -42,8 +43,6 @@ from .algebra import (
     rotate,
 )
 from .errors import DegenerateState, RegimeViolation
-
-TAU = 2.0 * math.pi
 
 ETA_MAX = 0.05          # validity gate for the second-order expansion
 HIERARCHY_MIN = 10.0    # Omega1 must dominate Omega2 and g at least this much

@@ -797,6 +797,21 @@ class TestExitCodes:
         assert "kick-label overlaps overflow" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    # At l1 = 1e150 the Gram does not overflow, but the moments cancel terms
+    # of size l1^2 = 1e300 to a negative variance: the walk's var_p reads
+    # -2.97e284 and the cat's var_x -2.35e254.  Refused, not written.
+    @pytest.mark.parametrize("mode, reading", [("walk", "var_p = -2.97403e+284"),
+                                               ("cat", "var_x = -2.3461e+254")],
+                             ids=["walk", "cat"])
+    def test_variances_below_the_uncertainty_bound_exit_3(self, tmp_path, capsys, mode,
+                                                          reading):
+        cfg = write_config(tmp_path, "l1 = 1e150\nl2 = 0.5\nphi = 0.3\nn = 10\n")
+        out = tmp_path / "x"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert reading in err and "below Robertson's bound" in err
+        assert not (out / "report.json").exists()
+
     # At the oracle point's knobs the dyad weights cancel past the floating
     # point floor between n = 40 and 50: the walk's purity reads 17.48 at
     # n = 50 and -9.994e3 at n = 60, and the oracle's fidelities reach 1.626
@@ -1067,6 +1082,22 @@ class TestFloatCells:
             assert num * 10**max(-e, 0) == digits * 10**max(e, 0) * den
             ties.append(v)
         self.check(self.with_neighbours(ties))
+
+    def test_inexact_decimal_ties(self):
+        # d.dddddddddddd5 * 10**k held inexactly lies within a rounding of
+        # the tie, inside the error of the scaling product: only the
+        # fallback window around 1/2 rounds it the way FLOAT_FMT does
+        rng = np.random.default_rng(13)
+        digits = rng.integers(10**12, 10**13, size=4000).tolist()
+        exponents = rng.integers(-290, 290, size=4000).tolist()
+        self.check(self.with_neighbours([float(f"{d}5e{k - 13}")
+                                         for d, k in zip(digits, exponents)]))
+
+    def test_tie_window_covers_the_product_error(self):
+        # s = |v| * 10**(12 - k) is two correctly rounded operations from
+        # exact: off by at most (2u + u**2) * s for s < 1e13
+        u = 2.0**-53
+        assert efmt._TIE > (2 * u + u * u) * 1e13
 
     def test_zeros_subnormals_and_range_edges(self):
         self.check([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,

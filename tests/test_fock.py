@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 from math import pi
 
@@ -700,6 +701,22 @@ class TestOnePass:
             ref_probs, _, ref_mode = per_k_reference(CHECK_POINT, k, alpha0=0.2)
             assert probs[:k] == ref_probs
             assert np.array_equal(modes[k], ref_mode)
+
+    def test_one_step_density_held_at_a_time(self, monkeypatch):
+        # the oracle reads step k's density, then drops it: a list of all
+        # n + 1 would hold about 32 n**3 / 3 bytes, 11 GiB at n = 1023
+        alive = []
+        real = fock.walk_density_steps
+
+        def steps(pp):
+            for step, rho, record in real(pp):
+                alive.append(weakref.ref(rho))
+                assert sum(ref() is not None for ref in alive) <= 2
+                yield step, rho, record
+
+        monkeypatch.setattr(fock, "walk_density_steps", steps)
+        fids, _, _ = fock.closed_form_walk_fidelities(CHECK_POINT, 6, cutoff=80)
+        assert len(alive) == 7 and len(fids) == 6
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_walk_comparison_needs_a_cycle(self, n):

@@ -839,19 +839,23 @@ class TestReadGates:
                            "Riemann sum of its Gaussian is off by more than 1e-6"] if warns else [])
         assert abs(field.norm - 1) > 1e-6 if warns else abs(field.norm - 1) < 1e-6
 
+    PURITY = "the purity reads"
+    ROBERTSON = "below Robertson's bound"
+
     @pytest.mark.parametrize("weights, refused", [
-        ([[1.0, 0.0], [0.0, 0.0]], False),
-        ([[1.0004, 0.0], [0.0, -0.0004]], False),  # purity 1 + 8e-4, inside the margin
-        ([[1.0006, 0.0], [0.0, -0.0006]], True),  # purity 1 + 1.2e-3
-        ([[1.5, 0.0], [0.0, -0.5]], True),  # purity 2.5
-        ([[0.5, 0.6], [0.6, 0.5]], True),  # purity 1.22
+        ([[1.0, 0.0], [0.0, 0.0]], None),
+        ([[1.0, 0.02], [0.02, 0.0]], None),  # purity 1 + 8e-4, inside the margin
+        # purity 1 + 8e-4, but the negative weight 5 away pulls var_x to 0.48
+        ([[1.0004, 0.0], [0.0, -0.0004]], ROBERTSON),
+        ([[1.0006, 0.0], [0.0, -0.0006]], PURITY),  # purity 1 + 1.2e-3
+        ([[1.5, 0.0], [0.0, -0.5]], PURITY),  # purity 2.5
+        ([[0.5, 0.6], [0.6, 0.5]], PURITY),  # purity 1.22
     ])
     def test_purity_outside_the_unit_interval_refused(self, weights, refused):
         # labels 5 apart: |<0|5>|^2 = e^-25
         rho = DyadEnsemble([0j, 5 + 0j], [0.0, 0.0], weights)
         if refused:
-            with pytest.raises(DegenerateState, match="the purity reads"):
+            with pytest.raises(DegenerateState, match=refused):
                 read_wigner(rho)
         else:
-            assert read_wigner(rho)[1]["purity"] == pytest.approx(weights[0][0] ** 2
-                                                                  + weights[1][1] ** 2)
+            assert read_wigner(rho)[1]["purity"] == pytest.approx(np.sum(np.square(weights)))

@@ -26,10 +26,11 @@ within it and each table's write (the wall times, and the Wigner row band
 count, which follows the usable CPUs, are the one non-reproducible output).
 
 Exit codes: 0 success, 2 configuration error (rates outside the model's
-validity gates included), 3 numerical-gate failure (Fock leakage,
-degenerate superposition, zero-probability outcome, kick-label overlaps
-that overflow, a purity or fidelity that cancellation has taken outside
-[0, 1]).
+validity gates included, and a grid, Fock propagators or kick-table Gram
+matrix over its memory budget, refused by one up-front check), 3
+numerical-gate failure (Fock leakage, degenerate superposition,
+zero-probability outcome, kick-label overlaps that overflow, a purity or
+fidelity that cancellation has taken outside [0, 1]).
 """
 
 import argparse
@@ -75,19 +76,13 @@ from .efmt import FLOAT_FMT
 
 def parse_angle(text: str) -> float:
     """Parse '4.5pi', '-0.5pi', 'pi', or a plain float, to radians."""
-    s = str(text).strip().lower()
+    s, scale = str(text).strip().lower(), 1.0
     if s.endswith("pi"):
-        head = s[:-2].strip()
-        if head in ("", "+"):
-            return math.pi
-        if head == "-":
-            return -math.pi
-        try:
-            return float(head) * math.pi
-        except ValueError:
-            raise ConfigError(f"cannot parse angle {text!r}") from None
+        s, scale = s[:-2].strip(), math.pi
+        if s in ("", "+", "-"):  # a bare "pi" or a sign before it: one pi
+            s += "1"
     try:
-        return float(s)
+        return float(s) * scale
     except ValueError:
         raise ConfigError(f"cannot parse angle {text!r}") from None
 
@@ -170,8 +165,9 @@ class ExperimentConfig:
             raise ConfigError(f"missing physical parameters: {', '.join(missing)}")
         return PhysicalParams(self.omega, self.g, self.omega1, self.omega2)
 
-    def protocol(self, xi: float | None = None) -> ProtocolParams:
-        xi = self.xi_values[0] if xi is None else xi
+    def protocol(self) -> ProtocolParams:
+        """The protocol at the first xi; ``replace(pp, xi=...)`` gives the others."""
+        xi = self.xi_values[0]
         if (self.omega, self.g, self.omega1, self.omega2) == (None,) * 4:
             return ProtocolParams(self.l1, self.l2, self.phi, self.n, xi, self.alpha0)
         return replace(derive_protocol(self.physical(), self.n, self.alpha0), xi=xi)
@@ -203,37 +199,25 @@ KEYS = {
 }
 
 
-def _check_cutoff(cutoff: int, full_hamiltonian: bool):
-    """Refuse a Fock cutoff the leakage gate cannot use or whose propagators
-    would not fit in ``fock.PROPAGATOR_BUDGET_BYTES``: those of the reduced
-    model, and of the unreduced one when the run adds its pass."""
+def _check_budgets(cfg: ExperimentConfig):
+    """Refuse a cutoff the leakage gate cannot use, then each array whose size
+    estimate is over its budget: the Wigner evaluation, the propagators of
+    each Fock model the run uses and the walk's kick-table Gram matrix."""
+    grid, cutoff, n = cfg.grid, cfg.cutoff, cfg.n
     if cutoff <= fock.LEAKAGE_LEVELS:
         raise ConfigError(f"cutoff must exceed the {fock.LEAKAGE_LEVELS} "
                           f"Fock levels the leakage gate watches; got {cutoff}")
-    for hamiltonian in ("reduced", "full") if full_hamiltonian else ("reduced",):
-        need = fock.propagator_bytes(cutoff, hamiltonian)
-        if need > fock.PROPAGATOR_BUDGET_BYTES:
-            raise ConfigError(f"cutoff {cutoff} needs {need:,} bytes of {hamiltonian} "
-                              f"propagators, over the budget of {fock.PROPAGATOR_BUDGET_BYTES:,}")
-
-
-def _check_kicks(n: int):
-    """Refuse an n whose walk would need a kick-table Gram matrix over
-    ``dephasing.GRAM_BUDGET_BYTES``; every mode shares that budget."""
-    need = dephasing.kick_gram_bytes(n)
-    if need > dephasing.GRAM_BUDGET_BYTES:
-        raise ConfigError(f"n = {n} is over the n budget of every mode: a walk that "
-                          f"long needs {need:,} bytes for the Gram matrix of its "
-                          f"{2 * n + 1:,} kick labels, over {dephasing.GRAM_BUDGET_BYTES:,}")
-
-
-def _check_grid(grid: PhaseSpaceGrid):
-    """Refuse a grid whose Wigner evaluation would not fit in
-    ``observables.WIGNER_BUDGET_BYTES``."""
-    need = wigner_bytes(grid)
-    if need > WIGNER_BUDGET_BYTES:
-        raise ConfigError(f"grid {grid.nx}x{grid.np} needs {need:,} bytes to read its "
-                          f"Wigner function, over the budget of {WIGNER_BUDGET_BYTES:,}")
+    models = ("reduced", "full") if cfg.full_hamiltonian else ("reduced",)
+    rows = [(wigner_bytes(grid), WIGNER_BUDGET_BYTES, f"grid {grid.nx}x{grid.np} needs {{:,}} "
+             "bytes to read its Wigner function, over the budget of {:,}")]
+    rows += [(fock.propagator_bytes(cutoff, m), fock.PROPAGATOR_BUDGET_BYTES, f"cutoff {cutoff} "
+              f"needs {{:,}} bytes of {m} propagators, over the budget of {{:,}}") for m in models]
+    rows.append((dephasing.kick_gram_bytes(n), dephasing.GRAM_BUDGET_BYTES, f"n = {n} is over "
+                 "the n budget of every mode: a walk that long needs {:,} bytes for the Gram "
+                 f"matrix of its {2 * n + 1:,} kick labels, over {{:,}}"))
+    for need, budget, message in rows:
+        if need > budget:
+            raise ConfigError(message.format(need, budget))
 
 
 def build_config(mode: str, raw: dict) -> ExperimentConfig:
@@ -274,8 +258,7 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
     if bad:
         raise ConfigError(f"{mode} cannot write {', '.join(sorted(bad))}; "
                           f"it writes {', '.join(spec.writable)}")
-    _check_grid(cfg.grid)
-    _check_cutoff(cfg.cutoff, cfg.full_hamiltonian)
+    _check_budgets(cfg)
 
     tags = [_xi_tag(xi) for xi in cfg.xi_values]
     if len(set(tags)) < len(tags):
@@ -283,7 +266,6 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
                           f"({', '.join(tags)}); they must differ in 6 significant digits")
     if mode in ("cat", "oracle-check") and cfg.n < 1:
         raise ConfigError(f"{mode} mode needs n >= 1")
-    _check_kicks(cfg.n)
     if not cfg.decay_exponent >= 0.0:  # also refuses NaN; inf is full suppression
         raise ConfigError("decay_exponent must be non-negative")
     # Build the parameter objects once so that out-of-range or non-finite
@@ -291,7 +273,9 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            pp = [cfg.protocol(xi=xi) for xi in cfg.xi_values][0]
+            pp = cfg.protocol()
+            for xi in cfg.xi_values[1:]:
+                replace(pp, xi=xi)
     except ValueError as exc:
         raise ConfigError(f"bad parameter: {exc}") from None
     if rates:  # keep the knobs the rates give, so that the report echoes them
@@ -383,10 +367,13 @@ def _render(table: Table, fmt: str):
         return
 
     # per column: the cells of all its values (text columns and the inner
-    # axis; None for the rest), the 1-D values and the map from row numbers
-    # to value indices (None: the row numbers themselves)
-    specs = []
-    for name, col in cols.items():
+    # axis; None for the rest), the 1-D values, the map from row numbers to
+    # value indices (None: the row numbers themselves) and its slot in the
+    # row template
+    head, sep, tail = ((b"", b",", b"\n") if fmt == "csv"
+                       else (b"    [\n      ", b",\n      ", b"\n    ],\n"))
+    specs, row = [], b""
+    for i, (name, col) in enumerate(cols.items()):
         if name == outer:
             index = lambda rows: rows // n_inner
         elif name == inner:
@@ -394,23 +381,17 @@ def _render(table: Table, fmt: str):
         else:
             col, index = col.reshape(-1), None
         whole = _cells(col, fmt) if name == inner or col.dtype.kind != "f" else None
-        specs.append((whole, col, index))
-
-    head, sep, tail = ((b"", b",", b"\n") if fmt == "csv"
-                       else (b"    [\n      ", b",\n      ", b"\n    ],\n"))
-    row, slots = b"", []
-    for i, (whole, col, _) in enumerate(specs):
         quote = b'"' if fmt == "json" and col.dtype.kind == "f" else b""
         row += (sep if i else head) + quote
         width = efmt.WIDTH if whole is None else whole.shape[1]
-        slots.append(slice(len(row), len(row) + width))
+        specs.append((whole, col, index, slice(len(row), len(row) + width)))
         row += bytes(width) + quote
     buf = np.tile(np.frombuffer(row + tail, np.uint8), (min(CHUNK_ROWS, n_rows), 1))
 
     for r0 in range(0, n_rows, CHUNK_ROWS):
         rows = np.arange(r0, min(r0 + CHUNK_ROWS, n_rows))
         block = buf[:len(rows)]
-        for (whole, col, index), slot in zip(specs, slots):
+        for whole, col, index, slot in specs:
             at = rows if index is None else index(rows)
             if whole is not None:
                 block[:, slot] = whole.take(at, axis=0)
@@ -493,27 +474,29 @@ def _read(rho: DyadEnsemble, base: PhaseSpaceGrid, timings: dict):
     return W, {k: float(v) for k, v in diag.items()}
 
 
+def _density_tables(rho: DyadEnsemble, probability: float, base: PhaseSpaceGrid, timings: dict):
+    """pdist, wigner and diagnostics tables of a conditioned density, and its
+    diagnostics with its outcome's probability as ``success_probability``."""
+    W, diag = _read(rho, base, timings)
+    diag["success_probability"] = probability
+    return [_pdist_table(rho, W.grid), _wigner_table(W), _diagnostics_table(diag)], diag
+
+
 def _walk(cfg: ExperimentConfig, timings: dict):
     """The xi = 0 walk density and its record probability, both from the
     dephasing recursion that ``decohere`` runs."""
     pp = cfg.protocol()
     for _, rho, record in walk_density_steps(pp):
         pass
-    W, diag = _read(rho, cfg.grid, timings)
-    diag["success_probability"] = record
-    tables = [alpha_table(pp), _pdist_table(rho, W.grid), _wigner_table(W),
-              _diagnostics_table(diag)]
-    return tables, diag
+    tables, diag = _density_tables(rho, record, cfg.grid, timings)
+    return [alpha_table(pp)] + tables, diag
 
 
 def _cat(cfg: ExperimentConfig, timings: dict):
     """The damped cat density and its outcome probability, both from one
     ``cat_density`` call."""
-    rho, prob = cat_density(cfg.protocol(), math.exp(-cfg.decay_exponent))
-    W, diag = _read(rho, cfg.grid, timings)
-    diag["success_probability"] = prob
-    return [_pdist_table(rho, W.grid), _wigner_table(W),
-            _diagnostics_table(diag)], diag
+    return _density_tables(*cat_density(cfg.protocol(), math.exp(-cfg.decay_exponent)),
+                           cfg.grid, timings)
 
 
 def _decohere(cfg: ExperimentConfig, timings: dict):

@@ -40,8 +40,9 @@ reading of the field: it evaluates the field once, on the fitted grid's
 for bit) once, and reads min_W, the negativity volume and the Riemann sum
 from that copy.  It holds the gates: GridTooCoarse when the negativity
 volume moves under the refinement or when the grid step resolves no
-coherent state, and DegenerateState for a purity outside [0, 1] or
-moments below the uncertainty bound.
+coherent state, and DegenerateState, raised before the field is
+evaluated, for a purity outside [0, 1] or moments below the uncertainty
+bound.
 """
 
 import math
@@ -391,14 +392,15 @@ def read_wigner(rho: DyadEnsemble, base: PhaseSpaceGrid | None = None) -> tuple:
     negativity_volume and wigner_norm are read from that copy and added to
     :func:`diagnostics`.
 
-    Warns GridTooCoarse from two gates: when the grid's larger step d
+    Its gates, in order: warns GridTooCoarse when the grid's larger step d
     cannot resolve one coherent state (the Riemann sum of its Gaussian is
     off by about 2 exp(-(pi/d)^2), by Poisson summation, over 1e-6 once
-    d > 0.825), and when the negativity volume of the whole refined field
-    moves by more than 5% from the field's.  Raises DegenerateState when
+    d > 0.825); raises DegenerateState, before the field is evaluated, when
     the purity leaves [0, 1] by more than the rounding margin of
-    ``check_unit``, and when a moment is not finite or var_x * var_p falls
-    below Robertson's bound 1/4 by more than that margin.
+    ``check_unit`` or when a moment is not finite or var_x * var_p falls
+    below Robertson's bound 1/4 by more than that margin; then warns
+    GridTooCoarse when the negativity volume of the whole refined field
+    moves by more than 5% from the field's.
     """
     grid = grid_for(rho, base)
     step, limit = max(grid.dx, grid.dp), math.pi / math.sqrt(math.log(2e6))
@@ -406,15 +408,7 @@ def read_wigner(rho: DyadEnsemble, base: PhaseSpaceGrid | None = None) -> tuple:
         warnings.warn(f"grid step {step:.3g} resolves no coherent state: above {limit:.3f} "
                       "the Riemann sum of its Gaussian is off by more than 1e-6",
                       GridTooCoarse, stacklevel=2)
-    fine = wigner_mixed(rho, grid.refined())
     diag = diagnostics(rho)
-    field = _coarsened(fine)
-    neg, neg2 = negativity_volume(field), negativity_volume(fine)
-    diag.update(min_W=float(field.values.min()), negativity_volume=neg,
-                wigner_norm=field.norm)
-    if max(neg, neg2) > 1e-12 and abs(neg2 - neg) > 0.05 * max(neg, neg2):
-        warnings.warn(f"negativity volume moved {neg:.3e} -> {neg2:.3e} under 2x "
-                      "grid refinement", GridTooCoarse, stacklevel=2)
     check_unit("the purity", diag["purity"])
     moments = [diag[key] for key in ("mean_x", "mean_p", "var_x", "var_p")]
     if not (all(map(math.isfinite, moments))
@@ -422,4 +416,12 @@ def read_wigner(rho: DyadEnsemble, base: PhaseSpaceGrid | None = None) -> tuple:
         raise DegenerateState(f"var_x = {diag['var_x']:.6g}, var_p = {diag['var_p']:.6g}: "
                               "below Robertson's bound 1/4, the dyad weights cancel past "
                               "the floating-point floor")
+    fine = wigner_mixed(rho, grid.refined())
+    field = _coarsened(fine)
+    neg, neg2 = negativity_volume(field), negativity_volume(fine)
+    diag.update(min_W=float(field.values.min()), negativity_volume=neg,
+                wigner_norm=field.norm)
+    if max(neg, neg2) > 1e-12 and abs(neg2 - neg) > 0.05 * max(neg, neg2):
+        warnings.warn(f"negativity volume moved {neg:.3e} -> {neg2:.3e} under 2x "
+                      "grid refinement", GridTooCoarse, stacklevel=2)
     return field, diag

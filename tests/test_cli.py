@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from math import pi
 from pathlib import Path
@@ -922,6 +923,91 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["walk", "--config", str(cfg), "--seed", "7"])
         assert exc.value.code == 2
+
+
+def _text(strategy):
+    return strategy.map(repr)
+
+
+def _config_texts(mode):
+    """Config text of a mode over the keys it accepts, each drawn on both
+    sides of its gate; n, grids and cutoffs small enough to stay fast."""
+    knobs = st.fixed_dictionaries({
+        "l1": _text(st.one_of(st.floats(0, 2), st.floats(-3, 300).map(lambda e: 10.0 ** e),
+                              st.floats(-1, 0))),
+        "l2": _text(st.one_of(st.floats(0, 2), st.floats(2, 50))),
+        "phi": st.one_of(st.sampled_from(["pi", "+pi", "-pi"]),
+                         st.floats(-10, 10).map(lambda k: f"{k!r}pi"), _text(st.floats(-30, 30))),
+    })
+    # eta = g / omega about its gate 0.05, omega1 / max(omega2, g) about 10 and 100
+    rates = st.tuples(st.floats(0.5, 2), st.floats(0, 0.06), st.floats(0, 2),
+                      st.floats(5, 200)).map(lambda r: {
+                          "omega": repr(r[0]), "g": repr(r[0] * r[1]), "omega2": repr(r[2]),
+                          "omega1": repr(r[3] * max(r[2], r[0] * r[1]))})
+    half = st.floats(1, 8)
+    optional = {
+        "format": st.sampled_from(["csv", "json"]),
+        "grid": st.tuples(half, half, half, half, st.integers(17, 31), st.integers(17, 31)).map(
+            lambda g: f"{-g[0]!r},{g[1]!r},{-g[2]!r},{g[3]!r},{g[4]},{g[5]}"),
+        "alpha0": _text(st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))),
+        "xi": st.lists(st.one_of(st.floats(0, 5), st.just(math.inf), st.floats(-1, 0)),
+                       min_size=1, max_size=3).map(lambda v: ",".join(map(repr, v))),
+        "decay_exponent": _text(st.one_of(st.floats(0, 20), st.just(math.inf),
+                                          st.floats(-1, 0))),
+        "cutoff": _text(st.integers(8, 80)),
+        "full_hamiltonian": st.sampled_from(["yes", "no"]),
+    }
+    spec = MODES[mode]
+    protocol = rates if "omega" in spec.requires else st.one_of(
+        knobs.map(lambda d: {k: v for k, v in d.items() if k in spec.keys}), rates)
+    # n = 0, which cat and oracle-check refuse, comes last: hypothesis favours the first
+    n = _text(st.sampled_from([*range(1, 9), 0]))
+    keys = st.fixed_dictionaries(
+        {"outputs": st.just(",".join(spec.writable)), "n": n},
+        optional={k: s for k, s in optional.items() if k in spec.keys})
+    return st.tuples(protocol, keys).map(
+        lambda parts: "".join(f"{k} = {v}\n" for d in parts for k, v in d.items()))
+
+
+def _columns(path: Path) -> dict:
+    """A written CSV or JSON table of numbers as {column name: values}."""
+    if path.suffix == ".json":
+        body = json.loads(path.read_text())
+        names, rows = body["columns"], body["rows"]
+    else:
+        lines = path.read_text().splitlines()[1:]
+        names, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    return {name: [float(row[i]) for row in rows] for i, name in enumerate(names)}
+
+
+class TestExitContract:
+    """Every accepted config exits 0 with finite diagnostics, purities and
+    fidelities in [0, 1] to the backstops' 1e-3, or is refused with exit 2
+    (configuration) or 3 (numerical gate); main never raises."""
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=25)
+    def test_exit_codes_and_finite_output(self, mode, data):
+        text = data.draw(_config_texts(mode), label="config")
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+            cfg.write_text(text)
+            code = main([mode, "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 2, 3)
+            if code:
+                return
+            report = json.loads((out / "report.json").read_text())
+            # decohere nests one block per xi
+            flat = [(k, v) for key, value in report["diagnostics"].items()
+                    for k, v in (value.items() if isinstance(value, dict) else [(key, value)])]
+            assert all(math.isfinite(v) for _, v in flat), flat
+            unit = [v for k, v in flat if k in ("purity", "fidelity_min")]
+            for item in report["outputs"]:
+                if item["name"] == "oracle_check":
+                    unit += [v for name, values in _columns(Path(item["path"])).items()
+                             if name.startswith("fidelity") for v in values]
+            assert all(-1e-3 <= u <= 1 + 1e-3 for u in unit), unit
 
 
 class TestWriter:

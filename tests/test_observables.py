@@ -859,3 +859,20 @@ class TestReadGates:
                 read_wigner(rho)
         else:
             assert read_wigner(rho)[1]["purity"] == pytest.approx(np.sum(np.square(weights)))
+
+    def test_refused_before_the_field_is_evaluated(self, monkeypatch):
+        # the backstops read only diagnostics(rho), so a density they refuse
+        # never pays for its field: purity 1 + 2 * 9 = 19
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return wigner_mixed(*args, **kwargs)
+
+        monkeypatch.setattr(observables, "wigner_mixed", counted)
+        rho = DyadEnsemble([0, 5], [0, 0], [[1, 3], [3, 0]])
+        with pytest.raises(DegenerateState, match=self.PURITY):
+            read_wigner(rho)
+        assert calls == []
+        read_wigner(DyadEnsemble([0], [0], [[1]]))  # the counter sees an accepted read
+        assert len(calls) == 1

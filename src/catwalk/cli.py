@@ -96,7 +96,7 @@ def parse_grid(text: str) -> PhaseSpaceGrid:
             float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]),
             int(parts[4]), int(parts[5]),
         )
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad grid specification: {exc}") from None
 
 

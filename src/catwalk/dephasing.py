@@ -27,9 +27,11 @@ Each density is two label arrays in row order, the amplitudes alpha_j and
 the phases theta_j, one (m, m) weight matrix and the labels' Gram matrix;
 a pure state is the rank-1 case.  After s walk steps the rows are the kick
 indices j = -s, -s+2, ..., s in ascending order, so the matrix holds exactly
-(s+1)^2 weights and one step is four shifted-slice adds on the zero-padded
-matrix.  The kick phases theta_j ride on the labels, which is what makes
-the weight recursion above purely index-local.
+(s+1)^2 weights.  The kick phases theta_j ride on the labels, which is what
+makes the weight recursion above purely index-local: :func:`evolve_dyads`
+maps the weights alone, four shifted-slice adds on the zero-padded matrix,
+and :func:`walk_density_steps` is the one place that gives a step its rows
+of the kick table and its Gram and takes its trace (C above).
 
 The cat is the two-row case, built once from its labels beta_{-n},
 beta_{+n}: a decay over the whole run multiplies its two cross weights by
@@ -127,35 +129,20 @@ def _normalized(rho: DyadEnsemble) -> tuple:
     return DyadEnsemble(rho.amplitudes, rho.phases, rho.weights / tr, rho.gram), tr
 
 
-def evolve_dyads(rho: DyadEnsemble, pp: ProtocolParams, kicks: tuple) -> tuple:
-    """One conditioned pulse pair with dephasing exponent pp.xi.
-
-    Returns (the conditioned ensemble, the probability of the ground
-    outcome).  ``kicks`` is (amplitudes, phases, Gram) of pp's kick table
-    j = -N..N, N >= m, as :func:`walk_density_steps` holds it.  The m rows
-    of ``rho`` must be the kick labels j = -(m-1), ..., m-1 (step 2) of
-    that table (ValueError otherwise); the result has one row more, j = -m,
-    ..., m, and carries the slice of the table's Gram for its rows.
-    Weights follow the four-term recursion in the module docstring and the
-    result is renormalized to unit trace.  Each dressed branch reaches the
-    ground outcome with amplitude 1/2, so the trace the recursion produces
-    is 4 times the outcome probability.  xi = inf is accepted and kills the
+def evolve_dyads(weights: np.ndarray, pp: ProtocolParams) -> np.ndarray:
+    """One conditioned pulse pair with dephasing exponent pp.xi, on the
+    weights alone: the four-term recursion of the module docstring takes
+    the (m, m) weights of the kick rows j = -(m-1), ..., m-1 (step 2) to
+    the (m+1, m+1) weights of j = -m, ..., m, four shifted-slice adds on
+    the zero-padded matrix.  The result is not renormalized: its trace is 4
+    times the probability of the ground outcome, since each dressed branch
+    reaches it with amplitude 1/2.  xi = inf is accepted and kills the
     cross terms outright.
     """
     damp = math.exp(-pp.xi) if math.isfinite(pp.xi) else 0.0
     cross = cmath.exp(2j * pp.phi) * damp
-    reach = len(rho.weights)
-    amplitudes, phases, G = kicks
-    rows = slice(len(phases) // 2 - reach, len(phases) // 2 + reach + 1, 2)
-    inner = slice(rows.start + 1, rows.stop - 1, 2)
-    if not (np.array_equal(rho.amplitudes, amplitudes[inner])
-            and np.array_equal(rho.phases, phases[inner])):
-        raise ValueError(f"rho's rows are not pp's kick labels j = {1 - reach}..{reach - 1}")
-    R = np.pad(rho.weights, 1)
-    weights = (R[:-1, :-1] + R[1:, 1:]
-               + cross * R[:-1, 1:] + cross.conjugate() * R[1:, :-1])
-    rho, tr = _normalized(DyadEnsemble(amplitudes[rows], phases[rows], weights, G[rows, rows]))
-    return rho, tr / 4.0
+    R = np.pad(weights, 1)
+    return R[:-1, :-1] + R[1:, 1:] + cross * R[:-1, 1:] + cross.conjugate() * R[1:, :-1]
 
 
 def kick_gram_bytes(n: int) -> int:
@@ -177,20 +164,23 @@ def walk_density_steps(pp: ProtocolParams):
     pure |alpha0><alpha0| projector.  ``record`` is the probability of the
     all-ground record so far, the product of the steps' ground
     probabilities: 1.0 at step 0.  The kick table and the Gram matrix of its
-    2n+1 labels are built once; every step's density carries a slice.
-    Raises DegenerateState when an overlap of two labels overflows."""
+    2n+1 labels are built once.  Step s takes the rows j = -s, ..., s (step
+    2) of both, the weights :func:`evolve_dyads` gives from step s - 1 (the
+    1x1 weight 1 at step 0), and is normalized here; its trace over 4 is the
+    step's ground probability.  Raises DegenerateState when an overlap of
+    two labels overflows or a step's trace cancels."""
     amplitudes, phases = kick_labels(pp.l1, pp.l2, pp.alpha0, pp.n)
     try:
         G = gram_matrix(amplitudes, phases)
     except FloatingPointError:
         raise DegenerateState("kick-label overlaps overflow: Re(conj(A) B) - (|A|^2 + |B|^2)/2 "
                               "cancels terms of size |A|^2; the rounding overflows exp") from None
-    start = slice(pp.n, pp.n + 1)
-    rho, record = DyadEnsemble(amplitudes[start], phases[start], [[1.0]], G[start, start]), 1.0
-    yield 0, rho, record
-    for step in range(1, pp.n + 1):
-        rho, prob = evolve_dyads(rho, pp, (amplitudes, phases, G))
-        record *= prob
+    record = 4.0  # step 0's trace is 1, so its trace / 4 makes the record 1.0
+    for step in range(pp.n + 1):
+        weights = evolve_dyads(rho.weights, pp) if step else [[1.0]]
+        rows = slice(pp.n - step, pp.n + step + 1, 2)
+        rho, tr = _normalized(DyadEnsemble(amplitudes[rows], phases[rows], weights, G[rows, rows]))
+        record *= tr / 4.0
         yield step, rho, record
 
 

@@ -113,6 +113,12 @@ class PhaseSpaceGrid:
         if self.nx < 2 or self.np < 2:
             raise ValueError("grid needs at least 2 points per axis")
 
+    def __str__(self) -> str:
+        """The config key's syntax xmin,xmax,pmin,pmax,nx,np with floats by
+        repr, which ``cli.parse_grid`` reads back to this grid."""
+        bounds = [repr(float(v)) for v in (self.x_min, self.x_max, self.p_min, self.p_max)]
+        return ",".join([*bounds, str(self.nx), str(self.np)])
+
     def x_axis(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.nx)
 
@@ -158,21 +164,21 @@ def default_grid() -> PhaseSpaceGrid:
 
 
 def grid_for(rho: DyadEnsemble, base: PhaseSpaceGrid | None = None) -> PhaseSpaceGrid:
-    """Default grid, expanded symmetrically if the state outgrows the box.
+    """``base`` (the default grid if None) with each side that falls short
+    of the labels moved out.
 
-    The box half-width is raised to sqrt(2)|alpha| + 3 over all labels; the
-    point count is kept, so expansion trades resolution for coverage.
-    |alpha| is Python's abs: np.abs differs from it in the last bit, which
-    would move the expanded bounds.
+    Each bound must lie at least sqrt(2)|alpha| + 3 from the origin, the
+    largest over all labels; the bounds that do are kept, and so are the
+    point counts, so widening trades resolution for coverage.  |alpha| is
+    Python's abs: np.abs differs from it in the last bit, which would move
+    the widened bounds.
     """
     if base is None:
         base = default_grid()
     need = max((SQRT2 * abs(a) + GAUSSIAN_MARGIN for a in rho.amplitudes.tolist()),
                default=0.0)
-    half = max(base.x_max, -base.x_min, base.p_max, -base.p_min)
-    if need <= half:
-        return base
-    return PhaseSpaceGrid(-need, need, -need, need, base.nx, base.np)
+    return PhaseSpaceGrid(min(base.x_min, -need), max(base.x_max, need),
+                          min(base.p_min, -need), max(base.p_max, need), base.nx, base.np)
 
 
 @dataclass(frozen=True)

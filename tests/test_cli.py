@@ -62,6 +62,27 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_grid("6,-6,-5,5,11,11")
 
+    @settings(max_examples=200, deadline=None)
+    @given(bounds=st.lists(st.floats(-1e300, 1e300), min_size=4, max_size=4),
+           points=st.tuples(st.integers(2, 10**6), st.integers(2, 10**6)))
+    def test_grid_text_reads_back(self, bounds, points):
+        x_min, x_max, p_min, p_max = bounds
+        try:
+            g = observables.PhaseSpaceGrid(x_min, x_max, p_min, p_max, *points)
+        except ValueError:
+            return
+        assert parse_grid(str(g)) == g
+
+    @pytest.mark.parametrize("mode", ["walk", "cat", "decohere"])
+    def test_report_echoes_the_grid_in_its_key_syntax(self, tmp_path, mode):
+        grid = "-3.1, 9, -5e-1, 4.000000000000001, 21, 23"
+        cfg = write_config(tmp_path, f"l1 = 0.1\nl2 = 0.01\nn = 2\ngrid = {grid}\n")
+        out = tmp_path / "o"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 0
+        echoed = json.loads((out / "report.json").read_text())["config"]["grid"]
+        assert echoed == "-3.1,9.0,-0.5,4.000000000000001,21,23"
+        assert parse_grid(echoed) == parse_grid(grid)
+
     def test_config_file(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -193,6 +214,25 @@ class TestWalkRun:
         assert timings["compute_s"] + sum(timings["write_s"].values()) <= report["wall_time_s"]
         assert 0 < timings["wigner_s"] <= timings["compute_s"]
         assert timings["wigner_bands"] == observables.read_bands(observables.default_grid())
+
+    @pytest.mark.parametrize("config, grid", [
+        pytest.param(CONFIGS / "walk.cfg", "0,12,-6,6,201,201", id="walk-cfg"),
+        # the vacuum: l1 = 0 from g = 0
+        pytest.param("omega = 0.5\ng = 0.0\nomega2 = 0.0\nomega1 = 0.0\nn = 1\n",
+                     "-1,1,-1,3,17,17", id="vacuum"),
+    ])
+    def test_off_centre_grid_holds_the_state(self, tmp_path, config, grid):
+        # grid_for moves out each side short of the labels; the parent read
+        # 0.0466 and 0.820 here, in silence
+        if isinstance(config, str):
+            config = write_config(tmp_path, config)
+        out = tmp_path / "walk"
+        assert main(["walk", "--config", str(config), f"--grid={grid}", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["warnings"] == []
+        assert report["diagnostics"]["wigner_norm"] == pytest.approx(1.0, abs=2e-5)
+        pdist = (out / "pdist.csv").read_text().splitlines()[0]
+        assert float(pdist.split("riemann_sum = ")[1].split(";")[0]) == pytest.approx(1.0, abs=1e-5)
 
     @pytest.mark.parametrize("mode", ["walk", "cat"])
     def test_grid_that_resolves_no_state_warns(self, tmp_path, mode):

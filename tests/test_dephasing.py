@@ -36,8 +36,8 @@ def fig_pp(n, xi=0.0):
 
 
 def kick_table(pp):
-    """(amplitudes, phases, Gram) of pp's kick table j = -n..n, the table
-    evolve_dyads reads."""
+    """(amplitudes, phases, Gram) of pp's kick table j = -n..n; step s of a
+    walk reads its rows j = -s, -s+2, ..., s."""
     amplitudes, phases = kick_labels(pp.l1, pp.l2, pp.alpha0, pp.n)
     return amplitudes, phases, gram_matrix(amplitudes, phases)
 
@@ -288,23 +288,23 @@ class TestCatDensity:
 
 
 class TestEvolveDyads:
-    def test_single_step_from_custom_ensemble(self):
+    def test_single_step_from_the_projector(self):
+        # kick indices -1 and 1; the cross weights carry e^{+-2i phi} e^{-xi}
         pp = fig_pp(1, xi=0.7)
-        rho0 = pure_walk_density(fig_pp(0))
-        rho1, _ = evolve_dyads(rho0, pp, kick_table(pp))
-        assert len(rho1.amplitudes) == 2  # kick indices -1 and 1
-        damp = math.exp(-0.7)
-        # cross terms carry e^{+-2i phi} e^{-xi} relative to the diagonals
-        c = rho1.weights[1, 0] / rho1.weights[1, 1]
-        assert abs(c) == pytest.approx(damp, rel=1e-12)
+        cross = cmath.exp(2j * pp.phi) * math.exp(-0.7)
+        weights = evolve_dyads(np.ones((1, 1), complex), pp)
+        assert np.array_equal(weights, [[1.0, cross.conjugate()], [cross, 1.0]])
 
     def test_one_kick_table_and_gram_per_walk(self, monkeypatch):
         # every step slices the walk's one Gram; the bits equal steps that
         # each read a table of their own reach
         pp = fig_pp(6, xi=0.3)
-        rho = DyadEnsemble([pp.alpha0], [0.0], [[1.0]])
+        weights = np.ones((1, 1), complex)
         for step in range(1, pp.n + 1):
-            rho, _ = evolve_dyads(rho, pp, kick_table(fig_pp(step, xi=0.3)))
+            amplitudes, phases, G = kick_table(fig_pp(step, xi=0.3))
+            rho, _ = _normalized(DyadEnsemble(amplitudes[::2], phases[::2],
+                                              evolve_dyads(weights, pp), G[::2, ::2]))
+            weights = rho.weights
         calls = {"kick_labels": 0, "gram_matrix": 0}
         for name in calls:
             original = getattr(dephasing, name)
@@ -321,18 +321,60 @@ class TestEvolveDyads:
         assert np.array_equal(walked.weights, rho.weights)
         assert walked.gram.tobytes() == rho.gram.tobytes()
 
-    def test_rows_must_be_the_kick_labels(self):
+    def test_one_step_from_the_pure_walk(self):
+        # the ascending rows j = -2, 0, 2 of the n = 2 walk map onto those of n = 3
         pp = ProtocolParams(0.1, 0.01, 0.3, 3)
-        kicks = kick_table(pp)
-        # a projector's rows run in component order, kick index n down to -n
-        with pytest.raises(ValueError, match="kick labels"):
-            evolve_dyads(projector(walk_state(ProtocolParams(0.1, 0.01, 0.3, 2))), pp, kicks)
-        # labels of another alpha0
-        with pytest.raises(ValueError, match="kick labels"):
-            evolve_dyads(walk_density(ProtocolParams(0.1, 0.01, 0.3, 2, alpha0=0.2)), pp, kicks)
-        # rows in ascending kick index are one step short of walk_density
-        rho, _ = evolve_dyads(pure_walk_density(ProtocolParams(0.1, 0.01, 0.3, 2)), pp, kicks)
+        amplitudes, phases, G = kick_table(pp)
+        weights = evolve_dyads(pure_walk_density(ProtocolParams(0.1, 0.01, 0.3, 2)).weights, pp)
+        rho, _ = _normalized(DyadEnsemble(amplitudes[::2], phases[::2], weights, G[::2, ::2]))
         assert trace_distance(rho, walk_density(pp)) < 1e-12
+
+    def test_steps_normalized_in_the_walk_alone(self, monkeypatch):
+        # evolve_dyads returns the raw weights: trace 4 times the step's
+        # ground probability, which walk_density_steps takes once per step
+        pp = fig_pp(5, xi=0.4)
+        counts, normalized = [], dephasing._normalized
+
+        def counted(rho):
+            counts.append(len(rho.weights))
+            return normalized(rho)
+
+        monkeypatch.setattr(dephasing, "_normalized", counted)
+        steps = list(walk_density_steps(pp))
+        assert counts == list(range(1, pp.n + 2))
+        for (_, before, record0), (_, after, record1) in zip(steps, steps[1:]):
+            raw = DyadEnsemble(after.amplitudes, after.phases,
+                               evolve_dyads(before.weights, pp), after.gram)
+            assert dyad_trace(raw).real / 4.0 == pytest.approx(record1 / record0, rel=1e-14)
+
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9), phi=st.floats(-30, 30),
+           xi=st.one_of(st.floats(0, 5), st.just(math.inf)))
+    @settings(deadline=None, max_examples=100)
+    def test_hermitian_in_hermitian_out(self, seed, m, phi, xi):
+        # the diagonal comes out real bit for bit; an off-diagonal pair adds
+        # its two cross terms in opposite orders, so it is Hermitian to the
+        # rounding of the four-term sum, elementwise
+        rng = np.random.default_rng(seed)
+        A = (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) \
+            * 10.0 ** rng.uniform(-5, 5, size=(m, m))
+        H = A + A.conj().T
+        assert np.array_equal(H, H.conj().T)
+        pp = ProtocolParams(0.1, 0.01, phi, 1, xi)
+        out = evolve_dyads(H, pp)
+        assert out.shape == (m + 1, m + 1)
+        assert not np.diagonal(out).imag.any()
+        damp = math.exp(-xi) if math.isfinite(xi) else 0.0
+        R = np.pad(np.abs(H), 1)
+        size = R[:-1, :-1] + R[1:, 1:] + damp * (R[:-1, 1:] + R[1:, :-1])
+        assert np.all(np.abs(out - out.conj().T) <= 8 * np.finfo(float).eps * size)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, 4.5 * pi])
+    def test_infinite_xi_keeps_the_same_branch_shifts_alone(self, phi):
+        rng = np.random.default_rng(3)
+        W = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        R = np.pad(W, 1)
+        out = evolve_dyads(W, ProtocolParams(0.1, 0.01, phi, 1, math.inf))
+        assert np.array_equal(out, R[:-1, :-1] + R[1:, 1:])
 
     def test_trace_renormalized_every_step(self):
         pp = fig_pp(4, xi=0.5)

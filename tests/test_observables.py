@@ -99,6 +99,24 @@ class TestGrid:
     def test_no_expansion_when_contained(self):
         assert grid_for(projector(VACUUM)) == default_grid()
 
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.tuples(st.floats(-15, 15), st.floats(1e-3, 30)),
+           p=st.tuples(st.floats(-15, 15), st.floats(1e-3, 30)),
+           amplitudes=st.lists(st.complex_numbers(max_magnitude=6), min_size=1, max_size=4))
+    def test_each_short_side_moves_out_to_the_labels(self, x, p, amplitudes):
+        # an off-centre base: each side is kept if it covers every label's
+        # sqrt(2)|alpha| + 3, else moved out to exactly that, never inward
+        base = PhaseSpaceGrid(x[0], x[0] + x[1], p[0], p[0] + p[1], 17, 23)
+        m = len(amplitudes)
+        g = grid_for(DyadEnsemble(amplitudes, [0.0] * m, np.eye(m) / m), base)
+        need = max(math.sqrt(2) * abs(a) + observables.GAUSSIAN_MARGIN for a in amplitudes)
+        for side, sign in (("x_min", -1), ("x_max", 1), ("p_min", -1), ("p_max", 1)):
+            kept, fitted = getattr(base, side), getattr(g, side)
+            assert sign * fitted >= need
+            assert fitted == (kept if sign * kept >= need else sign * need)
+        assert (g.nx, g.np) == (base.nx, base.np)
+        assert (g == base) == (min(-base.x_min, base.x_max, -base.p_min, base.p_max) >= need)
+
 
 # Bounds (lower, upper) of one axis: off-centre, tiny and huge spans.  The
 # span stays above 1e-290, so the refined step is a normal float and halving
@@ -151,17 +169,25 @@ class TestRefinedSubgrid:
         assert field.values.tobytes() == reference.values.tobytes()
         assert field.norm == reference.norm
 
-    @pytest.mark.parametrize("rho", [
-        pytest.param(lambda: walk_density(fig_pp(10)), id="walk-10"),
-        pytest.param(lambda: walk_density(fig_pp(20, xi=0.2)), id="decohere-20-xi0.2"),
-        pytest.param(lambda: cat_density(fig_pp(10), math.exp(-2.0))[0], id="cat-damped"),
+    @pytest.mark.parametrize("rho, coarse", [
+        pytest.param(lambda: walk_density(fig_pp(10)), False, id="walk-10"),
+        # its negativity moves 1.52e-2 -> 1.22e-2 under the refinement
+        pytest.param(lambda: walk_density(fig_pp(20, xi=0.2)), True, id="decohere-20-xi0.2"),
+        pytest.param(lambda: cat_density(fig_pp(10), math.exp(-2.0))[0], False,
+                     id="cat-damped"),
     ])
-    def test_read_is_the_field_and_diagnostics_on_the_fitted_grid(self, rho):
+    def test_read_is_the_field_and_diagnostics_on_the_fitted_grid(self, rho, coarse):
         rho = rho()
         base = PhaseSpaceGrid(-3, 9, -5, 4, 37, 53)
         g = grid_for(rho, base)
-        field, diag = read_wigner(rho, base)
+        if coarse:
+            with pytest.warns(GridTooCoarse, match="negativity volume moved"):
+                field, diag = read_wigner(rho, base)
+        else:
+            field, diag = read_wigner(rho, base)
         reference = wigner_mixed(rho, g)
+        # the fitted box holds the state on every side
+        assert reference.norm == pytest.approx(1.0, abs=2e-5)
         assert field.grid == g
         assert field.values.tobytes() == reference.values.tobytes()
         assert field.norm == reference.norm

@@ -11,9 +11,9 @@ The package is organized in five layers:
 * :mod:`catwalk.dephasing`: density matrices in the coherent-dyad basis
   (:class:`DyadEnsemble`: the labels' amplitude and phase arrays, one
   weight matrix and the labels' Gram matrix, all read-only; a pure state is
-  its rank-1 :func:`projector`), the per-pulse dephasing recursion and the
-  cat as a two-row ensemble with its outcome probability
-  (:func:`cat_density`).
+  its rank-1 :func:`projector`), the per-pulse dephasing recursion
+  (:func:`evolve_dyads`, one conditioning step) and the cat as one such
+  step on two labels, with its outcome probability (:func:`cat_density`).
 * :mod:`catwalk.observables`: position densities and Wigner functions on
   phase-space grids, the grid-free :func:`diagnostics`, and
   :func:`read_wigner`, which reads every figure of a density's field; each

@@ -522,7 +522,7 @@ def _oracle_check(cfg: ExperimentConfig, timings: dict):
     fids, probs, leak_max = fock.closed_form_walk_fidelities(
         phys, cfg.n, cfg.alpha0, cfg.cutoff)
     columns = {"n": ns, "fidelity": fids,
-               "record_probability": [math.prod(probs[:k]) for k in ns]}
+               "record_probability": np.cumprod(probs)}
     if cfg.full_hamiltonian:
         columns["fidelity_full"], _, leak_full = fock.closed_form_walk_fidelities(
             phys, cfg.n, cfg.alpha0, cfg.cutoff, hamiltonian="full")

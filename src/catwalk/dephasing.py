@@ -33,10 +33,11 @@ maps the weights alone, four shifted-slice adds on the zero-padded matrix,
 and :func:`walk_density_steps` is the one place that gives a step its rows
 of the kick table and its Gram and takes its trace (C above).
 
-The cat is the two-row case, built once from its labels beta_{-n},
-beta_{+n}: a decay over the whole run multiplies its two cross weights by
-one factor, and, as for a walk step, the trace of the damped weights is the
-probability of the conditioning outcome.
+The cat is one step of the same map, from the 1x1 weight 1 on its labels
+beta_{-n}, beta_{+n} with cross factor -e^{2i phi'} s: the phase phi' of n
+uninterrupted cycles, damped by s over the whole run.  As for a walk step,
+its trace over 4 is the outcome's probability.  A step's two outcomes
+differ only in the sign of its cross factor.
 """
 
 import cmath
@@ -129,18 +130,14 @@ def _normalized(rho: DyadEnsemble) -> tuple:
     return DyadEnsemble(rho.amplitudes, rho.phases, rho.weights / tr, rho.gram), tr
 
 
-def evolve_dyads(weights: np.ndarray, pp: ProtocolParams) -> np.ndarray:
-    """One conditioned pulse pair with dephasing exponent pp.xi, on the
-    weights alone: the four-term recursion of the module docstring takes
-    the (m, m) weights of the kick rows j = -(m-1), ..., m-1 (step 2) to
-    the (m+1, m+1) weights of j = -m, ..., m, four shifted-slice adds on
-    the zero-padded matrix.  The result is not renormalized: its trace is 4
-    times the probability of the ground outcome, since each dressed branch
-    reaches it with amplitude 1/2.  xi = inf is accepted and kills the
-    cross terms outright.
-    """
-    damp = math.exp(-pp.xi) if math.isfinite(pp.xi) else 0.0
-    cross = cmath.exp(2j * pp.phi) * damp
+def evolve_dyads(weights: np.ndarray, cross: complex) -> np.ndarray:
+    """One conditioning step on the weights alone: the four-term recursion
+    of the module docstring with cross-branch factor ``cross`` (e^{2i phi -
+    xi} in a walk) takes the (m, m) weights of the kick rows j = -(m-1), ...,
+    m-1 (step 2) to the (m+1, m+1) weights of j = -m, ..., m, by four
+    shifted-slice adds on the zero-padded matrix.  Not renormalized: the
+    trace is 4 times the outcome's probability, each dressed branch reaching
+    it with amplitude 1/2; -cross gives the other outcome."""
     R = np.pad(weights, 1)
     return R[:-1, :-1] + R[1:, 1:] + cross * R[:-1, 1:] + cross.conjugate() * R[1:, :-1]
 
@@ -165,19 +162,21 @@ def walk_density_steps(pp: ProtocolParams):
     all-ground record so far, the product of the steps' ground
     probabilities: 1.0 at step 0.  The kick table and the Gram matrix of its
     2n+1 labels are built once.  Step s takes the rows j = -s, ..., s (step
-    2) of both, the weights :func:`evolve_dyads` gives from step s - 1 (the
-    1x1 weight 1 at step 0), and is normalized here; its trace over 4 is the
-    step's ground probability.  Raises DegenerateState when an overlap of
-    two labels overflows or a step's trace cancels."""
+    2) of both, the weights :func:`evolve_dyads` gives from step s - 1 with
+    cross factor e^{2i phi - xi} (the 1x1 weight 1 at step 0), and is
+    normalized here; its trace over 4 is the step's ground probability.
+    Raises DegenerateState when two labels' overlap overflows or a step's
+    trace cancels."""
     amplitudes, phases = kick_labels(pp.l1, pp.l2, pp.alpha0, pp.n)
     try:
         G = gram_matrix(amplitudes, phases)
     except FloatingPointError:
         raise DegenerateState("kick-label overlaps overflow: Re(conj(A) B) - (|A|^2 + |B|^2)/2 "
                               "cancels terms of size |A|^2; the rounding overflows exp") from None
+    cross = cmath.exp(2j * pp.phi) * math.exp(-pp.xi)  # exp(-inf) is 0.0
     record = 4.0  # step 0's trace is 1, so its trace / 4 makes the record 1.0
     for step in range(pp.n + 1):
-        weights = evolve_dyads(rho.weights, pp) if step else [[1.0]]
+        weights = evolve_dyads(rho.weights, cross) if step else [[1.0]]
         rows = slice(pp.n - step, pp.n + step + 1, 2)
         rho, tr = _normalized(DyadEnsemble(amplitudes[rows], phases[rows], weights, G[rows, rows]))
         record *= tr / 4.0
@@ -209,15 +208,15 @@ def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> tuple:
     uninterrupted drive cycles, conditioned by one measurement.
 
     The rows are the labels beta_{-n}, beta_{+n} of :func:`cat_labels`, the
-    weights c_j conj(c_k) with c = (e^{-i phi'}, -e^{+i phi'}) / 2 and
-    phi' = 2 n phi reduced mod 2 pi.  ``cross_suppression`` multiplies both
-    cross weights (use exp(-3 n Gamma T / 4) for a decay rate Gamma acting
-    over the whole n-cycle run).  The density is normalized once, and the
-    trace it had, that of the damped weights, is the outcome probability:
-    P(s) = 1/2 + s (P(1) - 1/2).  Requires n >= 1 and alpha0 = 0
-    (ValueError).  Raises DegenerateState when the undamped trace is
-    <= DEGENERACY_CUTOFF, that is, when the two components cancel (e.g.
-    l1 = l2 = 0 with phi' an integer multiple of pi).
+    weights one :func:`evolve_dyads` step from the 1x1 weight 1 with cross
+    factor -e^{2i phi'} s: phi' = 2 n phi reduced mod 2 pi, s =
+    ``cross_suppression`` (exp(-3 n Gamma T / 4) for a decay rate Gamma over
+    the whole n-cycle run).  The density is normalized once, and the damped
+    step's trace over 4 is the probability of the outcome the Fock model
+    labels excited, P(s) = 1/2 + s (P(1) - 1/2); +e^{2i phi'} s gives the
+    ground one.  Requires n >= 1 and alpha0 = 0 (ValueError).  Raises
+    DegenerateState when the undamped probability is <= DEGENERACY_CUTOFF:
+    the components cancel (e.g. l1 = l2 = 0 with phi' a multiple of pi).
     """
     if not 0.0 <= cross_suppression <= 1.0:
         raise ValueError("cross_suppression must lie in [0, 1]")
@@ -226,16 +225,15 @@ def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> tuple:
     if pp.alpha0 != 0:
         raise ValueError("cat protocol starts from the vacuum (alpha0 = 0)")
     plus, minus = cat_labels(pp.l1, pp.l2, pp.n)
-    phi_c = (2.0 * pp.n * pp.phi) % TAU
-    c = np.array([0.5 * cmath.exp(-1j * phi_c), -0.5 * cmath.exp(1j * phi_c)])
+    cross = -cmath.exp(2j * ((2.0 * pp.n * pp.phi) % TAU))
     rho = DyadEnsemble([minus.amplitude, plus.amplitude], [minus.phase, plus.phase],
-                       np.outer(c, c.conj()))
-    undamped = dyad_trace(rho).real
+                       evolve_dyads([[1.0]], cross))
+    undamped = dyad_trace(rho).real / 4.0
     if undamped <= DEGENERACY_CUTOFF:
         raise DegenerateState(f"cat components cancel: Tr rho = {undamped:.3e}")
-    s = cross_suppression
-    return _normalized(DyadEnsemble(rho.amplitudes, rho.phases,
-                                    rho.weights * [[1.0, s], [s, 1.0]], rho.gram))
+    damped = evolve_dyads([[1.0]], cross * cross_suppression)
+    rho, tr = _normalized(DyadEnsemble(rho.amplitudes, rho.phases, damped, rho.gram))
+    return rho, tr / 4.0
 
 
 def _weighted_matrix(rho: DyadEnsemble):

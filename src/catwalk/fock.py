@@ -39,6 +39,7 @@ comparison reads the densities ``walk`` writes, one ``walk_density_steps`` pass.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -416,10 +417,16 @@ def closed_form_walk_fidelities(
     Returns (fidelities, per-cycle ground probabilities, largest per-segment
     leakage).  ValueError for n < 1, where there is nothing to compare, and
     DegenerateState at the first fidelity that leaves [0, 1] by more than
-    the rounding margin of ``check_unit``.
+    the rounding margin of ``check_unit``.  The unreduced comparison warns
+    when Omega1/omega lies more than 1e-9 from an integer: it then compares
+    different states (see the module docstring).
     """
     if n < 1:
         raise ValueError(f"the walk comparison needs n >= 1; got {n}")
+    turns = p.Omega1 / p.omega
+    if hamiltonian == "full" and abs(turns - round(turns)) > 1e-9:
+        warnings.warn(f"the unreduced comparison needs an integer Omega1/omega, not "
+                      f"{turns:.9g}: its fidelities do not test the closed form", stacklevel=2)
     probs, modes, leak_max = walk_prefixes(p, n, alpha0, cutoff, hamiltonian)
     pp = replace(derive_protocol(p, n, alpha0), xi=0.0)
     # Step k's rows are the kick labels j = -k..k in steps of 2, slices of

@@ -719,6 +719,22 @@ class TestOracleCheckRun:
             assert min(tables[0].columns["fidelity_full"]) == pytest.approx(
                 full_min, abs=1e-12)
 
+    @pytest.mark.parametrize("rates, turns", [
+        ("omega1 = 16.5\nomega2 = 1\nn = 3\ncutoff = 60\n", "16.5"),
+        ("omega1 = 21\nomega2 = 2\nn = 4\ncutoff = 80\n", None),
+    ], ids=["16.5", "21"])
+    def test_unreduced_comparison_warns_off_whole_turns(self, tmp_path, rates, turns):
+        # fidelity_full tests the closed form only when Omega1/omega is an
+        # integer: at 16.5 it reads 0.014, 0.31 and 0.016, at 21 above 0.998
+        cfg = write_config(tmp_path, f"omega = 1\ng = 0.01\n{rates}full_hamiltonian = true\n")
+        out = tmp_path / "oc"
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 0
+        warned = json.loads((out / "report.json").read_text())["warnings"]
+        unreduced = [w for w in warned if "unreduced" in w]
+        assert unreduced == ([f"the unreduced comparison needs an integer Omega1/omega, not "
+                              f"{turns}: its fidelities do not test the closed form"]
+                             if turns else [])
+
     def test_small_cutoff_trips_segment_gate(self, tmp_path, capsys):
         # cutoff 8 is a valid config but too small for this walk: the
         # per-segment leakage gate must stop the run with exit 3

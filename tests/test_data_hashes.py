@@ -2,7 +2,10 @@
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 import catwalk
 from catwalk.cli import MODES, main, parse_config_file
@@ -32,12 +35,18 @@ def test_config_runs_cover_every_config_format_and_output(tmp_path):
         assert raw["format"] == case.rsplit(":", 1)[1]
 
 
-def test_run_case_hashes_each_data_file_and_the_warnings(tmp_path):
-    case, mode, text = next(run for run in data_hashes.config_runs(SRC)
-                            if run[0] == "alpha_table.cfg:csv")
+@pytest.mark.parametrize("case", ["alpha_table.cfg:csv", "cat.cfg:json"])
+def test_run_case_hashes_each_data_file_and_the_warnings(tmp_path, case):
+    # a table mode in csv, and a density mode, the cat's one conditioning
+    # step, through the JSON writer
+    case, mode, text = next(run for run in data_hashes.config_runs(SRC) if run[0] == case)
     lines, error = data_hashes.run_case(SRC, case, mode, text)
     (tmp_path / "run.cfg").write_text(text)
-    assert main([mode, "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)]) == 0
-    digest = hashlib.sha256((tmp_path / "alpha_table.csv").read_bytes()).hexdigest()
+    out = tmp_path / "out"
+    assert main([mode, "--config", str(tmp_path / "run.cfg"), "--out", str(out)]) == 0
+    files = sorted(p for p in out.iterdir() if p.name != "report.json")
     assert error is None
-    assert lines == [f"{case} alpha_table.csv {digest}", f"{case} warnings []"]
+    assert json.loads((out / "report.json").read_text())["warnings"] == []
+    assert [p.suffix for p in files] == [f".{case.rsplit(':', 1)[1]}"] * len(MODES[mode].writable)
+    assert lines == [f"{case} {p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}"
+                     for p in files] + [f"{case} warnings []"]

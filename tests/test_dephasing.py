@@ -42,6 +42,11 @@ def kick_table(pp):
     return amplitudes, phases, gram_matrix(amplitudes, phases)
 
 
+def walk_cross(pp):
+    """The cross factor e^{2i phi - xi} of pp's walk steps (0 at xi = inf)."""
+    return cmath.exp(2j * pp.phi) * math.exp(-pp.xi)
+
+
 def classical_path_mixture(l1, l2, n):
     """Independent oracle for the fully dephased limit.
 
@@ -234,6 +239,9 @@ class TestMonotones:
         assert abs(diag["mean_x"]) < 0.1
 
 
+CAT_PHIS = (0.3, 1.1, 0.25 * pi, 4.5 * pi)
+
+
 class TestCatDensity:
     def test_pure_limit(self):
         pp = fig_pp(10)
@@ -264,11 +272,29 @@ class TestCatDensity:
         with pytest.raises(ValueError):
             cat_density(fig_pp(2), cross_suppression=-0.1)
 
-    @pytest.mark.parametrize("n", [1, 10])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 12])
     def test_fully_damped_probability_is_one_half(self, n):
-        # no cross weight left: each label carries |c_j|^2 = 1/4 of a unit norm
-        _, prob = cat_density(fig_pp(n), cross_suppression=0.0)
-        assert abs(prob - 0.5) <= 2 * math.ulp(0.5)
+        # no cross weight left: the step's weights 1, 1 on two unit-norm
+        # labels trace to exactly 2, whatever the phase
+        for phi in CAT_PHIS:
+            _, prob = cat_density(ProtocolParams(0.1, 0.01, phi, n), cross_suppression=0.0)
+            assert prob == 0.5
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 12])
+    @pytest.mark.parametrize("l1", [0.1, 0.5])
+    def test_two_outcomes_sum_to_one(self, n, l1):
+        # the outcome cat_density conditions on is the step with factor
+        # -e^{2i phi'}; the other outcome is the step with +e^{2i phi'}
+        for phi in CAT_PHIS:
+            pp = ProtocolParams(l1, 0.01, phi, n)
+            rho, prob = cat_density(pp)
+            cross = cmath.exp(2j * ((2.0 * n * pp.phi) % (2 * pi)))
+            minus, plus = (dyad_trace(DyadEnsemble(rho.amplitudes, rho.phases,
+                                                   evolve_dyads([[1.0]], sign * cross),
+                                                   rho.gram)).real / 4.0
+                           for sign in (-1, 1))
+            assert minus == prob
+            assert abs(minus + plus - 1.0) <= 4 * math.ulp(1.0)
 
     @pytest.mark.parametrize("n", [1, 3, 10])
     @pytest.mark.parametrize("decay", [0.5, 2.0])
@@ -292,18 +318,18 @@ class TestEvolveDyads:
         # kick indices -1 and 1; the cross weights carry e^{+-2i phi} e^{-xi}
         pp = fig_pp(1, xi=0.7)
         cross = cmath.exp(2j * pp.phi) * math.exp(-0.7)
-        weights = evolve_dyads(np.ones((1, 1), complex), pp)
+        weights = evolve_dyads(np.ones((1, 1), complex), cross)
         assert np.array_equal(weights, [[1.0, cross.conjugate()], [cross, 1.0]])
 
     def test_one_kick_table_and_gram_per_walk(self, monkeypatch):
         # every step slices the walk's one Gram; the bits equal steps that
         # each read a table of their own reach
         pp = fig_pp(6, xi=0.3)
-        weights = np.ones((1, 1), complex)
+        weights, cross = np.ones((1, 1), complex), walk_cross(pp)
         for step in range(1, pp.n + 1):
             amplitudes, phases, G = kick_table(fig_pp(step, xi=0.3))
             rho, _ = _normalized(DyadEnsemble(amplitudes[::2], phases[::2],
-                                              evolve_dyads(weights, pp), G[::2, ::2]))
+                                              evolve_dyads(weights, cross), G[::2, ::2]))
             weights = rho.weights
         calls = {"kick_labels": 0, "gram_matrix": 0}
         for name in calls:
@@ -325,7 +351,8 @@ class TestEvolveDyads:
         # the ascending rows j = -2, 0, 2 of the n = 2 walk map onto those of n = 3
         pp = ProtocolParams(0.1, 0.01, 0.3, 3)
         amplitudes, phases, G = kick_table(pp)
-        weights = evolve_dyads(pure_walk_density(ProtocolParams(0.1, 0.01, 0.3, 2)).weights, pp)
+        weights = evolve_dyads(pure_walk_density(ProtocolParams(0.1, 0.01, 0.3, 2)).weights,
+                               walk_cross(pp))
         rho, _ = _normalized(DyadEnsemble(amplitudes[::2], phases[::2], weights, G[::2, ::2]))
         assert trace_distance(rho, walk_density(pp)) < 1e-12
 
@@ -344,7 +371,7 @@ class TestEvolveDyads:
         assert counts == list(range(1, pp.n + 2))
         for (_, before, record0), (_, after, record1) in zip(steps, steps[1:]):
             raw = DyadEnsemble(after.amplitudes, after.phases,
-                               evolve_dyads(before.weights, pp), after.gram)
+                               evolve_dyads(before.weights, walk_cross(pp)), after.gram)
             assert dyad_trace(raw).real / 4.0 == pytest.approx(record1 / record0, rel=1e-14)
 
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9), phi=st.floats(-30, 30),
@@ -359,8 +386,7 @@ class TestEvolveDyads:
             * 10.0 ** rng.uniform(-5, 5, size=(m, m))
         H = A + A.conj().T
         assert np.array_equal(H, H.conj().T)
-        pp = ProtocolParams(0.1, 0.01, phi, 1, xi)
-        out = evolve_dyads(H, pp)
+        out = evolve_dyads(H, walk_cross(ProtocolParams(0.1, 0.01, phi, 1, xi)))
         assert out.shape == (m + 1, m + 1)
         assert not np.diagonal(out).imag.any()
         damp = math.exp(-xi) if math.isfinite(xi) else 0.0
@@ -373,8 +399,26 @@ class TestEvolveDyads:
         rng = np.random.default_rng(3)
         W = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         R = np.pad(W, 1)
-        out = evolve_dyads(W, ProtocolParams(0.1, 0.01, phi, 1, math.inf))
+        out = evolve_dyads(W, walk_cross(ProtocolParams(0.1, 0.01, phi, 1, math.inf)))
         assert np.array_equal(out, R[:-1, :-1] + R[1:, 1:])
+
+    @pytest.mark.parametrize("l1, l2, phi", [(0.1, 0.01, 4.5 * pi), (0.015, 0.001625, pi / 4),
+                                             (0.3, 0.2, 0.7)],
+                             ids=["reference", "oracle", "strong"])
+    @pytest.mark.parametrize("xi", [0.0, 0.4])
+    def test_two_outcomes_sum_to_one(self, l1, l2, phi, xi):
+        # a step's ground (cross factor c) and excited (-c) outcomes are all
+        # there is: their probabilities, each the raw trace over 4 on the
+        # next step's rows, add up to one at every step
+        pp = ProtocolParams(l1, l2, phi, 12, xi)
+        cross, G = walk_cross(pp), kick_table(pp)[2]
+        for step, rho, _ in walk_density_steps(pp):
+            if step == pp.n:
+                break
+            rows = slice(pp.n - step - 1, pp.n + step + 2, 2)
+            total = sum((evolve_dyads(rho.weights, sign * cross) * G[rows, rows].T).sum().real
+                        for sign in (1, -1)) / 4.0
+            assert abs(total - 1.0) <= 1e-9
 
     def test_trace_renormalized_every_step(self):
         pp = fig_pp(4, xi=0.5)

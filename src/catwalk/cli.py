@@ -26,8 +26,8 @@ within it and each table's write (the wall times, and the Wigner row band
 count, which follows the usable CPUs, are the one non-reproducible output).
 
 Exit codes: 0 success, 2 configuration error (rates outside the model's
-validity gates included, and a grid, Fock propagators or kick-table Gram
-matrix over its memory budget, refused by one up-front check), 3
+validity gates included, a grid, Fock propagators or kick-table Gram matrix
+over its memory budget, refused up front, and outputs it cannot write), 3
 numerical-gate failure (Fock leakage, degenerate superposition,
 zero-probability outcome, kick-label overlaps that overflow, a purity or
 fidelity that cancellation has taken outside [0, 1]).
@@ -41,7 +41,7 @@ import sys
 import time
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -166,11 +166,9 @@ class ExperimentConfig:
         return PhysicalParams(self.omega, self.g, self.omega1, self.omega2)
 
     def protocol(self) -> ProtocolParams:
-        """The protocol at the first xi; ``replace(pp, xi=...)`` gives the others."""
-        xi = self.xi_values[0]
         if (self.omega, self.g, self.omega1, self.omega2) == (None,) * 4:
-            return ProtocolParams(self.l1, self.l2, self.phi, self.n, xi, self.alpha0)
-        return replace(derive_protocol(self.physical(), self.n, self.alpha0), xi=xi)
+            return ProtocolParams(self.l1, self.l2, self.phi, self.n, alpha0=self.alpha0)
+        return derive_protocol(self.physical(), self.n, self.alpha0)
 
 
 # Config key -> (the ExperimentConfig field it sets, its parser).  Which keys
@@ -266,16 +264,15 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
                           f"({', '.join(tags)}); they must differ in 6 significant digits")
     if mode in ("cat", "oracle-check") and cfg.n < 1:
         raise ConfigError(f"{mode} mode needs n >= 1")
-    if not cfg.decay_exponent >= 0.0:  # also refuses NaN; inf is full suppression
-        raise ConfigError("decay_exponent must be non-negative")
+    for key, values in (("xi", cfg.xi_values), ("decay_exponent", (cfg.decay_exponent,))):
+        if not all(v >= 0.0 for v in values):  # also refuses NaN; inf is full suppression
+            raise ConfigError(f"{key} must be non-negative")
     # Build the parameter objects once so that out-of-range or non-finite
     # values are refused here; run() rebuilds them and records the warnings.
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             pp = cfg.protocol()
-            for xi in cfg.xi_values[1:]:
-                replace(pp, xi=xi)
     except ValueError as exc:
         raise ConfigError(f"bad parameter: {exc}") from None
     if rates:  # keep the knobs the rates give, so that the report echoes them
@@ -508,7 +505,7 @@ def _decohere(cfg: ExperimentConfig, timings: dict):
 
     def tables():
         for xi in cfg.xi_values:
-            rho = walk_density(replace(pp, xi=xi))
+            rho = walk_density(pp, math.exp(-xi))
             W, diag[f"xi_{_xi_tag(xi)}"] = _read(rho, cfg.grid, timings)
             yield _wigner_table(W, xi)
         yield from (_diagnostics_table(diag[key], key) for key in sorted(diag))
@@ -640,6 +637,9 @@ def main(argv=None) -> int:
         report = run(cfg)
     except (ConfigError, RegimeViolation) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
     except (CutoffTooSmall, DegenerateState, ZeroProbabilityOutcome) as exc:
         print(f"numerical gate: {exc}", file=sys.stderr)

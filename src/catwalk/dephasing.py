@@ -2,26 +2,26 @@
 
 Qubit spontaneous decay at rate Gamma leaves the dressed populations alone
 but damps dressed coherences as exp(-3 Gamma t / 4).  Over the driven half
-period T/2 that is one factor exp(-xi) with xi = 3 Gamma T / 8 per pulse
-pair.  In the conditioned-walk picture the mode's density matrix stays a
-finite double sum over kick labels,
+period T/2 that is one factor s = exp(-xi) with xi = 3 Gamma T / 8 per
+pulse pair.  In the conditioned-walk picture the mode's density matrix
+stays a finite double sum over kick labels,
 
     rho = sum_{j,k} rho_{jk} |alpha_j><alpha_k|,
 
 and one pulse pair maps the weights as
 
     rho'_{jk} = C [ rho_{j-1,k-1} + rho_{j+1,k+1}
-                    + e^{+2i phi - xi} rho_{j-1,k+1}
-                    + e^{-2i phi - xi} rho_{j+1,k-1} ]
+                    + e^{+2i phi} s rho_{j-1,k+1}
+                    + e^{-2i phi} s rho_{j+1,k-1} ]
 
 (the same-branch kicks are undamped, the cross-branch terms carry the
 dephasing factor and the e^{+-2i phi} drive phases; C restores unit trace,
 and 1/(4C) is the probability of that cycle's ground outcome).
-At xi = 0 this is exactly the pure conditioned-walk recursion; as
-exp(-xi) -> 0 it collapses onto the classical binomial mixture of kick
-paths.  Renormalization is applied after every step.  The step map is
-linear, so normalizing once at the end gives the same density up to
-rounding (a relative 2.4e-11 at n = 12, xi = 0.3).
+At s = 1 this is exactly the pure conditioned-walk recursion; as s -> 0
+it collapses onto the classical binomial mixture of kick paths.
+Renormalization is applied after every step.  The step map is linear, so
+normalizing once at the end gives the same density up to rounding (a
+relative 2.4e-11 at n = 12, s = exp(-0.3)).
 
 Each density is two label arrays in row order, the amplitudes alpha_j and
 the phases theta_j, one (m, m) weight matrix and the labels' Gram matrix;
@@ -132,8 +132,8 @@ def _normalized(rho: DyadEnsemble) -> tuple:
 
 def evolve_dyads(weights: np.ndarray, cross: complex) -> np.ndarray:
     """One conditioning step on the weights alone: the four-term recursion
-    of the module docstring with cross-branch factor ``cross`` (e^{2i phi -
-    xi} in a walk) takes the (m, m) weights of the kick rows j = -(m-1), ...,
+    of the module docstring with cross-branch factor ``cross`` (e^{2i phi} s
+    in a walk) takes the (m, m) weights of the kick rows j = -(m-1), ...,
     m-1 (step 2) to the (m+1, m+1) weights of j = -m, ..., m, by four
     shifted-slice adds on the zero-padded matrix.  Not renormalized: the
     trace is 4 times the outcome's probability, each dressed branch reaching
@@ -148,32 +148,38 @@ def kick_gram_bytes(n: int) -> int:
     return (2 * n + 1) ** 2 * np.dtype(complex).itemsize
 
 
-def walk_density(pp: ProtocolParams) -> DyadEnsemble:
+def _check_suppression(cross_suppression: float):
+    if not 0.0 <= cross_suppression <= 1.0:  # also refuses NaN
+        raise ValueError("cross_suppression must lie in [0, 1]")
+
+
+def walk_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> DyadEnsemble:
     """Density matrix of the conditioned walk after pp.n dephasing steps."""
-    rho = None
-    for _, rho, _ in walk_density_steps(pp):
+    for _, rho, _ in walk_density_steps(pp, cross_suppression):
         pass
     return rho
 
 
-def walk_density_steps(pp: ProtocolParams):
+def walk_density_steps(pp: ProtocolParams, cross_suppression: float = 1.0):
     """Yield (step, DyadEnsemble, record) for step = 0..n, starting from the
     pure |alpha0><alpha0| projector.  ``record`` is the probability of the
     all-ground record so far, the product of the steps' ground
     probabilities: 1.0 at step 0.  The kick table and the Gram matrix of its
-    2n+1 labels are built once.  Step s takes the rows j = -s, ..., s (step
-    2) of both, the weights :func:`evolve_dyads` gives from step s - 1 with
-    cross factor e^{2i phi - xi} (the 1x1 weight 1 at step 0), and is
-    normalized here; its trace over 4 is the step's ground probability.
-    Raises DegenerateState when two labels' overlap overflows or a step's
-    trace cancels."""
+    2n+1 labels are built once.  Step k takes the rows j = -k, ..., k (step
+    2) of both, the weights :func:`evolve_dyads` gives from step k - 1 with
+    cross factor e^{2i phi} s, s = ``cross_suppression`` (the 1x1 weight 1
+    at step 0), and is normalized here; its trace over 4 is the step's
+    ground probability.  Raises ValueError for s outside [0, 1], and
+    DegenerateState when two labels' overlap overflows or a step's trace
+    cancels."""
+    _check_suppression(cross_suppression)
     amplitudes, phases = kick_labels(pp.l1, pp.l2, pp.alpha0, pp.n)
     try:
         G = gram_matrix(amplitudes, phases)
     except FloatingPointError:
         raise DegenerateState("kick-label overlaps overflow: Re(conj(A) B) - (|A|^2 + |B|^2)/2 "
                               "cancels terms of size |A|^2; the rounding overflows exp") from None
-    cross = cmath.exp(2j * pp.phi) * math.exp(-pp.xi)  # exp(-inf) is 0.0
+    cross = cmath.exp(2j * pp.phi) * cross_suppression
     record = 4.0  # step 0's trace is 1, so its trace / 4 makes the record 1.0
     for step in range(pp.n + 1):
         weights = evolve_dyads(rho.weights, cross) if step else [[1.0]]
@@ -196,7 +202,7 @@ def projector(state: SuperposedState) -> DyadEnsemble:
 
 
 def pure_walk_density(pp: ProtocolParams) -> DyadEnsemble:
-    """Projector |psi><psi| of the xi = 0 walk state, rows in ascending kick
+    """Projector |psi><psi| of the s = 1 walk state, rows in ascending kick
     index like :func:`walk_density` (component m has kick index n - 2m)."""
     rho = projector(walk_state(pp))
     return DyadEnsemble(rho.amplitudes[::-1], rho.phases[::-1], rho.weights[::-1, ::-1],
@@ -218,8 +224,7 @@ def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> tuple:
     DegenerateState when the undamped probability is <= DEGENERACY_CUTOFF:
     the components cancel (e.g. l1 = l2 = 0 with phi' a multiple of pi).
     """
-    if not 0.0 <= cross_suppression <= 1.0:
-        raise ValueError("cross_suppression must lie in [0, 1]")
+    _check_suppression(cross_suppression)
     if pp.n < 1:
         raise ValueError("cat protocol needs at least one cycle")
     if pp.alpha0 != 0:

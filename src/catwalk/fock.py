@@ -40,7 +40,6 @@ comparison reads the densities ``walk`` writes, one ``walk_density_steps`` pass.
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -412,7 +411,7 @@ def closed_form_walk_fidelities(
     for every k = 1..n: the modes of one n-cycle ``walk_prefixes`` pass
     against the densities of one ``walk_density_steps`` pass, step k being
     what a k-cycle ``walk`` run writes.  The matrix evolution has no decay,
-    so the densities are those of xi = 0 whatever p.Gamma is.
+    so the densities are the undamped ones (cross suppression 1).
 
     Returns (fidelities, per-cycle ground probabilities, largest per-segment
     leakage).  ValueError for n < 1, where there is nothing to compare, and
@@ -428,7 +427,7 @@ def closed_form_walk_fidelities(
         warnings.warn(f"the unreduced comparison needs an integer Omega1/omega, not "
                       f"{turns:.9g}: its fidelities do not test the closed form", stacklevel=2)
     probs, modes, leak_max = walk_prefixes(p, n, alpha0, cutoff, hamiltonian)
-    pp = replace(derive_protocol(p, n, alpha0), xi=0.0)
+    pp = derive_protocol(p, n, alpha0)
     # Step k's rows are the kick labels j = -k..k in steps of 2, slices of
     # pp's kick table: each of its 2n + 1 labels is expanded once, and every
     # step reads a contiguous copy of its slice, the layout _expand gives,

@@ -12,7 +12,8 @@ density and outcome probability are :func:`catwalk.dephasing.cat_density`.
 
 Everything here is dimensionless: the kick strength l1 = Omega2*eta/omega,
 the rotation fraction l2 = Omega1*eta^2/omega, the per-cycle drive phase
-phi = Omega1(1 - eta^2/2)*pi/omega, with eta = g/omega.
+phi = Omega1(1 - eta^2/2)*pi/omega, with eta = g/omega.  Qubit decay is no
+knob here: a density of :mod:`catwalk.dephasing` takes it beside the protocol.
 
 Phase-sign convention: the n-pulse state is assembled by literally composing
 the kick operators of :mod:`catwalk.algebra`, which yields the component
@@ -25,7 +26,7 @@ catwalk.fock); writing e^{-i theta_j} instead breaks both.
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -57,22 +58,20 @@ class PhysicalParams:
     g       qubit-mode coupling
     Omega1  strong drive
     Omega2  weak drive
-    Gamma   qubit spontaneous decay
     """
 
     omega: float
     g: float
     Omega1: float
     Omega2: float
-    Gamma: float = 0.0
 
     def __post_init__(self):
-        rates = (self.omega, self.g, self.Omega1, self.Omega2, self.Gamma)
+        rates = (self.omega, self.g, self.Omega1, self.Omega2)
         if not all(math.isfinite(r) for r in rates):
             raise ValueError("rates must be finite")
         if self.omega <= 0:
             raise RegimeViolation("omega must be positive")
-        if min(self.g, self.Omega1, self.Omega2, self.Gamma) < 0:
+        if min(self.g, self.Omega1, self.Omega2) < 0:
             raise RegimeViolation("rates must be non-negative")
         if self.eta > ETA_MAX:
             raise RegimeViolation(
@@ -99,11 +98,6 @@ class PhysicalParams:
     def eta(self) -> float:
         return self.g / self.omega
 
-    @property
-    def period(self) -> float:
-        """Mechanical period T = 2 pi / omega, in seconds."""
-        return TAU / self.omega
-
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -112,16 +106,14 @@ class ProtocolParams:
     l1, l2  kick strength and rotation fraction (non-negative)
     phi     per-cycle drive phase, stored reduced to [0, 2 pi)
     n       number of pulse pairs
-    xi      per-pulse dephasing exponent (3*Gamma*T/8)
-    alpha0  initial coherent amplitude of the mode
+    alpha0  initial coherent amplitude of the mode (keyword-only)
     """
 
     l1: float
     l2: float
     phi: float
     n: int
-    xi: float = 0.0
-    alpha0: complex = 0j
+    alpha0: complex = field(default=0j, kw_only=True)
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.l1, self.l2, self.phi)):
@@ -130,8 +122,6 @@ class ProtocolParams:
             raise ValueError("alpha0 must be finite")
         if self.l1 < 0 or self.l2 < 0:
             raise ValueError("l1 and l2 must be non-negative")
-        if not self.xi >= 0:  # also refuses NaN; xi = inf is full dephasing
-            raise ValueError("xi must be non-negative")
         if self.n < 0 or int(self.n) != self.n:
             raise ValueError("n must be a non-negative integer")
         object.__setattr__(self, "n", int(self.n))
@@ -150,8 +140,7 @@ def derive_protocol(p: PhysicalParams, n: int, alpha0: complex = 0j) -> Protocol
     """Map physical rates to protocol knobs.
 
     l1 = Omega2*g/omega^2, l2 = Omega1*g^2/omega^3,
-    phi = Omega1*(1 - eta^2/2)*pi/omega (mod 2 pi), xi = 3*Gamma*T/8
-    with T = 2 pi/omega the pulse-pair period.
+    phi = Omega1*(1 - eta^2/2)*pi/omega (mod 2 pi).
     """
     eta = p.eta
     return ProtocolParams(
@@ -159,7 +148,6 @@ def derive_protocol(p: PhysicalParams, n: int, alpha0: complex = 0j) -> Protocol
         l2=p.Omega1 * eta**2 / p.omega,
         phi=p.Omega1 * (1.0 - eta**2 / 2.0) * math.pi / p.omega,
         n=n,
-        xi=3.0 * p.Gamma * p.period / 8.0,
         alpha0=alpha0,
     )
 

@@ -59,8 +59,8 @@ from catwalk import fock
 from conftest import wigner_dyad_closed, wigner_dyad_quadrature
 
 
-def fig_pp(n, xi=0.0, phi=4.5 * pi):
-    return ProtocolParams(0.1, 0.01, phi, n, xi)
+def fig_pp(n, phi=4.5 * pi):
+    return ProtocolParams(0.1, 0.01, phi, n)
 
 
 @contextmanager
@@ -198,7 +198,7 @@ def test_criterion_5_wigner_structure():
         assert 1.5 <= abs(x_peak) <= 2.5
 
         neg = [
-            negativity_volume(wigner_mixed(walk_density(fig_pp(5, xi)), grid))
+            negativity_volume(wigner_mixed(walk_density(fig_pp(5), math.exp(-xi)), grid))
             for xi in (0.0, 0.2, 0.5, 1.0)
         ]
         # non-increasing throughout, strictly decreasing while nonzero
@@ -206,7 +206,7 @@ def test_criterion_5_wigner_structure():
         assert neg[0] > neg[1]
         assert all(b < a for a, b in zip(neg, neg[1:]) if a > 0)
 
-        d = diagnostics(walk_density(fig_pp(5, 1.0)))
+        d = diagnostics(walk_density(fig_pp(5), math.exp(-1.0)))
         assert abs(d["mean_x"]) < 0.1
         print(f"\n  criterion 5 negativity over xi: "
               f"{', '.join(f'{v:.4g}' for v in neg)}")
@@ -237,7 +237,7 @@ def test_criterion_5_negativity_strictly_decreasing():
     with criterion("5 (strict negativity chain)", "documented expected failure"):
         grid = default_grid()
         neg = [
-            negativity_volume(wigner_mixed(walk_density(fig_pp(5, xi)), grid))
+            negativity_volume(wigner_mixed(walk_density(fig_pp(5), math.exp(-xi)), grid))
             for xi in (0.0, 0.2, 0.5, 1.0)
         ]
         print(f"\n  measured negativity volumes: {neg}")
@@ -293,7 +293,7 @@ def test_criterion_7_decoherence_consistency():
             pp = fig_pp(n)
             assert trace_distance(walk_density(pp), pure_walk_density(pp)) < 1e-9
 
-        for _, rho, _ in walk_density_steps(fig_pp(8, xi=0.25)):
+        for _, rho, _ in walk_density_steps(fig_pp(8), math.exp(-0.25)):
             R = rho.weights
             assert np.linalg.norm(R - R.conj().T, np.inf) < 1e-10
             assert abs(dyad_trace(rho).real - 1.0) < 1e-10

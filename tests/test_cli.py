@@ -835,6 +835,29 @@ class TestExitCodes:
         assert main(["decohere", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("xi", ["-0.1", "nan", "0,-0.1", "0.2,nan"])
+    def test_negative_or_nan_xi_exits_2(self, tmp_path, capsys, xi):
+        cfg = write_config(tmp_path, f"l1 = 0.1\nl2 = 0.01\nn = 1\nxi = {xi}\n")
+        out = tmp_path / "x"
+        assert main(["decohere", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "xi must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("taken", ["out", "alpha_table.csv", "report.json"])
+    def test_unwritable_outputs_exit_2(self, tmp_path, capsys, taken):
+        # --out naming a file fails in mkdir; a directory where a table or
+        # the report goes fails in its write
+        out = tmp_path / "out"
+        if taken == "out":
+            out.write_text("")
+        else:
+            (out / taken).mkdir(parents=True)
+        cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nn = 1\n")
+        assert main(["walk", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write outputs: ")
+        assert str(out) in err and "Traceback" not in err
+
     def test_cancelling_dephased_walk_exits_3(self, tmp_path):
         # l1 = 0 keeps every label at alpha0 and phi = pi/2 makes the two
         # kick branches cancel: the dyad weights have zero trace

@@ -35,10 +35,15 @@ def test_config_runs_cover_every_config_format_and_output(tmp_path):
         assert raw["format"] == case.rsplit(":", 1)[1]
 
 
-@pytest.mark.parametrize("case", ["alpha_table.cfg:csv", "cat.cfg:json"])
+# The data files each case writes: one per output, and in decohere one
+# wigner and one diagnostics table per xi.
+FILES = {"alpha_table.cfg:csv": 1, "cat.cfg:json": 3, "decohere.cfg:csv": 8}
+
+
+@pytest.mark.parametrize("case", FILES)
 def test_run_case_hashes_each_data_file_and_the_warnings(tmp_path, case):
-    # a table mode in csv, and a density mode, the cat's one conditioning
-    # step, through the JSON writer
+    # a table mode in csv, a density mode, the cat's one conditioning step,
+    # through the JSON writer, and the dephased walk at each of its xi
     case, mode, text = next(run for run in data_hashes.config_runs(SRC) if run[0] == case)
     lines, error = data_hashes.run_case(SRC, case, mode, text)
     (tmp_path / "run.cfg").write_text(text)
@@ -47,6 +52,6 @@ def test_run_case_hashes_each_data_file_and_the_warnings(tmp_path, case):
     files = sorted(p for p in out.iterdir() if p.name != "report.json")
     assert error is None
     assert json.loads((out / "report.json").read_text())["warnings"] == []
-    assert [p.suffix for p in files] == [f".{case.rsplit(':', 1)[1]}"] * len(MODES[mode].writable)
+    assert [p.suffix for p in files] == [f".{case.rsplit(':', 1)[1]}"] * FILES[case]
     assert lines == [f"{case} {p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}"
                      for p in files] + [f"{case} warnings []"]

@@ -31,8 +31,8 @@ from catwalk.protocol import ProtocolParams, kick_labels, walk_state
 from conftest import overlap_matrix
 
 
-def fig_pp(n, xi=0.0):
-    return ProtocolParams(0.1, 0.01, 4.5 * pi, n, xi)
+def fig_pp(n):
+    return ProtocolParams(0.1, 0.01, 4.5 * pi, n)
 
 
 def kick_table(pp):
@@ -42,9 +42,9 @@ def kick_table(pp):
     return amplitudes, phases, gram_matrix(amplitudes, phases)
 
 
-def walk_cross(pp):
-    """The cross factor e^{2i phi - xi} of pp's walk steps (0 at xi = inf)."""
-    return cmath.exp(2j * pp.phi) * math.exp(-pp.xi)
+def walk_cross(pp, s=1.0):
+    """The cross factor e^{2i phi} s of pp's walk steps at suppression s."""
+    return cmath.exp(2j * pp.phi) * s
 
 
 def classical_path_mixture(l1, l2, n):
@@ -69,7 +69,7 @@ def classical_path_mixture(l1, l2, n):
 
 class TestStepInvariants:
     def test_hermiticity_trace_psd_each_step(self):
-        for step, rho, _ in walk_density_steps(fig_pp(6, xi=0.3)):
+        for step, rho, _ in walk_density_steps(fig_pp(6), math.exp(-0.3)):
             R = rho.weights
             assert np.linalg.norm(R - R.conj().T) < 1e-12
             assert abs(dyad_trace(rho).real - 1.0) < 1e-10
@@ -78,12 +78,12 @@ class TestStepInvariants:
 
     def test_entry_count_bound(self):
         for n in (3, 6, 8):
-            rho = walk_density(fig_pp(n, xi=0.4))
+            rho = walk_density(fig_pp(n), math.exp(-0.4))
             assert len(rho.entries) <= (n + 1) ** 2
             assert len(rho.amplitudes) == len(rho.phases) == n + 1
 
     def test_xi_zero_single_step_is_pure(self):
-        pp = fig_pp(1, xi=0.0)
+        pp = fig_pp(1)
         rho = walk_density(pp)
         assert trace_distance(rho, pure_walk_density(pp)) < 1e-12
 
@@ -97,9 +97,9 @@ class TestStepInvariants:
     )
     @settings(deadline=None, max_examples=60)
     def test_fuzz_invariants(self, l1, l2, phi, xi, n, alpha0):
-        pp = ProtocolParams(l1, l2, phi, n, xi, alpha0)
+        pp = ProtocolParams(l1, l2, phi, n, alpha0=alpha0)
         try:
-            rho = walk_density(pp)
+            rho = walk_density(pp, math.exp(-xi))
         except DegenerateState:
             assume(False)
         # sum |rho_jk <label_k|label_j>|: how far rounding is amplified.
@@ -118,9 +118,28 @@ class TestStepInvariants:
             assert cross_term_weight(rho) == 0.0
 
 
+class TestCrossSuppression:
+    @pytest.mark.parametrize("s", [-0.1, 1.5, math.nan])
+    def test_outside_the_unit_interval_refused(self, s):
+        # the walk's per-pulse-pair suppression is checked as the cat's is
+        pp = fig_pp(3)
+        for density in (walk_density, lambda pp, s: next(walk_density_steps(pp, s)),
+                        cat_density):
+            with pytest.raises(ValueError, match="cross_suppression must lie in"):
+                density(pp, s)
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_one_is_the_undamped_walk_bit_for_bit(self, n):
+        for _, last, _ in walk_density_steps(fig_pp(n)):
+            pass
+        rho = walk_density(fig_pp(n), 1.0)
+        for name in ("amplitudes", "phases", "weights", "gram"):
+            assert getattr(rho, name).tobytes() == getattr(last, name).tobytes()
+
+
 class TestEnsemble:
     def test_weights_are_read_only(self):
-        rho = walk_density(fig_pp(3, xi=0.2))
+        rho = walk_density(fig_pp(3), math.exp(-0.2))
         with pytest.raises(ValueError):
             rho.weights[0, 0] = 2.0
         with pytest.raises(ValueError):
@@ -157,7 +176,7 @@ class TestEnsemble:
             DyadEnsemble([0.5], [0.0], [[1.0]], np.eye(2))
 
     def test_gram_is_read_only(self):
-        rho = walk_density(fig_pp(3, xi=0.2))
+        rho = walk_density(fig_pp(3), math.exp(-0.2))
         with pytest.raises(ValueError):
             rho.gram[0, 1] = 2.0
 
@@ -165,8 +184,8 @@ class TestEnsemble:
     def test_walk_gram_is_that_of_its_labels(self, xi):
         # every step's Gram is a slice of the walk's kick-table Gram, bit
         # for bit the scalar overlaps of its rows
-        pp = ProtocolParams(0.1, 0.01, 4.5 * pi, 10, xi, alpha0=0.7 + 0.3j)
-        for _, rho, _ in walk_density_steps(pp):
+        pp = ProtocolParams(0.1, 0.01, 4.5 * pi, 10, alpha0=0.7 + 0.3j)
+        for _, rho, _ in walk_density_steps(pp, math.exp(-xi)):
             assert rho.gram.tobytes() == overlap_matrix(rho.amplitudes, rho.phases).tobytes()
 
     def test_built_gram_is_that_of_its_labels(self):
@@ -186,19 +205,19 @@ class TestEnsemble:
 class TestPureLimit:
     @pytest.mark.parametrize("n", [1, 3, 5, 8])
     def test_xi_zero_matches_projector(self, n):
-        pp = fig_pp(n, xi=0.0)
+        pp = fig_pp(n)
         assert trace_distance(walk_density(pp), pure_walk_density(pp)) < 1e-9
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_xi_zero_purity_is_one(self, n):
-        assert purity(walk_density(fig_pp(n, xi=0.0))) == pytest.approx(1.0, abs=1e-10)
+        assert purity(walk_density(fig_pp(n))) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestClassicalLimit:
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_infinite_xi_matches_path_sum(self, n):
-        pp = ProtocolParams(0.1, 0.01, 4.5 * pi, n, xi=float("inf"))
-        rho = walk_density(pp)
+        pp = ProtocolParams(0.1, 0.01, 4.5 * pi, n)
+        rho = walk_density(pp, 0.0)
         weights, endpoints = classical_path_mixture(0.1, 0.01, n)
         kicks = range(-n, n + 1, 2)  # the rows, in ascending kick index
         for (row, j), (col, k) in product(enumerate(kicks), repeat=2):
@@ -220,14 +239,14 @@ class TestMonotones:
         # the naive 1/(n+1)).  Measured at n=5: 1.0, 0.409, 0.340, 0.525
         # over xi = 0, 0.2, 0.5, 1.  What is monotone is the cross-term
         # weight, tested below.
-        values = [purity(walk_density(fig_pp(5, xi))) for xi in (0.0, 0.2, 0.5, 1.0)]
+        values = [purity(walk_density(fig_pp(5), math.exp(-xi))) for xi in (0.0, 0.2, 0.5, 1.0)]
         assert values[0] == pytest.approx(1.0, abs=1e-10)
         assert all(v < 0.6 for v in values[1:])
         assert values[1] > values[2] < values[3]
 
     def test_cross_weight_non_increasing_in_xi(self):
         values = [
-            cross_term_weight(walk_density(fig_pp(5, xi)))
+            cross_term_weight(walk_density(fig_pp(5), math.exp(-xi)))
             for xi in (0.0, 0.2, 0.5, 1.0)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -235,7 +254,7 @@ class TestMonotones:
     def test_displacement_killed_by_dephasing(self):
         from catwalk.observables import diagnostics
 
-        diag = diagnostics(walk_density(fig_pp(5, xi=1.0)))
+        diag = diagnostics(walk_density(fig_pp(5), math.exp(-1.0)))
         assert abs(diag["mean_x"]) < 0.1
 
 
@@ -316,7 +335,7 @@ class TestCatDensity:
 class TestEvolveDyads:
     def test_single_step_from_the_projector(self):
         # kick indices -1 and 1; the cross weights carry e^{+-2i phi} e^{-xi}
-        pp = fig_pp(1, xi=0.7)
+        pp = fig_pp(1)
         cross = cmath.exp(2j * pp.phi) * math.exp(-0.7)
         weights = evolve_dyads(np.ones((1, 1), complex), cross)
         assert np.array_equal(weights, [[1.0, cross.conjugate()], [cross, 1.0]])
@@ -324,10 +343,10 @@ class TestEvolveDyads:
     def test_one_kick_table_and_gram_per_walk(self, monkeypatch):
         # every step slices the walk's one Gram; the bits equal steps that
         # each read a table of their own reach
-        pp = fig_pp(6, xi=0.3)
-        weights, cross = np.ones((1, 1), complex), walk_cross(pp)
+        pp, s = fig_pp(6), math.exp(-0.3)
+        weights, cross = np.ones((1, 1), complex), walk_cross(pp, s)
         for step in range(1, pp.n + 1):
-            amplitudes, phases, G = kick_table(fig_pp(step, xi=0.3))
+            amplitudes, phases, G = kick_table(fig_pp(step))
             rho, _ = _normalized(DyadEnsemble(amplitudes[::2], phases[::2],
                                               evolve_dyads(weights, cross), G[::2, ::2]))
             weights = rho.weights
@@ -340,7 +359,7 @@ class TestEvolveDyads:
                 return original(*args)
 
             monkeypatch.setattr(dephasing, name, counted)
-        walked = walk_density(pp)
+        walked = walk_density(pp, s)
         assert calls == {"kick_labels": 1, "gram_matrix": 1}
         assert np.array_equal(walked.amplitudes, rho.amplitudes)
         assert np.array_equal(walked.phases, rho.phases)
@@ -359,7 +378,7 @@ class TestEvolveDyads:
     def test_steps_normalized_in_the_walk_alone(self, monkeypatch):
         # evolve_dyads returns the raw weights: trace 4 times the step's
         # ground probability, which walk_density_steps takes once per step
-        pp = fig_pp(5, xi=0.4)
+        pp, s = fig_pp(5), math.exp(-0.4)
         counts, normalized = [], dephasing._normalized
 
         def counted(rho):
@@ -367,11 +386,11 @@ class TestEvolveDyads:
             return normalized(rho)
 
         monkeypatch.setattr(dephasing, "_normalized", counted)
-        steps = list(walk_density_steps(pp))
+        steps = list(walk_density_steps(pp, s))
         assert counts == list(range(1, pp.n + 2))
         for (_, before, record0), (_, after, record1) in zip(steps, steps[1:]):
             raw = DyadEnsemble(after.amplitudes, after.phases,
-                               evolve_dyads(before.weights, walk_cross(pp)), after.gram)
+                               evolve_dyads(before.weights, walk_cross(pp, s)), after.gram)
             assert dyad_trace(raw).real / 4.0 == pytest.approx(record1 / record0, rel=1e-14)
 
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9), phi=st.floats(-30, 30),
@@ -386,7 +405,7 @@ class TestEvolveDyads:
             * 10.0 ** rng.uniform(-5, 5, size=(m, m))
         H = A + A.conj().T
         assert np.array_equal(H, H.conj().T)
-        out = evolve_dyads(H, walk_cross(ProtocolParams(0.1, 0.01, phi, 1, xi)))
+        out = evolve_dyads(H, walk_cross(ProtocolParams(0.1, 0.01, phi, 1), math.exp(-xi)))
         assert out.shape == (m + 1, m + 1)
         assert not np.diagonal(out).imag.any()
         damp = math.exp(-xi) if math.isfinite(xi) else 0.0
@@ -399,7 +418,7 @@ class TestEvolveDyads:
         rng = np.random.default_rng(3)
         W = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         R = np.pad(W, 1)
-        out = evolve_dyads(W, walk_cross(ProtocolParams(0.1, 0.01, phi, 1, math.inf)))
+        out = evolve_dyads(W, walk_cross(ProtocolParams(0.1, 0.01, phi, 1), 0.0))
         assert np.array_equal(out, R[:-1, :-1] + R[1:, 1:])
 
     @pytest.mark.parametrize("l1, l2, phi", [(0.1, 0.01, 4.5 * pi), (0.015, 0.001625, pi / 4),
@@ -410,9 +429,9 @@ class TestEvolveDyads:
         # a step's ground (cross factor c) and excited (-c) outcomes are all
         # there is: their probabilities, each the raw trace over 4 on the
         # next step's rows, add up to one at every step
-        pp = ProtocolParams(l1, l2, phi, 12, xi)
-        cross, G = walk_cross(pp), kick_table(pp)[2]
-        for step, rho, _ in walk_density_steps(pp):
+        pp, s = ProtocolParams(l1, l2, phi, 12), math.exp(-xi)
+        cross, G = walk_cross(pp, s), kick_table(pp)[2]
+        for step, rho, _ in walk_density_steps(pp, s):
             if step == pp.n:
                 break
             rows = slice(pp.n - step - 1, pp.n + step + 2, 2)
@@ -421,16 +440,16 @@ class TestEvolveDyads:
             assert abs(total - 1.0) <= 1e-9
 
     def test_trace_renormalized_every_step(self):
-        pp = fig_pp(4, xi=0.5)
-        for _, rho, _ in walk_density_steps(pp):
+        pp = fig_pp(4)
+        for _, rho, _ in walk_density_steps(pp, math.exp(-0.5)):
             assert abs(dyad_trace(rho).real - 1.0) < 1e-12
 
     def test_one_final_normalization_is_the_same_map(self, monkeypatch):
         # the step map is linear, so where the trace is restored cannot matter
-        pp = fig_pp(12, xi=0.3)
-        expected = walk_density(pp)
+        pp, s = fig_pp(12), math.exp(-0.3)
+        expected = walk_density(pp, s)
         monkeypatch.setattr("catwalk.dephasing._normalized", lambda rho: (rho, 1.0))
-        raw = walk_density(pp)
+        raw = walk_density(pp, s)
         monkeypatch.undo()
         rho, _ = _normalized(raw)
         assert np.array_equal(rho.amplitudes, expected.amplitudes)

@@ -1,6 +1,5 @@
 import math
 import weakref
-from dataclasses import replace
 from math import pi
 
 import numpy as np
@@ -17,13 +16,13 @@ from conftest import coherent_column, displacement_matrix, rotation_matrix
 ETA = 1e-2
 
 
-def phys_point(omega1_reduced_over_w, omega2_over_w, gamma=0.0):
+def phys_point(omega1_reduced_over_w, omega2_over_w):
     """Physical parameters at eta = 1e-2 with Omega1' / omega pinned exactly."""
     omega = 1.0
     g = ETA * omega
     return PhysicalParams(
         omega, g, omega1_reduced_over_w / (1 - ETA**2 / 2) * omega,
-        omega2_over_w * omega, gamma,
+        omega2_over_w * omega,
     )
 
 
@@ -490,7 +489,7 @@ class TestFidelity:
     def test_dephased_density_fidelity_in_unit_interval(self, xi):
         _, modes, _ = fock.walk_prefixes(CHECK_POINT, 6)
         for k in range(1, 7):
-            rho = walk_density(replace(derive_protocol(CHECK_POINT, k), xi=xi))
+            rho = walk_density(derive_protocol(CHECK_POINT, k), math.exp(-xi))
             for v in (modes[k], modes[k] * (-1.0) ** np.arange(80), np.eye(80)[1]):
                 assert 0.0 <= fock.fidelity(v, rho) <= 1.0
 
@@ -526,9 +525,10 @@ def dephased_fock_walk(p, n, cutoff, xi, damp_same_branch=False):
     return rho
 
 
-def closed_form_fock_density(pp, cutoff):
-    """walk_density(pp) expanded in the Fock basis, C W C^dag, at unit trace."""
-    rho = walk_density(pp)
+def closed_form_fock_density(pp, cross_suppression, cutoff):
+    """walk_density(pp, cross_suppression) expanded in the Fock basis, C W
+    C^dag, at unit trace."""
+    rho = walk_density(pp, cross_suppression)
     C = fock._fock_columns(rho, cutoff)
     dense = C @ rho.weights @ C.conj().T
     return dense / np.trace(dense).real
@@ -551,7 +551,7 @@ class TestDephasedFockWalk:
         def distance(fock_xi, closed_xi, damp_same_branch=False):
             return dense_trace_distance(
                 dephased_fock_walk(CHECK_POINT, n, cutoff, fock_xi, damp_same_branch),
-                closed_form_fock_density(replace(pp, xi=closed_xi), cutoff))
+                closed_form_fock_density(pp, math.exp(-closed_xi), cutoff))
 
         pure = distance(0.0, 0.0)
         for xi in (0.2, 1.0, math.inf):
@@ -742,7 +742,7 @@ class TestOnePass:
         # from alpha0 = 3 at cutoff 36 the Fock walk passes its own gate, but
         # the closed-form truncation bound sum_jk |w_jk| t_j t_k of step k
         # grows with k and first passes EXPANSION_LEAKAGE_MAX at k = 7
-        pp = replace(derive_protocol(CHECK_POINT, 10, 3.0), xi=0.0)
+        pp = derive_protocol(CHECK_POINT, 10, 3.0)
         bounds = []
         for _, rho, _ in walk_density_steps(pp):
             t = np.sqrt([fock.poisson_tail(abs(alpha) ** 2, 36) for alpha in rho.amplitudes])

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
 from math import pi
 from pathlib import Path
 
@@ -39,8 +38,8 @@ from catwalk.protocol import ProtocolParams, walk_components, walk_state
 from conftest import coherent_psi_x, wigner_dyad_closed, wigner_dyad_quadrature
 
 
-def fig_pp(n, xi=0.0, alpha0=0j, l1=0.1):
-    return ProtocolParams(l1, 0.01, 4.5 * pi, n, xi, alpha0)
+def fig_pp(n, alpha0=0j, l1=0.1):
+    return ProtocolParams(l1, 0.01, 4.5 * pi, n, alpha0=alpha0)
 
 
 def pure_state(*pairs):
@@ -151,10 +150,11 @@ class TestRefinedSubgrid:
         pytest.param(lambda: walk_density(fig_pp(10)), id="walk-10"),
         pytest.param(lambda: walk_density(fig_pp(20)), id="walk-20"),
         pytest.param(lambda: projector(walk_state(fig_pp(5))), id="pure-walk-5"),
-        pytest.param(lambda: walk_density(fig_pp(20, xi=0.2)), id="decohere-20-xi0.2"),
-        pytest.param(lambda: walk_density(fig_pp(5, xi=1.0)), id="decohere-5-xi1"),
+        pytest.param(lambda: walk_density(fig_pp(20), math.exp(-0.2)), id="decohere-20-xi0.2"),
+        pytest.param(lambda: walk_density(fig_pp(5), math.exp(-1.0)), id="decohere-5-xi1"),
         pytest.param(lambda: walk_density(fig_pp(10, alpha0=ALPHA0)), id="walk-10-alpha0"),
-        pytest.param(lambda: walk_density(fig_pp(10, 0.2, ALPHA0)), id="decohere-10-alpha0"),
+        pytest.param(lambda: walk_density(fig_pp(10, alpha0=ALPHA0), math.exp(-0.2)),
+                     id="decohere-10-alpha0"),
         pytest.param(lambda: walk_density(fig_pp(5, l1=2.0)), id="walk-5-l1-2"),
         pytest.param(lambda: cat_density(fig_pp(10))[0], id="cat"),
         pytest.param(lambda: cat_density(fig_pp(10), math.exp(-2.0))[0], id="cat-damped"),
@@ -172,7 +172,8 @@ class TestRefinedSubgrid:
     @pytest.mark.parametrize("rho, coarse", [
         pytest.param(lambda: walk_density(fig_pp(10)), False, id="walk-10"),
         # its negativity moves 1.52e-2 -> 1.22e-2 under the refinement
-        pytest.param(lambda: walk_density(fig_pp(20, xi=0.2)), True, id="decohere-20-xi0.2"),
+        pytest.param(lambda: walk_density(fig_pp(20), math.exp(-0.2)), True,
+                     id="decohere-20-xi0.2"),
         pytest.param(lambda: cat_density(fig_pp(10), math.exp(-2.0))[0], False,
                      id="cat-damped"),
     ])
@@ -258,7 +259,7 @@ class TestPositionDensity:
 
     def test_incoherent_walk_is_a_sum_of_gaussians(self):
         # at xi = inf only the diagonal weights survive
-        rho = walk_density(fig_pp(10, xi=math.inf))
+        rho = walk_density(fig_pp(10), math.exp(-math.inf))
         np.testing.assert_array_equal(rho.weights, np.diag(np.diagonal(rho.weights)))
         g = default_grid()
         x = g.x_axis()
@@ -268,7 +269,7 @@ class TestPositionDensity:
 
     def test_dephased_walk_is_the_wigner_marginal(self):
         g = default_grid()
-        rho = walk_density(fig_pp(5, xi=0.5))
+        rho = walk_density(fig_pp(5), math.exp(-0.5))
         marginal = wigner_mixed(rho, g).values.sum(axis=1) * g.dp
         assert np.abs(marginal - position_density(rho, g).values).max() < 1e-4
 
@@ -347,15 +348,15 @@ class TestWignerPure:
 class TestWignerMixed:
     def test_xi_zero_matches_pure(self):
         g = default_grid()
-        pp = fig_pp(5, xi=0.0)
+        pp = fig_pp(5)
         Wp = wigner_pure(walk_state(pp), g)
         Wm = wigner_mixed(walk_density(pp), g)
         assert np.abs(Wp.values - Wm.values).max() < 1e-9
 
     def test_negativity_collapse(self):
         g = default_grid()
-        neg0 = negativity_volume(wigner_mixed(walk_density(fig_pp(5, 0.0)), g))
-        neg1 = negativity_volume(wigner_mixed(walk_density(fig_pp(5, 1.0)), g))
+        neg0 = negativity_volume(wigner_mixed(walk_density(fig_pp(5)), g))
+        neg1 = negativity_volume(wigner_mixed(walk_density(fig_pp(5), math.exp(-1.0)), g))
         assert neg1 < 0.05 * neg0
 
     def test_cat_cross_dyad_fringes(self):
@@ -419,7 +420,7 @@ class TestWignerMixed:
         R[range(6), range(6, 12)] = [w for w, _, _ in random_dyads]
         amplitudes = [a for _, a, _ in random_dyads] + [b for _, _, b in random_dyads]
         walk = projector(walk_state(fig_pp(10)))
-        dephased = walk_density(fig_pp(20, xi=0.2))
+        dephased = walk_density(fig_pp(20), math.exp(-0.2))
         cases = [
             (DyadEnsemble(amplitudes, np.zeros(12), R), random_dyads,
              PhaseSpaceGrid(-4, 4, -3, 3, 41, 31)),
@@ -434,7 +435,7 @@ class TestWignerMixed:
     @pytest.mark.parametrize("rho", [
         pytest.param(lambda: projector(walk_state(fig_pp(10))), id="walk-10"),
         pytest.param(lambda: projector(walk_state(fig_pp(20))), id="walk-20"),
-        pytest.param(lambda: walk_density(fig_pp(20, xi=0.2)), id="decohere-20"),
+        pytest.param(lambda: walk_density(fig_pp(20), math.exp(-0.2)), id="decohere-20"),
         pytest.param(lambda: cat_density(fig_pp(10), math.exp(-2.0))[0], id="cat-damped"),
     ])
     def test_contraction_error_against_mpmath(self, rho):
@@ -476,10 +477,10 @@ from catwalk.dephasing import projector, walk_density
 from catwalk.observables import (PhaseSpaceGrid, grid_for, position_density, wigner_bands,
                                  wigner_mixed)
 from catwalk.protocol import ProtocolParams, walk_state
-def pp(n, xi):
-    return ProtocolParams(0.1, 0.01, 4.5 * math.pi, n, xi)
+def pp(n):
+    return ProtocolParams(0.1, 0.01, 4.5 * math.pi, n)
 print(wigner_bands(PhaseSpaceGrid(-6, 6, -6, 6, 401, 401)))
-for rho in (projector(walk_state(pp(10, 0.0))), walk_density(pp(20, 0.2))):
+for rho in (projector(walk_state(pp(10))), walk_density(pp(20), math.exp(-0.2))):
     g = grid_for(rho)
     print(hashlib.sha256(position_density(rho, g).values.tobytes()).hexdigest())
     for grid in (g, g.refined(), PhaseSpaceGrid(g.x_min, g.x_max, g.p_min, g.p_max, 41, 31)):
@@ -530,7 +531,7 @@ class TestBands:
         pytest.param(lambda: projector(walk_state(fig_pp(1))), id="walk-1"),
         pytest.param(lambda: projector(walk_state(fig_pp(10))), id="walk-10"),
         pytest.param(lambda: projector(walk_state(fig_pp(40))), id="walk-40"),
-        pytest.param(lambda: walk_density(fig_pp(20, xi=0.2)), id="decohere-20"),
+        pytest.param(lambda: walk_density(fig_pp(20), math.exp(-0.2)), id="decohere-20"),
         pytest.param(lambda: cat_density(fig_pp(5), 0.7)[0], id="cat-5"),
     ])
     def test_bytes_equal_serial_loop(self, monkeypatch, rho, shape):
@@ -574,7 +575,7 @@ class TestBands:
         # in its first or a later dyad block; the others must leave
         # the barrier, the exception must reach the caller and no thread may
         # outlive the call
-        rho = walk_density(fig_pp(20, xi=0.2))  # 231 dyads: four blocks
+        rho = walk_density(fig_pp(20), math.exp(-0.2))  # 231 dyads: four blocks
         g = PhaseSpaceGrid(-6, 6, -6, 6, 401, 401)
         edge = g.x_axis()[0 if failing == "caller" else 1]
         real = observables._dyad_profiles
@@ -677,11 +678,11 @@ class TestProjector:
 
     @pytest.mark.parametrize("n", [1, 5, 10])
     def test_dephased_walk_has_the_pure_grid(self, n):
-        pp = fig_pp(n, xi=0.5)
+        pp, s = fig_pp(n), math.exp(-0.5)
         small = PhaseSpaceGrid(-1, 1, -1, 1, 11, 11)  # forces expansion
-        pure = projector(walk_state(replace(pp, xi=0.0)))
-        assert grid_for(walk_density(pp)) == grid_for(pure)
-        assert grid_for(walk_density(pp), small) == grid_for(pure, small)
+        pure = projector(walk_state(pp))
+        assert grid_for(walk_density(pp, s)) == grid_for(pure)
+        assert grid_for(walk_density(pp, s), small) == grid_for(pure, small)
 
     def test_normalizes_and_has_unit_purity(self):
         raw = SuperposedState(((2.0, CoherentLabel(0.5)), (1j, CoherentLabel(-0.5))))
@@ -700,7 +701,7 @@ class TestDiagnostics:
         assert d["purity"] == 1.0
 
     def test_grid_free_readings_only(self):
-        d = diagnostics(walk_density(fig_pp(5, xi=0.2)))
+        d = diagnostics(walk_density(fig_pp(5), math.exp(-0.2)))
         assert sorted(d) == ["mean_p", "mean_x", "purity", "var_p", "var_x"]
 
     def test_coherent_state_minimum_uncertainty(self):
@@ -723,14 +724,14 @@ class TestDiagnostics:
         assert d["var_x"] == pytest.approx(var_grid, abs=1e-6)
 
     def test_mixed_state_moments(self):
-        d = diagnostics(walk_density(fig_pp(5, xi=1.0)))
+        d = diagnostics(walk_density(fig_pp(5), math.exp(-1.0)))
         assert abs(d["mean_x"]) < 0.1
         assert d["purity"] < 1.0
 
     def test_one_gram_per_density(self, monkeypatch):
         # moments and purity read the Gram the walk density carries, a slice
         # of the recursion's; the values are the bits of a freshly built one
-        rho = walk_density(fig_pp(6, xi=0.3))
+        rho = walk_density(fig_pp(6), math.exp(-0.3))
         fresh = DyadEnsemble(rho.amplitudes, rho.phases, rho.weights)
         own = {"moments": _moments(fresh), "purity": dephasing.purity(fresh)}
         calls = []
@@ -773,14 +774,14 @@ class TestDiagnostics:
         # The reference starts from the same float labels, the walk's raw
         # coefficients or the recursion's cross factor and runs the rest
         # (normalization, recursion, overlaps, sums) at 40 digits.
-        pp = fig_pp(n, xi)
+        pp, s = fig_pp(n), math.exp(-xi)
         if kind == "walk":
             rho = projector(walk_state(pp))
             c = [mpmath.mpc(coeff) for coeff, _ in walk_components(pp)]
             R = [[cj * mpmath.conj(ck) for ck in c] for cj in c]
         else:
-            rho = walk_density(pp)
-            cross = mpmath.mpc(cmath.exp(2j * pp.phi) * math.exp(-pp.xi))
+            rho = walk_density(pp, s)
+            cross = mpmath.mpc(cmath.exp(2j * pp.phi) * s)
             weights = {(0, 0): mpmath.mpc(1)}
             for step in range(1, n + 1):
                 w = lambda j, k: weights.get((j, k), 0)  # noqa: E731
@@ -809,7 +810,7 @@ class TestDiagnostics:
         # run in every band count too.
         monkeypatch.setattr(observables, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(observables, "BAND_ROWS", 1)
-        rho = walk_density(fig_pp(20, xi=0.2))
+        rho = walk_density(fig_pp(20), math.exp(-0.2))
         base = PhaseSpaceGrid(-6, 6, -6, 6, nx, np_)
         g = grid_for(rho, base)
         assert observables.wigner_bands(g.refined()) == cpus

@@ -24,8 +24,8 @@ from catwalk.protocol import (
 FIG_PP = dict(l1=0.1, l2=0.01, phi=4.5 * pi)
 
 
-def fig_pp(n, xi=0.0, alpha0=0j):
-    return ProtocolParams(n=n, xi=xi, alpha0=alpha0, **FIG_PP)
+def fig_pp(n, alpha0=0j):
+    return ProtocolParams(n=n, alpha0=alpha0, **FIG_PP)
 
 
 def record_probabilities(pp):
@@ -67,15 +67,6 @@ class TestDeriveProtocol:
             assert pp.l1 == pytest.approx(0.1, rel=1e-12)
             assert pp.l2 == pytest.approx(0.01, rel=1e-12)
 
-    def test_gamma_zero_gives_xi_zero(self):
-        phys = PhysicalParams(1.0, 1e-3, 1e4, 100.0, Gamma=0.0)
-        assert derive_protocol(phys, 1).xi == 0.0
-
-    def test_xi_scale(self):
-        phys = PhysicalParams(1.0, 1e-3, 1e4, 100.0, Gamma=0.4)
-        # xi = 3 Gamma T / 8 with T = 2 pi / omega
-        assert derive_protocol(phys, 1).xi == pytest.approx(0.3 * pi)
-
     def test_decoupled_qubit(self):
         phys = PhysicalParams(1.0, 0.0, 7.0, 0.0)
         pp = derive_protocol(phys, 2)
@@ -86,12 +77,19 @@ class TestDeriveProtocol:
         pp = fig_pp(1)
         assert pp.phi == pytest.approx(pi / 2)
 
+    def test_alpha0_is_keyword_only(self):
+        # a fifth positional argument, once the dephasing exponent, must
+        # not silently become the initial amplitude
+        with pytest.raises(TypeError):
+            ProtocolParams(0.1, 0.01, 0.3, 2, 0.5)
+        assert ProtocolParams(0.1, 0.01, 0.3, 2, alpha0=0.5).alpha0 == 0.5
+
     @pytest.mark.parametrize("phi", [-1e-20, -0.0, 2 * pi, -2 * pi, 4.5 * pi])
     def test_phi_reduction_is_idempotent(self, phi):
         # -1e-20 % 2pi rounds to 2pi itself; replace() must not move phi
         pp = ProtocolParams(0.1, 0.01, phi, 2)
         assert 0.0 <= pp.phi < 2 * pi
-        assert replace(pp, xi=0.5).phi == pp.phi
+        assert replace(pp, n=3).phi == pp.phi
 
 
 class TestWalkState:

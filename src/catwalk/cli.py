@@ -27,10 +27,11 @@ count, which follows the usable CPUs, are the one non-reproducible output).
 
 Exit codes: 0 success, 2 configuration error (rates outside the model's
 validity gates included, a grid, Fock propagators or kick-table Gram matrix
-over its memory budget, refused up front, and outputs it cannot write), 3
-numerical-gate failure (Fock leakage, degenerate superposition,
-zero-probability outcome, kick-label overlaps that overflow, a purity or
-fidelity that cancellation has taken outside [0, 1]).
+over its memory budget, refused up front, a config file it cannot read as
+UTF-8 and outputs it cannot write), 3 numerical-gate failure (Fock leakage,
+degenerate superposition, zero-probability outcome, kick-label overlaps
+that overflow, a purity or fidelity that cancellation has taken outside
+[0, 1]).
 """
 
 import argparse
@@ -105,8 +106,8 @@ def parse_config_file(path) -> dict:
     A key given twice, also as its '-' and '_' spellings, is refused."""
     data, first = {}, {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -174,7 +175,6 @@ class ExperimentConfig:
 # Config key -> (the ExperimentConfig field it sets, its parser).  Which keys
 # a mode reads is part of MODES.
 KEYS = {
-    "mode": ("mode", str),
     "out": ("output_dir", Path),
     "format": ("fmt", str),
     "outputs": ("outputs",
@@ -247,8 +247,6 @@ def build_config(mode: str, raw: dict) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from None
     cfg = ExperimentConfig(**values)
-    if cfg.mode != mode:
-        raise ConfigError(f"config says mode = {cfg.mode!r} but {mode!r} was requested")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError("format must be 'csv' or 'json'")
     cfg.outputs = cfg.outputs or spec.defaults
@@ -463,12 +461,12 @@ def _diagnostics_table(diag: dict, key: str | None = None) -> Table:
 
 
 def _read(rho: DyadEnsemble, base: PhaseSpaceGrid, timings: dict):
-    """(Wigner field, diagnostics as floats) of one density from
-    ``read_wigner``, whose wall time is added to ``timings["wigner_s"]``."""
+    """(Wigner field, diagnostics) of one density from ``read_wigner``,
+    whose wall time is added to ``timings["wigner_s"]``."""
     t0 = time.perf_counter()
     W, diag = read_wigner(rho, base)
     timings["wigner_s"] += time.perf_counter() - t0
-    return W, {k: float(v) for k, v in diag.items()}
+    return W, diag
 
 
 def _density_tables(rho: DyadEnsemble, probability: float, base: PhaseSpaceGrid, timings: dict):
@@ -557,8 +555,7 @@ class Mode:
     def keys(self) -> tuple:
         """Every config key the mode reads: the run keys, n, the four
         physical rates and its own."""
-        return ("mode", "out", "format", "outputs", "n",
-                "omega", "g", "omega1", "omega2") + self.reads
+        return ("out", "format", "outputs", "n", "omega", "g", "omega1", "omega2") + self.reads
 
 
 MODES = {

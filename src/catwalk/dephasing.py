@@ -213,9 +213,9 @@ def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> tuple:
     """(density, outcome probability) of the cat: the state after n
     uninterrupted drive cycles, conditioned by one measurement.
 
-    The rows are the labels beta_{-n}, beta_{+n} of :func:`cat_labels`, the
-    weights one :func:`evolve_dyads` step from the 1x1 weight 1 with cross
-    factor -e^{2i phi'} s: phi' = 2 n phi reduced mod 2 pi, s =
+    The rows are the label arrays beta_{-n}, beta_{+n} of :func:`cat_labels`
+    as it returns them, the weights one :func:`evolve_dyads` step from the
+    1x1 weight 1 with cross factor -e^{2i phi'} s: phi' = 2 n phi mod 2 pi, s =
     ``cross_suppression`` (exp(-3 n Gamma T / 4) for a decay rate Gamma over
     the whole n-cycle run).  The density is normalized once, and the damped
     step's trace over 4 is the probability of the outcome the Fock model
@@ -229,10 +229,8 @@ def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> tuple:
         raise ValueError("cat protocol needs at least one cycle")
     if pp.alpha0 != 0:
         raise ValueError("cat protocol starts from the vacuum (alpha0 = 0)")
-    plus, minus = cat_labels(pp.l1, pp.l2, pp.n)
     cross = -cmath.exp(2j * ((2.0 * pp.n * pp.phi) % TAU))
-    rho = DyadEnsemble([minus.amplitude, plus.amplitude], [minus.phase, plus.phase],
-                       evolve_dyads([[1.0]], cross))
+    rho = DyadEnsemble(*cat_labels(pp.l1, pp.l2, pp.n), evolve_dyads([[1.0]], cross))
     undamped = dyad_trace(rho).real / 4.0
     if undamped <= DEGENERACY_CUTOFF:
         raise DegenerateState(f"cat components cancel: Tr rho = {undamped:.3e}")
@@ -252,7 +250,7 @@ def _weighted_matrix(rho: DyadEnsemble):
 def purity(rho: DyadEnsemble) -> float:
     """Tr rho^2 through the Gram-weighted double sum."""
     RG = rho.weights @ rho.gram
-    return np.trace(RG @ RG).real
+    return float(np.trace(RG @ RG).real)
 
 
 def min_eigenvalue(rho: DyadEnsemble) -> float:

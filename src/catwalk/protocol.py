@@ -6,7 +6,7 @@ both square-pulsed: on for the first half of each mechanical period, off for
 the second half.  Conditioning the qubit on the ground outcome after every
 pulse pair drives the mode through a random walk over coherent amplitudes;
 keeping the strong drive on throughout and measuring once instead produces a
-two-component (cat) superposition.  This module gives the labels of both:
+two-component (cat) superposition.  One loop gives both label arrays:
 :func:`kick_labels` for the walk, :func:`cat_labels` for the cat, whose
 density and outcome probability are :func:`catwalk.dephasing.cat_density`.
 
@@ -27,6 +27,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -152,6 +153,18 @@ def derive_protocol(p: PhysicalParams, n: int, alpha0: complex = 0j) -> Protocol
     )
 
 
+def _label_table(kicks, alpha0: complex, n: int) -> tuple:
+    """(amplitudes, phases) from alpha0 after j kicks, j = -n..n, indexed by
+    j + n: the label map kicks[0] takes j one kick up, kicks[1] one down."""
+    amplitudes, phases = np.full(2 * n + 1, complex(alpha0)), np.zeros(2 * n + 1)
+    for sign, kick in zip((1, -1), kicks):
+        lab = CoherentLabel(alpha0, 0.0)
+        for j in range(1, n + 1):
+            lab = kick(lab)
+            amplitudes[n + sign * j], phases[n + sign * j] = lab.amplitude, lab.phase
+    return amplitudes, phases
+
+
 def kick_labels(l1: float, l2: float, alpha0: complex, n: int) -> tuple:
     """(amplitudes, phases) of the labels reached by j composite kicks,
     j = -n..n, as two arrays indexed by j + n.
@@ -161,14 +174,8 @@ def kick_labels(l1: float, l2: float, alpha0: complex, n: int) -> tuple:
     the labels.  For real alpha0 the table is conjugate-symmetric:
     amplitude(-j) = conj(amplitude(j)).
     """
-    amplitudes = np.full(2 * n + 1, complex(alpha0))
-    phases = np.zeros(2 * n + 1)
-    for sign in (1, -1):
-        spec, lab = PulseOperatorSpec(l1, l2, sign), CoherentLabel(alpha0, 0.0)
-        for j in range(1, n + 1):
-            lab = apply_pulse_operator(spec, lab)
-            amplitudes[n + sign * j], phases[n + sign * j] = lab.amplitude, lab.phase
-    return amplitudes, phases
+    return _label_table([partial(apply_pulse_operator, PulseOperatorSpec(l1, l2, sign))
+                         for sign in (1, -1)], alpha0, n)
 
 
 def walk_components(pp: ProtocolParams) -> list:
@@ -193,7 +200,7 @@ def walk_state(pp: ProtocolParams) -> SuperposedState:
     return normalize(SuperposedState(tuple(walk_components(pp))))
 
 
-def _cat_kick(label: CoherentLabel, l1: float, l2: float, sign: int) -> CoherentLabel:
+def _cat_kick(l1: float, l2: float, sign: int, label: CoherentLabel) -> CoherentLabel:
     # One full cycle with the strong drive never switched off:
     # D(i s l1 e^{-i s l2 pi}) R(2 s l2 pi) D(i s l1); amplitude map
     # beta -> (beta + i s l1) e^{-2 i s l2 pi} + i s l1 e^{-i s l2 pi}.
@@ -203,17 +210,12 @@ def _cat_kick(label: CoherentLabel, l1: float, l2: float, sign: int) -> Coherent
 
 
 def cat_labels(l1: float, l2: float, n: int) -> tuple:
-    """(plus, minus) labels after n cat cycles from the vacuum.
-
-    plus runs the recursion with (l1, l2), minus with (-l1, -l2); for the
-    vacuum start the two are conjugate mirrors of each other.
-    """
-    plus = CoherentLabel.vacuum()
-    minus = CoherentLabel.vacuum()
-    for _ in range(n):
-        plus = _cat_kick(plus, l1, l2, +1)
-        minus = _cat_kick(minus, l1, l2, -1)
-    return plus, minus
+    """(amplitudes, phases) of the cat's labels beta_{-n}, beta_{+n} after n
+    cycles from the vacuum, in that row order: rows -n and +n of a
+    :func:`kick_labels` table with the cat cycle as the kick, (-l1, -l2) for
+    beta_{-n}; the two are conjugate mirrors of each other."""
+    amplitudes, phases = _label_table([partial(_cat_kick, l1, l2, s) for s in (1, -1)], 0j, n)
+    return amplitudes[[0, 2 * n]], phases[[0, 2 * n]]
 
 
 def run_conditioned_walk(pp: ProtocolParams):

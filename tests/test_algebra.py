@@ -154,9 +154,7 @@ def label_tables():
         yield pytest.param(*kick_labels(0.1, l2, alpha0, n),
                            id=f"kicks-n{n}-alpha0={alpha0:g}-l2={l2:g}")
     for n, l2 in product((1, 10, 40), (0.01, 0.7)):
-        labels = cat_labels(0.1, l2, n)
-        yield pytest.param([lab.amplitude for lab in labels], [lab.phase for lab in labels],
-                           id=f"cat-n{n}-l2={l2:g}")
+        yield pytest.param(*cat_labels(0.1, l2, n), id=f"cat-n{n}-l2={l2:g}")
     # overlap's imaginary exponent is (0.0 + (-0.0)) + (-0.0) = +0.0 here
     yield pytest.param([1 + 0j, complex(1, -0.0)], [0.0, -0.0], id="signed-zeros")
 

@@ -555,12 +555,23 @@ class TestReadSets:
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("key", ["derive", "gamma"])
+    @pytest.mark.parametrize("key", ["derive", "gamma", "mode"])
     def test_removed_knobs_refused(self, mode, key):
         # the protocol's source follows from the keys given, and no mode
         # reads a decay rate
         with pytest.raises(ConfigError, match=key):
             build_config(mode, {"n": "2", key: "0.2"})
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_mode_key_refused(self, tmp_path, mode):
+        # the subcommand alone names the mode, so the key is refused even
+        # when it agrees with the subcommand
+        with pytest.raises(ConfigError, match=f"{mode} does not read mode;"):
+            build_config(mode, {"mode": mode})
+        cfg = write_config(tmp_path, base_config(mode) + f"mode = {mode}\n")
+        out = tmp_path / "x"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["l1", "l2", "phi"])
     def test_rates_with_knobs_refused(self, key):
@@ -798,6 +809,14 @@ class TestOracleCheckRun:
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["walk", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"l1 = 0.1\n\xff = 2\n")
+        out = tmp_path / "x"
+        assert main(["walk", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: cannot read config file:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_grid_flag(self, tmp_path):
         cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nn = 1\n")

@@ -704,6 +704,16 @@ class TestDiagnostics:
         d = diagnostics(walk_density(fig_pp(5), math.exp(-0.2)))
         assert sorted(d) == ["mean_p", "mean_x", "purity", "var_p", "var_x"]
 
+    @pytest.mark.parametrize("rho", [
+        walk_density(fig_pp(5)),
+        walk_density(fig_pp(5), math.exp(-0.2)),
+        cat_density(fig_pp(10))[0],
+    ], ids=["walk", "dephased-walk", "cat"])
+    def test_every_reading_is_a_python_float(self, rho):
+        # np.float64 subclasses float, so the type itself is compared
+        for d in (diagnostics(rho), read_wigner(rho)[1]):
+            assert {k: type(v) for k, v in d.items()} == dict.fromkeys(d, float)
+
     def test_coherent_state_minimum_uncertainty(self):
         state = pure_state((1.0, CoherentLabel(0.8 - 0.3j)))
         d = diagnostics(projector(state))

@@ -31,7 +31,8 @@ from .errors import DegenerateState
 
 TAU = 2.0 * math.pi
 
-#: below this squared norm a superposition counts as destructively cancelled
+#: at or below this probability (a squared norm; a dyad step's Tr rho / 4) a
+#: conditioned outcome counts as destructively cancelled, in every protocol
 DEGENERACY_CUTOFF = 1e-14
 # Gram rows per numpy block: for the 2047 labels of n = 1023, 64 took 0.13 s
 # and peaked 5 MiB above the matrix.

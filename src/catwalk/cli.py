@@ -102,11 +102,12 @@ def parse_grid(text: str) -> PhaseSpaceGrid:
 
 
 def parse_config_file(path) -> dict:
-    """Read a flat key = value file; '#' starts a comment, blank lines skip.
-    A key given twice, also as its '-' and '_' spellings, is refused."""
+    """Read a flat key = value UTF-8 file, a leading byte-order mark skipped;
+    '#' starts a comment, blank lines skip.  A key given twice, also as its
+    '-' and '_' spellings, is refused."""
     data, first = {}, {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):

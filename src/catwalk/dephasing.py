@@ -36,8 +36,8 @@ of the kick table and its Gram and takes its trace (C above).
 The cat is one step of the same map, from the 1x1 weight 1 on its labels
 beta_{-n}, beta_{+n} with cross factor -e^{2i phi'} s: the phase phi' of n
 uninterrupted cycles, damped by s over the whole run.  As for a walk step,
-its trace over 4 is the outcome's probability.  A step's two outcomes
-differ only in the sign of its cross factor.
+its trace over 4 is the outcome's probability, refused when <= 1e-14
+(DEGENERACY_CUTOFF).  A step's two outcomes differ in its cross factor's sign.
 """
 
 import cmath
@@ -122,11 +122,10 @@ def check_unit(name: str, value: float):
 
 def _normalized(rho: DyadEnsemble) -> tuple:
     """(rho scaled to unit trace, the trace it had); DegenerateState when
-    the trace is <= DEGENERACY_CUTOFF, as for a superposition whose
-    components cancel."""
+    the trace over 4, the step's outcome probability, is <= DEGENERACY_CUTOFF."""
     tr = dyad_trace(rho).real
-    if tr <= DEGENERACY_CUTOFF:
-        raise DegenerateState(f"dyads cancel: Tr rho = {tr:.3e}")
+    if tr / 4.0 <= DEGENERACY_CUTOFF:
+        raise DegenerateState(f"dyads cancel: outcome probability Tr rho / 4 = {tr / 4.0:.3e}")
     return DyadEnsemble(rho.amplitudes, rho.phases, rho.weights / tr, rho.gram), tr
 
 
@@ -170,8 +169,8 @@ def walk_density_steps(pp: ProtocolParams, cross_suppression: float = 1.0):
     cross factor e^{2i phi} s, s = ``cross_suppression`` (the 1x1 weight 1
     at step 0), and is normalized here; its trace over 4 is the step's
     ground probability.  Raises ValueError for s outside [0, 1], and
-    DegenerateState when two labels' overlap overflows or a step's trace
-    cancels."""
+    DegenerateState when two labels' overlap overflows or a step's ground
+    probability is <= DEGENERACY_CUTOFF."""
     _check_suppression(cross_suppression)
     amplitudes, phases = kick_labels(pp.l1, pp.l2, pp.alpha0, pp.n)
     try:
@@ -217,25 +216,22 @@ def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> tuple:
     as it returns them, the weights one :func:`evolve_dyads` step from the
     1x1 weight 1 with cross factor -e^{2i phi'} s: phi' = 2 n phi mod 2 pi, s =
     ``cross_suppression`` (exp(-3 n Gamma T / 4) for a decay rate Gamma over
-    the whole n-cycle run).  The density is normalized once, and the damped
+    the whole n-cycle run).  The density is normalized once, and the
     step's trace over 4 is the probability of the outcome the Fock model
     labels excited, P(s) = 1/2 + s (P(1) - 1/2); +e^{2i phi'} s gives the
     ground one.  Requires n >= 1 and alpha0 = 0 (ValueError).  Raises
-    DegenerateState when the undamped probability is <= DEGENERACY_CUTOFF:
-    the components cancel (e.g. l1 = l2 = 0 with phi' a multiple of pi).
+    DegenerateState, as a walk step, at a probability <= DEGENERACY_CUTOFF:
+    at s = 1 when the labels coincide (l1 = l2 = 0, phi' a multiple of pi),
+    which, damped, give probability (1 - s)/2 in the state of that label.
     """
     _check_suppression(cross_suppression)
     if pp.n < 1:
         raise ValueError("cat protocol needs at least one cycle")
     if pp.alpha0 != 0:
         raise ValueError("cat protocol starts from the vacuum (alpha0 = 0)")
-    cross = -cmath.exp(2j * ((2.0 * pp.n * pp.phi) % TAU))
-    rho = DyadEnsemble(*cat_labels(pp.l1, pp.l2, pp.n), evolve_dyads([[1.0]], cross))
-    undamped = dyad_trace(rho).real / 4.0
-    if undamped <= DEGENERACY_CUTOFF:
-        raise DegenerateState(f"cat components cancel: Tr rho = {undamped:.3e}")
-    damped = evolve_dyads([[1.0]], cross * cross_suppression)
-    rho, tr = _normalized(DyadEnsemble(rho.amplitudes, rho.phases, damped, rho.gram))
+    cross = (-cmath.exp(2j * ((2.0 * pp.n * pp.phi) % TAU))) * cross_suppression
+    weights = evolve_dyads([[1.0]], cross)
+    rho, tr = _normalized(DyadEnsemble(*cat_labels(pp.l1, pp.l2, pp.n), weights))
     return rho, tr / 4.0
 
 

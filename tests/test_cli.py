@@ -394,6 +394,21 @@ class TestCatRun:
         cfg = write_config(tmp_path, "l1 = 0\nl2 = 0\nphi = 0\nn = 1\n")
         assert main(["cat", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
 
+    def test_damped_coinciding_labels_run(self, tmp_path):
+        # l1 = l2 = 0 and phi = 0 cancel the pure components; damped by e^-2
+        # the outcome keeps probability (1 - e^-2)/2, in the vacuum state
+        point = "l1 = 0\nl2 = 0\nphi = 0\nn = 3\n"
+        cfg = write_config(tmp_path, point + "decay_exponent = 2\n")
+        out = tmp_path / "cat"
+        assert main(["cat", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = dict(line.split(",") for line in
+                    (out / "diagnostics.csv").read_text().splitlines()[2:])
+        assert rows["success_probability"] == "4.323323583817e-01"
+        assert (rows["purity"], rows["mean_x"], rows["var_x"]) == (
+            "1.000000000000e+00", "0.000000000000e+00", "5.000000000000e-01")
+        pure = write_config(tmp_path, point + "decay_exponent = 0\n", "pure.cfg")
+        assert main(["cat", "--config", str(pure), "--out", str(tmp_path / "x")]) == 3
+
     def test_one_label_build_and_one_normalization(self, tmp_path, monkeypatch):
         # the density and the success probability come from one cat_density call
         calls = {"cat_labels": 0, "_normalized": 0}
@@ -817,6 +832,21 @@ class TestExitCodes:
         assert main(["walk", "--config", str(cfg), "--out", str(out)]) == 2
         assert "config error: cannot read config file:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        # the mark is no part of the first key: the run writes the bytes of
+        # the same config without it
+        text = b"l1 = 0.1\nl2 = 0.01\nphi = 4.5pi\nn = 2\n"
+        (tmp_path / "plain.cfg").write_bytes(text)
+        (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + text)
+        files = {}
+        for name in ("plain", "bom"):
+            out = tmp_path / name
+            assert main(["walk", "--config", str(tmp_path / f"{name}.cfg"),
+                         "--out", str(out)]) == 0
+            files[name] = {p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"}
+        assert sorted(files["bom"]) == ["alpha_table.csv", "diagnostics.csv", "pdist.csv"]
+        assert files["bom"] == files["plain"]
 
     def test_bad_grid_flag(self, tmp_path):
         cfg = write_config(tmp_path, "l1 = 0.1\nl2 = 0.01\nn = 1\n")

@@ -9,7 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catwalk import dephasing
-from catwalk.algebra import CoherentLabel, PulseOperatorSpec, apply_pulse_operator, gram_matrix
+from catwalk.algebra import (
+    DEGENERACY_CUTOFF,
+    CoherentLabel,
+    PulseOperatorSpec,
+    apply_pulse_operator,
+    gram_matrix,
+)
 from catwalk.dephasing import (
     DyadEnsemble,
     _normalized,
@@ -26,7 +32,8 @@ from catwalk.dephasing import (
     walk_density_steps,
 )
 from catwalk.errors import DegenerateState
-from catwalk.protocol import ProtocolParams, kick_labels, walk_state
+from catwalk.observables import diagnostics
+from catwalk.protocol import ProtocolParams, kick_labels, run_conditioned_walk, walk_state
 
 from conftest import overlap_matrix
 
@@ -330,6 +337,50 @@ class TestCatDensity:
         _, damped = cat_density(fig_pp(1), cross_suppression=math.exp(-0.5))
         assert undamped == pytest.approx(0.038, abs=5e-4)
         assert damped == pytest.approx(0.220, abs=5e-4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.7, math.exp(-2.0), 0.0])
+    def test_coinciding_labels_run_at_their_damped_probability(self, n, s):
+        # l1 = l2 = 0 leaves both labels at the vacuum, and phi' = 0 or pi
+        # cancels the pure components; damped, the outcome keeps probability
+        # (1 - s)/2 and the state of the one label
+        for phi in (0.0, pi / 2, pi):
+            rho, prob = cat_density(ProtocolParams(0.0, 0.0, phi, n), s)
+            assert prob == (1.0 - s) / 2
+            d = diagnostics(rho)
+            assert (d["mean_x"], d["mean_p"]) == pytest.approx((0.0, 0.0), abs=1e-15)
+            assert (d["var_x"], d["var_p"]) == pytest.approx((0.5, 0.5), abs=1e-15)
+            assert d["purity"] == pytest.approx(1.0, abs=1e-15)
+
+
+def refusal_cases(prob):
+    """Outcomes of probability ``prob`` = sin^2 d on the vacuum labels of l1 =
+    l2 = 0: a walk's first cycle at phi = pi/2 - d, read by the dyad step
+    and by the measurement chain, and the cat at phi' = d, or at phi' = 0
+    damped by s = 1 - 2 prob."""
+    d = math.asin(math.sqrt(prob))
+    walk = ProtocolParams(0.0, 0.0, pi / 2 - d, 1)
+    return {
+        "walk": lambda: list(walk_density_steps(walk))[-1][2],
+        "chain": lambda: run_conditioned_walk(walk)[1],
+        "cat by phase": lambda: cat_density(ProtocolParams(0.0, 0.0, d / 2, 1))[1],
+        "cat damped": lambda: cat_density(ProtocolParams(0.0, 0.0, 0.0, 1), 1.0 - 2.0 * prob)[1],
+    }
+
+
+class TestOneRefusalRule:
+    """Every conditioned outcome is refused by one rule, its probability at
+    or below DEGENERACY_CUTOFF, whichever protocol and path reads it."""
+
+    @pytest.mark.parametrize("case", ["walk", "chain", "cat by phase", "cat damped"])
+    def test_refused_at_half_the_cutoff(self, case):
+        with pytest.raises(DegenerateState):
+            refusal_cases(0.5 * DEGENERACY_CUTOFF)[case]()
+
+    @pytest.mark.parametrize("case", ["walk", "chain", "cat by phase", "cat damped"])
+    def test_run_at_twice_the_cutoff(self, case):
+        prob = refusal_cases(2.0 * DEGENERACY_CUTOFF)[case]()
+        assert prob == pytest.approx(2.0 * DEGENERACY_CUTOFF, rel=1e-2)
 
 
 class TestEvolveDyads:

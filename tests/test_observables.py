@@ -500,6 +500,36 @@ for rho in (projector(walk_state(pp(10))), walk_density(pp(20), math.exp(-0.2)))
         if hasattr(os, "sched_setaffinity"):
             assert bands[2] == 1
 
+    @pytest.mark.skipif(observables._usable_cpus() < 2,
+                        reason="a second BLAS thread needs a second usable CPU")
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="purity runs two complex matmuls (weights @ gram, then RG @ RG), "
+        "which OpenBLAS splits over its threads from about 130 labels on: the "
+        "n = 160, xi = 0.2 walk at the reference point reads "
+        "0x1.d0677309047dap-1 at 1 BLAS thread and 0x1.d06772e6082ddp-1 at 2 "
+        "(n = 100 and 120 agree), so catwalk decohere writes purity "
+        "9.070392559536e-01 and 9.070392518807e-01.  ROADMAP item 18's window "
+        "purity sum |R_mk|^2 is BLAS-free.",
+    )
+    def test_purity_bits_do_not_depend_on_blas_threads(self):
+        import catwalk
+
+        code = """
+import math
+from catwalk.dephasing import purity, walk_density
+from catwalk.protocol import ProtocolParams
+print(purity(walk_density(ProtocolParams(0.1, 0.01, 4.5 * math.pi, 160), math.exp(-0.2))).hex())
+"""
+        readings = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(catwalk.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            readings.append(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                           text=True, env=env, check=True).stdout.strip())
+        assert readings[0] == readings[1]
+
 
 class TestBands:
     """The Wigner field is evaluated in row bands on parallel threads.  Its

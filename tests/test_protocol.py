@@ -10,6 +10,7 @@ import pytest
 from catwalk.algebra import SuperposedState, norm_squared, state_overlap
 from catwalk.dephasing import cat_density, dyad_trace, walk_density_steps
 from catwalk.errors import DegenerateState, RegimeViolation
+from catwalk.observables import diagnostics
 from catwalk.protocol import (
     PhysicalParams,
     ProtocolParams,
@@ -242,8 +243,13 @@ class TestCatState:
         assert dyad_trace(rho).real == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(DegenerateState):
             cat_density(ProtocolParams(0.0, 0.0, 0.0, 1))  # phi' = 0
-        with pytest.raises(DegenerateState):  # damping cannot rescue it
-            cat_density(ProtocolParams(0.0, 0.0, 0.0, 1), 0.0)
+        # fully damped, the cancelled outcome runs at probability 1/2, in the
+        # vacuum state of its coinciding labels
+        rho, prob = cat_density(ProtocolParams(0.0, 0.0, 0.0, 1), 0.0)
+        d = diagnostics(rho)
+        assert prob == 0.5
+        assert (d["mean_x"], d["mean_p"], d["var_x"], d["var_p"], d["purity"]) == pytest.approx(
+            (0.0, 0.0, 0.5, 0.5, 1.0), abs=1e-15)
 
     def test_requires_vacuum_start(self):
         with pytest.raises(ValueError):
@@ -293,7 +299,6 @@ class TestCatState:
 class TestPhiParity:
     def test_even_multiple_displacement_negligible(self):
         from catwalk.dephasing import projector
-        from catwalk.observables import diagnostics
 
         even = diagnostics(projector(walk_state(ProtocolParams(0.1, 0.01, 4 * pi, 10))))
         odd = diagnostics(projector(walk_state(fig_pp(10))))

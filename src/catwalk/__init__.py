@@ -59,7 +59,6 @@ from .errors import (
     DegenerateState,
     GridTooCoarse,
     RegimeViolation,
-    ZeroProbabilityOutcome,
 )
 from .observables import (
     GridField,

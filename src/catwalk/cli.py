@@ -29,9 +29,8 @@ Exit codes: 0 success, 2 configuration error (rates outside the model's
 validity gates included, a grid, Fock propagators or kick-table Gram matrix
 over its memory budget, refused up front, a config file it cannot read as
 UTF-8 and outputs it cannot write), 3 numerical-gate failure (Fock leakage,
-degenerate superposition, zero-probability outcome, kick-label overlaps
-that overflow, a purity or fidelity that cancellation has taken outside
-[0, 1]).
+a conditioned outcome of probability <= 1e-14, kick-label overlaps that
+overflow, a purity or fidelity that cancellation has taken outside [0, 1]).
 """
 
 import argparse
@@ -48,13 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .dephasing import DyadEnsemble, cat_density, walk_density, walk_density_steps
-from .errors import (
-    ConfigError,
-    CutoffTooSmall,
-    DegenerateState,
-    RegimeViolation,
-    ZeroProbabilityOutcome,
-)
+from .errors import ConfigError, CutoffTooSmall, DegenerateState, RegimeViolation
 from .observables import (
     WIGNER_BUDGET_BYTES,
     GridField,
@@ -72,7 +65,6 @@ from .protocol import (
     kick_labels,
 )
 from . import dephasing, efmt, fock
-from .efmt import FLOAT_FMT
 
 
 def parse_angle(text: str) -> float:
@@ -639,7 +631,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
-    except (CutoffTooSmall, DegenerateState, ZeroProbabilityOutcome) as exc:
+    except (CutoffTooSmall, DegenerateState) as exc:
         print(f"numerical gate: {exc}", file=sys.stderr)
         return 3
     for item in report.outputs:

@@ -105,11 +105,10 @@ class DyadEnsemble:
         return self.weights.ravel()
 
 
-def dyad_trace(rho: DyadEnsemble) -> complex:
-    """Tr rho = sum_{jk} rho_{jk} <label_k|label_j>, each part summed by
-    math.fsum, so exactly rounded whatever the order of the terms."""
-    terms = rho.weights * rho.gram.T
-    return complex(math.fsum(terms.real.flat), math.fsum(terms.imag.flat))
+def dyad_trace(rho: DyadEnsemble) -> float:
+    """Tr rho = sum_{jk} rho_{jk} <label_k|label_j>, real for Hermitian weights:
+    math.fsum of the terms' real parts, exactly rounded in any order."""
+    return math.fsum((rho.weights * rho.gram.T).real.flat)
 
 
 def check_unit(name: str, value: float):
@@ -121,12 +120,13 @@ def check_unit(name: str, value: float):
 
 
 def _normalized(rho: DyadEnsemble) -> tuple:
-    """(rho scaled to unit trace, the trace it had); DegenerateState when
-    the trace over 4, the step's outcome probability, is <= DEGENERACY_CUTOFF."""
-    tr = dyad_trace(rho).real
-    if tr / 4.0 <= DEGENERACY_CUTOFF:
-        raise DegenerateState(f"dyads cancel: outcome probability Tr rho / 4 = {tr / 4.0:.3e}")
-    return DyadEnsemble(rho.amplitudes, rho.phases, rho.weights / tr, rho.gram), tr
+    """(rho scaled to unit trace, the step's outcome probability Tr rho / 4);
+    DegenerateState when that probability is <= DEGENERACY_CUTOFF."""
+    tr = dyad_trace(rho)
+    prob = tr / 4.0
+    if prob <= DEGENERACY_CUTOFF:
+        raise DegenerateState(f"dyads cancel: outcome probability Tr rho / 4 = {prob:.3e}")
+    return DyadEnsemble(rho.amplitudes, rho.phases, rho.weights / tr, rho.gram), prob
 
 
 def evolve_dyads(weights: np.ndarray, cross: complex) -> np.ndarray:
@@ -179,12 +179,13 @@ def walk_density_steps(pp: ProtocolParams, cross_suppression: float = 1.0):
         raise DegenerateState("kick-label overlaps overflow: Re(conj(A) B) - (|A|^2 + |B|^2)/2 "
                               "cancels terms of size |A|^2; the rounding overflows exp") from None
     cross = cmath.exp(2j * pp.phi) * cross_suppression
-    record = 4.0  # step 0's trace is 1, so its trace / 4 makes the record 1.0
+    record = 4.0  # step 0's trace is 1, so its probability 1/4 makes the record 1.0
     for step in range(pp.n + 1):
         weights = evolve_dyads(rho.weights, cross) if step else [[1.0]]
         rows = slice(pp.n - step, pp.n + step + 1, 2)
-        rho, tr = _normalized(DyadEnsemble(amplitudes[rows], phases[rows], weights, G[rows, rows]))
-        record *= tr / 4.0
+        rho, prob = _normalized(DyadEnsemble(amplitudes[rows], phases[rows], weights,
+                                             G[rows, rows]))
+        record *= prob
         yield step, rho, record
 
 
@@ -231,8 +232,7 @@ def cat_density(pp: ProtocolParams, cross_suppression: float = 1.0) -> tuple:
         raise ValueError("cat protocol starts from the vacuum (alpha0 = 0)")
     cross = (-cmath.exp(2j * ((2.0 * pp.n * pp.phi) % TAU))) * cross_suppression
     weights = evolve_dyads([[1.0]], cross)
-    rho, tr = _normalized(DyadEnsemble(*cat_labels(pp.l1, pp.l2, pp.n), weights))
-    return rho, tr / 4.0
+    return _normalized(DyadEnsemble(*cat_labels(pp.l1, pp.l2, pp.n), weights))
 
 
 def _weighted_matrix(rho: DyadEnsemble):
@@ -244,7 +244,8 @@ def _weighted_matrix(rho: DyadEnsemble):
 
 
 def purity(rho: DyadEnsemble) -> float:
-    """Tr rho^2 through the Gram-weighted double sum."""
+    """Tr rho^2 = Tr (R G)^2 by two complex BLAS matmuls; past about 130 labels
+    BLAS splits them over its threads, so the bits depend on its thread count."""
     RG = rho.weights @ rho.gram
     return float(np.trace(RG @ RG).real)
 

@@ -6,10 +6,11 @@ class CatwalkError(Exception):
 
 
 class DegenerateState(CatwalkError):
-    """Superposition components cancel destructively; normalization impossible.
-
-    Signals an unphysical parameter choice (e.g. a zero-kick protocol whose
-    interference phase annihilates the conditioned state).
+    """A conditioned outcome's probability is at or below DEGENERACY_CUTOFF,
+    in any model (dyad step, measurement chain or Fock projection): its
+    components cancel destructively and the state cannot be normalized.
+    Also raised when kick-label overlaps overflow, or dyad weights cancel
+    past the floating-point floor.
     """
 
 
@@ -19,10 +20,6 @@ class RegimeViolation(CatwalkError):
 
 class CutoffTooSmall(CatwalkError):
     """Fock-space truncation too small for the requested state or evolution."""
-
-
-class ZeroProbabilityOutcome(CatwalkError):
-    """Requested measurement outcome has numerically zero probability."""
 
 
 class ConfigError(CatwalkError):

@@ -45,7 +45,7 @@ import numpy as np
 
 from .algebra import DEGENERACY_CUTOFF, SuperposedState
 from .dephasing import DyadEnsemble, check_unit, projector, walk_density_steps
-from .errors import CutoffTooSmall, ZeroProbabilityOutcome
+from .errors import CutoffTooSmall, DegenerateState
 from .protocol import PhysicalParams, derive_protocol, kick_labels
 
 DEFAULT_CUTOFF = 80
@@ -312,11 +312,12 @@ def embed_ground(mode: np.ndarray, frame: tuple) -> np.ndarray:
 def project(vector: np.ndarray, qubit: int, frame: tuple):
     """Project a 2N vector in ``frame`` on bare qubit level ``qubit``
     (0 = ground, 1 = excited); return (probability, normalized mode
-    amplitudes in the bare Fock basis)."""
+    amplitudes in the bare Fock basis).  DegenerateState, as a dyad step, at
+    a probability <= DEGENERACY_CUTOFF."""
     block = _gauge(frame[0][qubit] @ vector.reshape(2, -1), frame[1])
     prob = float(np.vdot(block, block).real)
-    if prob < DEGENERACY_CUTOFF:
-        raise ZeroProbabilityOutcome(
+    if prob <= DEGENERACY_CUTOFF:
+        raise DegenerateState(
             f"outcome '{('ground', 'excited')[qubit]}' has probability {prob:.3e}"
         )
     return prob, block / math.sqrt(prob)

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catwalk.cli import (
-    FLOAT_FMT,
     KEYS,
     MODES,
     Table,
@@ -31,6 +30,7 @@ from catwalk.cli import (
 )
 from catwalk import cli, dephasing, efmt, fock, observables
 from catwalk.dephasing import GRAM_BUDGET_BYTES, kick_gram_bytes
+from catwalk.efmt import FLOAT_FMT
 from catwalk.errors import ConfigError
 from catwalk.protocol import PhysicalParams, ProtocolParams, derive_protocol
 

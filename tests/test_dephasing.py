@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catwalk import dephasing
+from catwalk import dephasing, fock
 from catwalk.algebra import (
     DEGENERACY_CUTOFF,
     CoherentLabel,
@@ -80,7 +80,8 @@ class TestStepInvariants:
             R = rho.weights
             assert np.linalg.norm(R - R.conj().T) < 1e-12
             assert abs(dyad_trace(rho).real - 1.0) < 1e-10
-            assert abs(dyad_trace(rho).imag) < 1e-12
+            # the imaginary part dyad_trace drops: Im sum_jk w_jk G_kj
+            assert abs(math.fsum((rho.weights * rho.gram.T).imag.flat)) < 1e-12
             assert min_eigenvalue(rho) > -1e-10
 
     def test_entry_count_bound(self):
@@ -357,30 +358,59 @@ def refusal_cases(prob):
     """Outcomes of probability ``prob`` = sin^2 d on the vacuum labels of l1 =
     l2 = 0: a walk's first cycle at phi = pi/2 - d, read by the dyad step
     and by the measurement chain, and the cat at phi' = d, or at phi' = 0
-    damped by s = 1 - 2 prob."""
+    damped by s = 1 - 2 prob; and the Fock projection of a full-frame 2N
+    vector whose ground block holds probability prob."""
     d = math.asin(math.sqrt(prob))
     walk = ProtocolParams(0.0, 0.0, pi / 2 - d, 1)
+    vector = np.array([math.sqrt(prob), 0.0, math.sqrt(1.0 - prob), 0.0])
     return {
         "walk": lambda: list(walk_density_steps(walk))[-1][2],
         "chain": lambda: run_conditioned_walk(walk)[1],
         "cat by phase": lambda: cat_density(ProtocolParams(0.0, 0.0, d / 2, 1))[1],
         "cat damped": lambda: cat_density(ProtocolParams(0.0, 0.0, 0.0, 1), 1.0 - 2.0 * prob)[1],
+        "fock projection": lambda: fock.project(vector, 0, fock.FRAMES["full"])[0],
     }
+
+
+REFUSAL_CASES = ["walk", "chain", "cat by phase", "cat damped", "fock projection"]
 
 
 class TestOneRefusalRule:
     """Every conditioned outcome is refused by one rule, its probability at
     or below DEGENERACY_CUTOFF, whichever protocol and path reads it."""
 
-    @pytest.mark.parametrize("case", ["walk", "chain", "cat by phase", "cat damped"])
+    @pytest.mark.parametrize("case", REFUSAL_CASES)
     def test_refused_at_half_the_cutoff(self, case):
         with pytest.raises(DegenerateState):
             refusal_cases(0.5 * DEGENERACY_CUTOFF)[case]()
 
-    @pytest.mark.parametrize("case", ["walk", "chain", "cat by phase", "cat damped"])
+    @pytest.mark.parametrize("case", REFUSAL_CASES)
     def test_run_at_twice_the_cutoff(self, case):
         prob = refusal_cases(2.0 * DEGENERACY_CUTOFF)[case]()
         assert prob == pytest.approx(2.0 * DEGENERACY_CUTOFF, rel=1e-2)
+
+    def test_refused_at_the_cutoff_itself(self, monkeypatch):
+        # with the cutoff at the exactly representable 2^-48, a probability
+        # of exactly the cutoff is refused and twice it runs, bit for bit:
+        # the dyad step reads Tr rho / 4 of a 1x1 weight on the vacuum, the
+        # Fock projection the squared norm of the ground block
+        cutoff = 2.0**-48
+        monkeypatch.setattr(dephasing, "DEGENERACY_CUTOFF", cutoff)
+        monkeypatch.setattr(fock, "DEGENERACY_CUTOFF", cutoff)
+
+        def dyad_step(weight):
+            return _normalized(DyadEnsemble([0j], [0.0], [[weight]]))[1]
+
+        def projection(ground):
+            vector = np.concatenate([ground, np.ones(len(ground))])
+            return fock.project(vector, 0, fock.FRAMES["full"])[0]
+
+        with pytest.raises(DegenerateState):
+            dyad_step(4.0 * cutoff)
+        with pytest.raises(DegenerateState):
+            projection([2.0**-24])
+        assert dyad_step(8.0 * cutoff) == 2.0 * cutoff
+        assert projection([2.0**-24, 2.0**-24]) == 2.0 * cutoff
 
 
 class TestEvolveDyads:

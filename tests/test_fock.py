@@ -7,7 +7,7 @@ import pytest
 
 from catwalk.algebra import CoherentLabel, SuperposedState, normalize
 from catwalk.dephasing import cat_density, projector, walk_density, walk_density_steps
-from catwalk.errors import CutoffTooSmall, ZeroProbabilityOutcome
+from catwalk.errors import CutoffTooSmall, DegenerateState
 from catwalk.protocol import PhysicalParams, ProtocolParams, derive_protocol, walk_state
 from catwalk import fock
 
@@ -401,7 +401,7 @@ class TestProjection:
         assert pg + pe == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_probability_raises(self):
-        with pytest.raises(ZeroProbabilityOutcome):
+        with pytest.raises(DegenerateState):
             fock.project(ground_vector(0.1 + 0j, 20), 1, BARE)
 
     def test_frame_round_trip_is_exact(self, rng):
@@ -437,7 +437,7 @@ class TestProjection:
         prob, mode = fock.project(ground_vector(0.3 + 0.2j, 30, "reduced"), 0, dressed)
         assert prob == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(mode, coherent_column(0.3 + 0.2j, 30), atol=1e-12)
-        with pytest.raises(ZeroProbabilityOutcome):
+        with pytest.raises(DegenerateState):
             fock.project(ground_vector(0.1 + 0j, 20, "reduced"), 1, dressed)
 
 

@@ -11,6 +11,9 @@ classes are reported.  The roots are ``cli.main``, every name the README's
 library example uses, every (module, function) that ``bench/spans.py``
 traces or counts, and every name that ``bench/*.py`` imports from
 ``catwalk.*``.
+
+Beside the ledger, an unused-import check: every name a module of
+``src/catwalk`` (``__init__`` excluded) imports is read in that module.
 """
 
 import ast
@@ -145,6 +148,19 @@ def roots() -> set:
     return {"cli.main"} | readme_roots() | bench_roots()
 
 
+def unused_imports(sources: dict) -> list:
+    """"mod.name" of every name a module imports and never reads."""
+    unused = []
+    for mod, text in sources.items():
+        tree = ast.parse(text)
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused += [f"{mod}.{name}" for stmt in ast.walk(tree)
+                   if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                   for name in (a.asname or a.name.partition(".")[0] for a in stmt.names)
+                   if name not in read]
+    return unused
+
+
 def ledger_errors(sources: dict, roots: set, ledger: dict, roadmap: str) -> list:
     """Why the ledger does not hold: an unreached definition it does not
     list, an entry that is reached, or a reason naming no ROADMAP item."""
@@ -179,6 +195,16 @@ def test_a_planted_definition_is_caught():
     sources["dephasing"] += "\n\ndef planted(rho):\n    return rho\n"
     assert ledger_errors(sources, roots(), LEDGER, ROADMAP) == [
         "dephasing.planted (2 lines) is reached from no root and is not in the ledger"]
+
+
+def test_every_import_is_read():
+    assert unused_imports(module_sources()) == []
+
+
+def test_a_planted_import_is_caught():
+    sources = module_sources()
+    sources["dephasing"] = "import os\nfrom .algebra import TAU as turn\n" + sources["dephasing"]
+    assert unused_imports(sources) == ["dephasing.os", "dephasing.turn"]
 
 
 def test_a_stale_entry_is_caught():
